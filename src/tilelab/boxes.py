@@ -14,7 +14,7 @@ so lower-dimensional slivers never survive.  The kernel is dimension-generic
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -187,10 +187,6 @@ class BoxSet:
     def bbox(self) -> Box | None:
         return boxes_bbox(self.boxes)
 
-    def min_side(self) -> Fraction | None:
-        sides = [(hi - lo).as_fraction() for b in self.boxes for lo, hi in b]
-        return min(sides) if sides else None
-
     def contains_point(self, pt: Sequence) -> bool:
         p = [Dyadic.coerce(x) for x in pt]
         return any(all(lo <= x <= hi for x, (lo, hi) in zip(p, b)) for b in self.boxes)
@@ -238,13 +234,7 @@ class BoxSet:
         return self._binary(other, lambda x, y: np.logical_and(x, np.logical_not(y)))
 
     def interior_intersects(self, other: "BoxSet") -> bool:
-        # cheap pre-filter then exact check
-        for p in self.boxes:
-            for q in other.boxes:
-                if all(max(pl, ql) < min(ph, qh)
-                       for (pl, ph), (ql, qh) in zip(p, q)):
-                    return True
-        return False
+        return bool(set_contacts([self, other])[1])
 
     def contains_set(self, other: "BoxSet") -> bool:
         return other.difference(self).is_empty()
@@ -293,13 +283,7 @@ class BoxSet:
 
     def shared_face_area(self, other: "BoxSet") -> Fraction:
         """Total codimension-1 contact area; assumes disjoint interiors."""
-        total = Fraction(0)
-        for p in self.boxes:
-            for q in other.boxes:
-                area = _face_contact(p, q)
-                if area is not None:
-                    total += area
-        return total
+        return set_contacts([self, other])[0].get((0, 1), Fraction(0))
 
     def components(self) -> list["BoxSet"]:
         """Face-connected components (edge/corner contact does not connect)."""
@@ -312,12 +296,11 @@ class BoxSet:
                 i = parent[i]
             return i
 
-        for i in range(n):
-            for j in range(i + 1, n):
-                if _face_contact(self.boxes[i], self.boxes[j]):
-                    pi, pj = find(i), find(j)
-                    if pi != pj:
-                        parent[pi] = pj
+        for i, j, area in _contacts(self.boxes, range(n)):
+            if area is not None:
+                pi, pj = find(i), find(j)
+                if pi != pj:
+                    parent[pi] = pj
         groups: dict[int, list[Box]] = {}
         for i in range(n):
             groups.setdefault(find(i), []).append(self.boxes[i])
@@ -355,46 +338,81 @@ class BoxSet:
         return arr, bbox
 
 
-def _face_contact(p: Box, q: Box) -> Fraction | None:
-    """Positive contact area if p, q touch along a codim-1 face, else None."""
-    touch_axis = -1
-    area = Fraction(1)
-    for a, ((pl, ph), (ql, qh)) in enumerate(zip(p, q)):
-        lo = pl if pl >= ql else ql
-        hi = ph if ph <= qh else qh
-        c = lo._cmp(hi)
-        if c > 0:
-            return None
-        if c == 0:
-            if touch_axis >= 0:
-                return None  # edge or corner contact only
-            touch_axis = a
+def _contacts(boxes: Sequence[Box], owner: Sequence):
+    """Exact contact sweep: yield ``(i, j, area)`` for every pair ``i < j`` of
+    boxes with different owners that touch along a codim-1 face (``area`` is
+    the positive contact area) or whose interiors overlap (``area`` is None).
+    Pairs meeting only along an edge or a corner are not reported.
+
+    Coordinates become ints at one common exponent; a sort-and-sweep along
+    axis 0 skips pairs whose closures are apart on that axis."""
+    if not boxes:
+        return
+    e = max(c.exp for b in boxes for iv in b for c in iv)
+    ib = [tuple((lo.num << (e - lo.exp), hi.num << (e - hi.exp)) for lo, hi in b)
+          for b in boxes]
+    denom = 1 << (e * (len(ib[0]) - 1))
+    active: list[int] = []
+    for k in sorted(range(len(ib)), key=lambda k: ib[k][0][0]):
+        q = ib[k]
+        active = [j for j in active if ib[j][0][1] >= q[0][0]]
+        for j in active:
+            if owner[j] == owner[k]:
+                continue
+            touch = False
+            area = 1
+            for (pl, ph), (ql, qh) in zip(ib[j], q):
+                lo = pl if pl >= ql else ql
+                hi = ph if ph <= qh else qh
+                if lo > hi:
+                    break
+                if lo == hi:
+                    if touch:
+                        break  # edge or corner contact only
+                    touch = True
+                else:
+                    area *= hi - lo
+            else:
+                yield min(j, k), max(j, k), Fraction(area, denom) if touch else None
+        active.append(k)
+
+
+def set_contacts(sets: Sequence[BoxSet]) -> tuple[dict, set]:
+    """Pairwise contact of box sets: ``(areas, overlaps)`` where ``areas``
+    maps each set pair ``(a, b)``, ``a < b``, with positive shared face area
+    to that area, and ``overlaps`` holds the set pairs whose interiors meet."""
+    boxes = [b for s in sets for b in s.boxes]
+    owner = [k for k, s in enumerate(sets) for _ in s.boxes]
+    areas: dict = {}
+    overlaps = set()
+    for i, j, area in _contacts(boxes, owner):
+        key = (owner[i], owner[j])
+        if area is None:
+            overlaps.add(key)
         else:
-            area *= (hi - lo).as_fraction()
-    if touch_axis < 0:
-        return None  # overlapping interiors; not a face contact
-    return area
+            areas[key] = areas.get(key, 0) + area
+    return areas, overlaps
 
 
 def contact_faces(a: BoxSet, b: BoxSet) -> list[tuple[Box, Fraction]]:
     """Degenerate boxes where closures of a and b meet along codim-1 faces,
-    paired with their areas.  Assumes disjoint interiors."""
-    out = []
-    for p in a.boxes:
-        for q in b.boxes:
-            area = _face_contact(p, q)
-            if area is None:
-                continue
-            face = tuple(
-                (pl if pl >= ql else ql, ph if ph <= qh else qh)
-                for (pl, ph), (ql, qh) in zip(p, q)
-            )
-            out.append((face, area))
-    return out
+    paired with their areas.  Assumes disjoint interiors.  Faces come in
+    (a box, b box) index order, which the stable sort by area in
+    ``tunnels.route_gamma`` turns into its tie-break between equal areas."""
+    n = len(a.boxes)
+    boxes = a.boxes + b.boxes
+    hits = sorted((i, j - n, area)
+                  for i, j, area in _contacts(boxes, [0] * n + [1] * len(b.boxes))
+                  if area is not None)
+    return [
+        (tuple((pl if pl >= ql else ql, ph if ph <= qh else qh)
+               for (pl, ph), (ql, qh) in zip(a.boxes[i], b.boxes[j])), area)
+        for i, j, area in hits
+    ]
 
 
 # ---------------------------------------------------------------------------
-# polylines and corridors
+# polylines
 # ---------------------------------------------------------------------------
 
 
@@ -417,133 +435,3 @@ def polyline_neighborhood(points: Sequence[Sequence], c) -> BoxSet:
         )
         boxes.append(inflate(seg, cc))
     return BoxSet(boxes)
-
-
-def _interval_dist_bounds(c0, c1, b0, b1):
-    """(min, max) over p in [c0,c1] of dist(p, [b0,b1]) along one axis (ints)."""
-    lo = max(b0 - c1, c0 - b1, 0)
-    hi = max(b0 - c0, c1 - b1, 0)
-    return lo, hi
-
-
-def _cells_dist_bounds(starts, pitch_num, boxes_int, want_upper):
-    """Per-cell distance bound to a box union, all in scaled integers.
-
-    ``starts``: list of per-axis arrays of cell left edges.  Returns an array:
-    min over boxes of (max over axes of per-axis bound), which is the exact
-    min distance when want_upper is False, and an exact upper bound for the
-    max-over-cell distance when want_upper is True.
-    """
-    shape = tuple(len(s) for s in starts)
-    best = None
-    for box in boxes_int:
-        per_box = None
-        for ax, (b0, b1) in enumerate(box):
-            c0 = starts[ax]
-            c1 = c0 + pitch_num
-            if want_upper:
-                d = np.maximum(np.maximum(b0 - c0, c1 - b1), 0)
-            else:
-                d = np.maximum(np.maximum(b0 - c1, c0 - b1), 0)
-            d = d.reshape([-1 if i == ax else 1 for i in range(len(shape))])
-            per_box = d if per_box is None else np.maximum(per_box, d)
-        per_box = np.broadcast_to(per_box, shape)
-        best = per_box.copy() if best is None else np.minimum(best, per_box)
-    return best
-
-
-def corridor(a: BoxSet, b: BoxSet, eps, resolution_exp: int) -> BoxSet:
-    """Voxelized inner approximation of the eps-restricted Voronoi region of
-    ``a`` against ``b``: the face-connected component containing ``a`` of the
-    cells certified to satisfy dist(x, a) < min(dist(x, b), eps).
-
-    The cell pitch is 2^-resolution_exp and must be at most eps/4.  Refining
-    the resolution grows the output monotonically; the output closure never
-    meets ``b``.
-    """
-    from scipy import ndimage
-
-    e = Dyadic.coerce(eps)
-    if e <= ZERO:
-        raise ValueError("corridor: eps must be positive")
-    pitch = Fraction(1, 1 << resolution_exp)
-    if pitch * 4 > e.as_fraction():
-        raise ValueError("corridor: pitch must be at most eps/4")
-    if a.is_empty():
-        raise ValueError("corridor: empty source")
-
-    bb = inflate(a.bbox(), e)
-    # snap region to the pitch lattice
-    import math
-
-    lo = [Fraction(math.floor(x[0].as_fraction() / pitch)) * pitch for x in bb]
-    hi = [Fraction(math.ceil(x[1].as_fraction() / pitch)) * pitch for x in bb]
-    # common integer scale
-    scale = 1 << resolution_exp
-
-    def as_int(fr: Fraction) -> int:
-        v = fr * scale
-        assert v.denominator == 1
-        return int(v)
-
-    def box_int(box: Box):
-        out = []
-        for (x0, x1) in box:
-            out.append((int(math.floor(x0.as_fraction() * scale)),
-                        int(math.ceil(x1.as_fraction() * scale))))
-        return out
-
-    # exact integer corners for a/b boxes (dyadic; may be off-lattice for b,
-    # in which case we use conservative outward rounding, keeping the
-    # inner-approximation property)
-    def box_int_exact_or_outer(box: Box, outward: bool):
-        out = []
-        for (x0, x1) in box:
-            v0 = x0.as_fraction() * scale
-            v1 = x1.as_fraction() * scale
-            if outward:
-                out.append((int(math.floor(v0)), int(math.ceil(v1))))
-            else:
-                out.append((int(math.ceil(v0)), int(math.floor(v1))))
-        return out
-
-    a_int = [box_int_exact_or_outer(bx, outward=True) for bx in a.boxes]
-    b_int = [box_int_exact_or_outer(bx, outward=False) for bx in b.boxes] if not b.is_empty() else []
-
-    starts = [np.arange(as_int(l), as_int(h), dtype=object) for l, h in zip(lo, hi)]
-    if any(len(s) == 0 for s in starts):
-        raise ValueError("corridor: degenerate region")
-
-    ub_a = _cells_dist_bounds(starts, 1, a_int, want_upper=True)
-    eps_int = e.as_fraction() * scale
-    ok = np.vectorize(lambda d: Fraction(int(d)) < eps_int)(ub_a)
-    if b_int:
-        lb_b = _cells_dist_bounds(starts, 1, b_int, want_upper=False)
-        ok &= np.vectorize(lambda u, l: int(u) < int(l))(ub_a, lb_b)
-
-    # seeds: cells whose closure meets a
-    lb_a = _cells_dist_bounds(starts, 1, a_int, want_upper=False)
-    seeds = np.vectorize(lambda d: int(d) == 0)(lb_a) & ok
-    if not seeds.any():
-        raise ValueError("corridor: no corridor cell touches the source at this resolution")
-
-    structure = ndimage.generate_binary_structure(ok.ndim, 1)
-    labels, _ = ndimage.label(ok, structure=structure)
-    keep = np.unique(labels[seeds])
-    keep = keep[keep > 0]
-    mask = np.isin(labels, keep)
-
-    pdy = Dyadic(1, resolution_exp)
-    grid_dy = [[Dyadic(int(s0), 0) * pdy if False else _frac_to_dyadic(Fraction(int(s0), scale))
-                for s0 in list(starts[ax]) + [starts[ax][-1] + 1]]
-               for ax in range(len(starts))]
-    out = _extract(mask, grid_dy)
-    return BoxSet(out, _canonical=True) if out else BoxSet.empty(a.dim)
-
-
-def _frac_to_dyadic(fr: Fraction) -> Dyadic:
-    den = fr.denominator
-    exp = den.bit_length() - 1
-    if (1 << exp) != den:
-        raise ValueError("not dyadic")
-    return Dyadic(fr.numerator, exp)

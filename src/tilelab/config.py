@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from typing import Dict, List, Optional
+
+from .partition import Schedule, ScheduleError
 
 
 class ConfigError(Exception):
@@ -58,12 +59,10 @@ class RunConfig:
         if not isinstance(self.schedule, (list, tuple)) or not self.schedule:
             raise ConfigError("schedule must be a nonempty list of integers")
         self.schedule = [int(n) for n in self.schedule]
-        for a, b in zip(self.schedule, self.schedule[1:]):
-            if b <= a * (3 + 2 * math.log(4)):
-                raise ConfigError(
-                    f"schedule ratio {b}/{a} violates the growth condition")
-        if any(n < 1 for n in self.schedule):
-            raise ConfigError("schedule entries must be positive")
+        try:
+            Schedule(self.schedule, 4)
+        except ScheduleError as exc:
+            raise ConfigError(str(exc)) from exc
         if not (1 <= self.resolution <= 20):
             raise ConfigError("resolution must lie in [1, 20]")
         if self.radius < 1:

@@ -37,8 +37,8 @@ def _box_mesh(box, digits: int, offset: int):
     return verts, faces
 
 
-def tiling_off(tiling, config_hash: str, seed, digits: int = 9) -> str:
-    """ASCII OFF scene: one cuboid shell per box of every tile."""
+def _tiling_mesh(tiling, digits: int):
+    """Vertices and quad faces of every box of every tile, in tile order."""
     verts: List[str] = []
     faces: List[tuple] = []
     for key in sorted(tiling.tile_of, key=repr):
@@ -46,6 +46,12 @@ def tiling_off(tiling, config_hash: str, seed, digits: int = 9) -> str:
             v, f = _box_mesh(box, digits, len(verts))
             verts.extend(v)
             faces.extend(f)
+    return verts, faces
+
+
+def tiling_off(tiling, config_hash: str, seed, digits: int = 9) -> str:
+    """ASCII OFF scene: one cuboid shell per box of every tile."""
+    verts, faces = _tiling_mesh(tiling, digits)
     lines = ["OFF"]
     lines += comment_header(config_hash, seed)
     lines.append(f"{len(verts)} {len(faces)} 0")
@@ -55,13 +61,7 @@ def tiling_off(tiling, config_hash: str, seed, digits: int = 9) -> str:
 
 
 def tiling_obj(tiling, config_hash: str, seed, digits: int = 9) -> str:
-    verts: List[str] = []
-    faces: List[tuple] = []
-    for key in sorted(tiling.tile_of, key=repr):
-        for box in tiling.tile_of[key].boxes:
-            v, f = _box_mesh(box, digits, len(verts))
-            verts.extend(v)
-            faces.extend(f)
+    verts, faces = _tiling_mesh(tiling, digits)
     lines = comment_header(config_hash, seed)
     lines += [f"v {v}" for v in verts]
     # OBJ indices are 1-based

@@ -25,12 +25,11 @@ presumes which reading yields the degree-5 tree.
 
 from __future__ import annotations
 
-import json
 import random
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .boxes import Box, BoxSet, box_of
+from .boxes import Box, BoxSet, box_of, set_contacts
 from .dyadic import Dyadic
 
 # Family offsets in fifths of the scale; per interpretation, per family,
@@ -231,13 +230,8 @@ def pieces_in_window(chain: ScaleChain, window: Box,
 
 def _piece_adjacency(pieces: Sequence[FractalPiece]) -> List[Tuple[int, int, Fraction]]:
     """Pairs with positive shared boundary length, as index pairs."""
-    edges = []
-    for a in range(len(pieces)):
-        for b in range(a + 1, len(pieces)):
-            length = pieces[a].region.shared_face_area(pieces[b].region)
-            if length > 0:
-                edges.append((a, b, length))
-    return edges
+    areas, _ = set_contacts([p.region for p in pieces])
+    return [(a, b, length) for (a, b), length in sorted(areas.items())]
 
 
 def _has_cycle(n: int, edges: Sequence[Tuple[int, int]]) -> bool:
@@ -267,9 +261,7 @@ def adjacency_report(pieces: Sequence[FractalPiece], window: Box,
     """
     swin = _scaled_window(window)
     win_set = BoxSet.from_box(swin)
-    covered = BoxSet.empty()
-    for p in pieces:
-        covered = covered.union(p.region)
+    covered = BoxSet([b for p in pieces for b in p.region.boxes])
     uncovered = win_set.difference(covered)
 
     scales = [p.scale for p in pieces]
@@ -412,28 +404,3 @@ def pieces_svg(pieces: Sequence[FractalPiece], window: Box,
                  f'fill="none" stroke="#000" stroke-width="1"/>')
     parts.append("</svg>")
     return "\n".join(parts)
-
-
-def pieces_json(pieces: Sequence[FractalPiece], report: dict) -> str:
-    payload = {
-        "pieces": [
-            {
-                "scale": p.scale,
-                "family": p.family,
-                "cell": list(p.cell),
-                "area": str(p.area),
-                "boxes": [[[c.as_pair() for c in pair] for pair in box]
-                          for box in p.region.boxes],
-            }
-            for p in pieces
-        ],
-        "report": report,
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def degree_csv(report: dict) -> str:
-    lines = ["degree,count"]
-    for k, v in report["degree_histogram"].items():
-        lines.append(f"{k},{v}")
-    return "\n".join(lines) + "\n"

@@ -13,7 +13,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 
-from .boxes import Box, BoxSet, box_is_empty, box_volume, deflate
+from .boxes import Box, BoxSet, box_is_empty, box_volume, deflate, set_contacts
 from .dyadic import Dyadic, HALF
 from .labels import LabelSource
 from .partition import PartitionStack
@@ -357,24 +357,8 @@ class Tiling:
         if self._adjacency is not None:
             return self._adjacency
         verts = sorted(self.tile_of, key=repr)
-        import numpy as np
-
-        n = len(verts)
-        lo = np.empty((n, 3))
-        hi = np.empty((n, 3))
-        for i, v in enumerate(verts):
-            bb = self.tile_of[v].bbox()
-            for a in range(3):
-                lo[i, a] = float(bb[a][0])
-                hi[i, a] = float(bb[a][1])
-        edges = set()
-        for i in range(n):
-            gap = np.maximum(lo[i] - hi[i + 1:], lo[i + 1:] - hi[i]).max(axis=1)
-            for off in np.nonzero(gap <= 1e-9)[0]:
-                j = i + 1 + int(off)
-                a = self.tile_of[verts[i]].shared_face_area(self.tile_of[verts[j]])
-                if a > 0:
-                    edges.add((verts[i], verts[j]))
+        areas, _ = set_contacts([self.tile_of[v] for v in verts])
+        edges = {(verts[a], verts[b]) for a, b in areas}
         self._adjacency = edges
         return edges
 
@@ -488,30 +472,14 @@ def verify_representation(tiling: Tiling, tree: RootedTreeWindow,
     report["tiles_open_connected"] = {"pass": not bad, "witnesses": bad[:5]}
 
     verts = sorted(tiling.tile_of, key=repr)
-    overlap = None
     vol = Fraction(0)
     for i, v in enumerate(verts):
         vol += tiling.tile_of[v].volume()
-    # disjointness via the same bbox prefilter as adjacency
-    import numpy as np
-
-    n = len(verts)
-    lo = np.empty((n, 3))
-    hi = np.empty((n, 3))
-    for i, v in enumerate(verts):
-        bb = tiling.tile_of[v].bbox()
-        for a in range(3):
-            lo[i, a] = float(bb[a][0])
-            hi[i, a] = float(bb[a][1])
-    for i in range(n):
-        gap = np.maximum(lo[i] - hi[i + 1:], lo[i + 1:] - hi[i]).max(axis=1)
-        for off in np.nonzero(gap <= 1e-9)[0]:
-            j = i + 1 + int(off)
-            if tiling.tile_of[verts[i]].interior_intersects(tiling.tile_of[verts[j]]):
-                overlap = (repr(verts[i]), repr(verts[j]))
-                break
-        if overlap:
-            break
+    _, overlaps = set_contacts([tiling.tile_of[v] for v in verts])
+    overlap = None
+    if overlaps:
+        i, j = min(overlaps)
+        overlap = (repr(verts[i]), repr(verts[j]))
     cover_ok = (vol == tiling.region.volume()) and overlap is None
     report["disjoint_and_cover"] = {
         "pass": cover_ok,

@@ -69,15 +69,6 @@ def _rooted_ball_isomorphic(g1: nx.Graph, o1, g2: nx.Graph, o2, r: int) -> bool:
     return nx.is_isomorphic(b1, b2, node_match=nm, edge_match=em)
 
 
-def rooted_distance(s1: RootedSample, s2: RootedSample, r_max: int) -> Fraction:
-    """1/r for the first radius r at which the rooted r-balls fail to be
-    isomorphic (decorations included); 0 if they agree out to r_max."""
-    for r in range(0, r_max + 1):
-        if not _rooted_ball_isomorphic(s1.graph, s1.root, s2.graph, s2.root, r):
-            return Fraction(1) if r == 0 else Fraction(1, r)
-    return Fraction(0)
-
-
 # -- transport function battery ------------------------------------------------
 
 F_BATTERY_VERSION = "1.0"

@@ -5,10 +5,10 @@ import random
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import ndimage
 
-from tilelab.boxes import BoxSet, box_of, box_volume, cube_at
+from tilelab.boxes import BoxSet, _contacts, box_of, box_volume, cube_at
 from tilelab.dyadic import Dyadic
 
 
@@ -89,6 +89,68 @@ def test_shared_face_area_unit_cubes():
     c = BoxSet.from_box(cube_at((1, 1, 0), Dyadic(1, 1)))
     assert a.shared_face_area(b) == 1  # full unit face
     assert a.shared_face_area(c) == 0  # edge contact only
+
+
+def face_contact_oracle(p, q):
+    """Brute-force pair classification on Dyadic coordinates: the positive
+    codim-1 contact area, None for overlapping interiors, or "apart" when the
+    closures are disjoint or meet only along an edge or a corner."""
+    touch_axis = -1
+    area = Fraction(1)
+    for a, ((pl, ph), (ql, qh)) in enumerate(zip(p, q)):
+        lo, hi = max(pl, ql), min(ph, qh)
+        if lo > hi:
+            return "apart"
+        if lo == hi:
+            if touch_axis >= 0:
+                return "apart"
+            touch_axis = a
+        else:
+            area *= (hi - lo).as_fraction()
+    return area if touch_axis >= 0 else None
+
+
+@st.composite
+def owned_boxes(draw):
+    """Boxes on a coarse mixed-exponent grid (so faces, edges and corners
+    touch often), an owner per box, and a translation vector that is either
+    zero or a large, finely dyadic one."""
+    dim = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(0, 8))
+    boxes = []
+    for _ in range(n):
+        box = []
+        for _ in range(dim):
+            exp = draw(st.integers(0, 2))
+            lo = draw(st.integers(0, 6 << exp))
+            box.append((Dyadic(lo, exp), Dyadic(lo + draw(st.integers(1, 4)), exp)))
+        boxes.append(tuple(box))
+    owner = [draw(st.integers(0, 2)) for _ in boxes]
+    shift = draw(st.sampled_from([0, Dyadic((1 << 80) + 3, 41)]))
+    return boxes, owner, [shift] * dim
+
+
+CUBE = ((Dyadic(0), Dyadic(1)),) * 3
+
+
+@given(owned_boxes())
+@example(([CUBE, tuple((lo + 1, hi + 1) for lo, hi in CUBE[:2]) + CUBE[2:]],
+          [0, 1], [0] * 3))  # edge-only contact
+@example(([CUBE, tuple((lo + 1, hi + 1) for lo, hi in CUBE)],
+          [0, 1], [0] * 3))  # corner-only contact
+def test_contact_sweep_matches_all_pairs_oracle(case):
+    boxes, owner, shift = case
+    boxes = [tuple((lo + s, hi + s) for (lo, hi), s in zip(b, shift))
+             for b in boxes]
+    got = list(_contacts(boxes, owner))
+    expected = set()
+    for i in range(len(boxes)):
+        for j in range(i + 1, len(boxes)):
+            kind = face_contact_oracle(boxes[i], boxes[j])
+            if owner[i] != owner[j] and kind != "apart":
+                expected.add((i, j, kind))
+    assert len(got) == len(set(got))
+    assert set(got) == expected
 
 
 def test_components_counts():

@@ -7,7 +7,7 @@ import pytest
 from tilelab.dyadic import Dyadic
 from tilelab.labels import LabelSource
 from tilelab.partition import Schedule
-from tilelab.tiler import block_dims, margin, nest_margin, tile_tree, \
+from tilelab.tiler import Tiling, block_dims, margin, nest_margin, tile_tree, \
     verify_representation
 from tilelab.trees import synthetic_tree
 
@@ -52,6 +52,23 @@ def test_verifier_four_conditions(descriptor):
     assert report["local_finiteness"]["pass"]
     assert report["adjacency_isomorphic"]["pass"]
     assert report["pass"]
+
+
+def test_verifier_reports_first_overlapping_pair():
+    tree, tiling = run("path(16)")
+    verts = sorted(tiling.tile_of, key=repr)
+    tiles = dict(tiling.tile_of)
+    # tiles 1 and 6 overlap, and so do tiles 2 and 3; the witness is the
+    # first pair in repr order
+    tiles[verts[1]] = tiles[verts[1]].union(tiles[verts[6]])
+    tiles[verts[2]] = tiles[verts[2]].union(tiles[verts[3]])
+    broken = Tiling(tiles, tiling.region, tiling.roots, tiling.unresolved,
+                    tiling.demoted)
+    report = verify_representation(broken, tree)
+    assert not report["disjoint_and_cover"]["pass"]
+    assert report["disjoint_and_cover"]["overlap_witness"] == (
+        repr(verts[1]), repr(verts[6]))
+    assert not report["pass"]
 
 
 def test_cover_is_exact_fraction_identity():
