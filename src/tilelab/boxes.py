@@ -10,12 +10,17 @@ lists is equality of regions.
 All boolean operations are *regularized*: results are closures of open sets,
 so lower-dimensional slivers never survive.  The kernel is dimension-generic
 (the fractal module uses it in 2D, everything else in 3D).
+
+Inside the kernel every coordinate is a Python int on the lattice of the
+finest exponent among its inputs (`_lattice`); booleans, contacts and
+volumes compute on those ints, and `Dyadic` corners are built only for the
+boxes a result returns.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
+from math import prod
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -42,10 +47,16 @@ def box_is_empty(box: Box) -> bool:
 
 
 def box_volume(box: Box) -> Fraction:
-    v = Fraction(1)
-    for lo, hi in box:
-        v *= (hi - lo).as_fraction()
-    return v
+    return _volume([box])
+
+
+def _volume(boxes: Sequence[Box]) -> Fraction:
+    """Exact total volume: a sum of int products at the common exponent."""
+    if not boxes:
+        return Fraction(0)
+    e, ib = _lattice(boxes)
+    return Fraction(sum(prod(hi - lo for lo, hi in b) for b in ib),
+                    1 << (e * len(ib[0])))
 
 
 def inflate(box: Box, eps) -> Box:
@@ -66,75 +77,89 @@ def boxes_bbox(boxes: Iterable[Box]) -> Box | None:
     boxes = list(boxes)
     if not boxes:
         return None
-    dim = len(boxes[0])
-    return tuple(
-        (min((b[a][0] for b in boxes), key=lambda d: d.as_fraction()),
-         max((b[a][1] for b in boxes), key=lambda d: d.as_fraction()))
-        for a in range(dim)
-    )
+    return tuple((min(b[a][0] for b in boxes), max(b[a][1] for b in boxes))
+                 for a in range(len(boxes[0])))
 
 
-def _axis_grid(boxes: Sequence[Box], axis: int) -> list[Dyadic]:
-    vals = {b[axis][0].as_fraction(): b[axis][0] for b in boxes}
-    vals.update({b[axis][1].as_fraction(): b[axis][1] for b in boxes})
-    return [vals[k] for k in sorted(vals)]
+# Cells a dense grid of `BoxSet._binary` or `_canonicalize` may have.  An op
+# holds up to three byte grids plus a nested list of the result (one pointer
+# per cell), about 190 MB at this limit.  The largest grid of the test suite
+# has 11,025 cells (a 3-D union, 25x21x21), of the benchmark jobs 9,025.
+MAX_GRID_CELLS = 1 << 24
 
 
-def _fill(arr: np.ndarray, grids: list[list[Fraction]], boxes: Sequence[Box], value=True):
-    """Mark cells covered by ``boxes``; box edges must lie on the grids."""
-    for b in boxes:
-        idx = []
-        for a, (lo, hi) in enumerate(b):
-            i0 = bisect_left(grids[a], lo.as_fraction())
-            i1 = bisect_left(grids[a], hi.as_fraction())
-            idx.append(slice(i0, i1))
-        arr[tuple(idx)] = value
+class ResourceLimit(Exception):
+    """A computation would exceed a fixed size limit (CLI exit code 3)."""
 
 
-def _extract(arr: np.ndarray, grids_dy: list[list[Dyadic]]) -> list[Box]:
-    """Canonical maximal merge: runs along the last axis, grouping outward."""
+def _lattice(boxes: Sequence[Box]) -> tuple[int, list[tuple]]:
+    """Boxes on the integer lattice of their finest exponent ``e``: returns
+    ``e`` and, per box, a tuple of ``(lo, hi)`` int pairs, where the int
+    ``c`` stands for ``c / 2**e``."""
+    e = max(c.exp for b in boxes for iv in b for c in iv)
+    return e, [tuple((lo.num << (e - lo.exp), hi.num << (e - hi.exp)) for lo, hi in b)
+               for b in boxes]
 
-    def structure(sub: np.ndarray):
-        if sub.ndim == 1:
-            runs = []
-            i = 0
-            n = sub.shape[0]
-            while i < n:
-                if sub[i]:
-                    j = i
-                    while j < n and sub[j]:
-                        j += 1
-                    runs.append((i, j))
-                    i = j
-                else:
-                    i += 1
-            return tuple(runs)
-        groups = []
-        prev = None
-        start = 0
-        for i in range(sub.shape[0]):
-            s = structure(sub[i])
-            if s != prev:
-                if prev is not None and prev != ():
-                    groups.append((start, i, prev))
-                prev = s
-                start = i
-        if prev is not None and prev != ():
-            groups.append((start, sub.shape[0], prev))
-        return tuple(groups)
 
-    def emit(struct, depth: int, prefix: list, out: list):
-        g = grids_dy[depth]
-        if depth == len(grids_dy) - 1:
-            for i0, i1 in struct:
-                out.append(tuple(prefix + [(g[i0], g[i1])]))
-        else:
-            for i0, i1, sub in struct:
-                emit(sub, depth + 1, prefix + [(g[i0], g[i1])], out)
+def _dense_grid(op: str, ib: Sequence[tuple]) -> tuple[list[list[int]], list[dict]]:
+    """Sorted distinct coordinates per axis of the int boxes ``ib`` and, per
+    axis, the index of each coordinate in its grid; raises `ResourceLimit`
+    when the grid of cells between them would exceed ``MAX_GRID_CELLS``."""
+    grids = [sorted({c for b in ib for c in b[a]}) for a in range(len(ib[0]))]
+    shape = [len(g) - 1 for g in grids]
+    cells = prod(shape)
+    if cells > MAX_GRID_CELLS:
+        raise ResourceLimit(f"{op}: dense grid {'x'.join(map(str, shape))} has "
+                            f"{cells} cells, over the limit of {MAX_GRID_CELLS}")
+    return grids, [{c: i for i, c in enumerate(g)} for g in grids]
 
-    out: list[Box] = []
-    emit(structure(arr), 0, [], out)
-    return out
+
+def _fill(index: list[dict], ib: Sequence[tuple]) -> np.ndarray:
+    """Occupancy of the grid ``index`` by the int boxes ``ib``."""
+    arr = np.zeros([len(ix) - 1 for ix in index], dtype=bool)
+    for b in ib:
+        arr[tuple([slice(ix[lo], ix[hi]) for ix, (lo, hi) in zip(index, b)])] = True
+    return arr
+
+
+def _extract(arr: np.ndarray, grids: list[list[int]], e: int) -> list[Box]:
+    """Canonical maximal merge: runs along the last axis, then equal adjacent
+    slabs grouped along each earlier axis, outermost first."""
+    last = arr.ndim - 1
+    runs: list[tuple] = []  # per box, a (start, stop) cell index pair per axis
+
+    def walk(sub: list, depth: int, prefix: tuple) -> None:
+        n = len(sub)
+        i = 0
+        if depth == last:
+            while True:
+                try:
+                    i0 = sub.index(True, i)
+                except ValueError:
+                    return
+                try:
+                    i = sub.index(False, i0)
+                except ValueError:
+                    i = n
+                runs.append(prefix + ((i0, i),))
+        while i < n:
+            j = i + 1
+            while j < n and sub[j] == sub[i]:
+                j += 1
+            walk(sub[i], depth + 1, prefix + ((i, j),))
+            i = j
+
+    walk(arr.tolist(), 0, ())
+    dy = [{i: Dyadic(g[i], e) for i in {i for r in runs for i in r[a]}}
+          for a, g in enumerate(grids)]
+    return [tuple([(d[i0], d[i1]) for d, (i0, i1) in zip(dy, r)]) for r in runs]
+
+
+_OPS = {
+    "union": np.logical_or,
+    "intersection": np.logical_and,
+    "difference": lambda x, y: np.logical_and(x, np.logical_not(y)),
+}
 
 
 class BoxSet:
@@ -143,9 +168,10 @@ class BoxSet:
     __slots__ = ("boxes", "dim")
 
     def __init__(self, boxes: Sequence[Box], _canonical: bool = False):
-        boxes = [b for b in boxes if not box_is_empty(b)]
-        if boxes and not _canonical:
-            boxes = self._canonicalize(boxes)
+        if not _canonical:
+            boxes = [b for b in boxes if not box_is_empty(b)]
+            if boxes:
+                boxes = self._canonicalize(boxes)
         dims = {len(b) for b in boxes}
         if len(dims) > 1:
             raise ValueError("mixed dimensions")
@@ -157,14 +183,9 @@ class BoxSet:
 
     @staticmethod
     def _canonicalize(boxes: Sequence[Box]) -> list[Box]:
-        dim = len(boxes[0])
-        grids_dy = [_axis_grid(boxes, a) for a in range(dim)]
-        grids = [[d.as_fraction() for d in g] for g in grids_dy]
-        arr = np.zeros([max(len(g) - 1, 0) for g in grids], dtype=bool)
-        if arr.size == 0:
-            return []
-        _fill(arr, grids, boxes)
-        return _extract(arr, grids_dy)
+        e, ib = _lattice(boxes)
+        grids, index = _dense_grid("canonicalize", ib)
+        return _extract(_fill(index, ib), grids, e)
 
     @staticmethod
     def empty(dim: int = 3) -> "BoxSet":
@@ -182,7 +203,7 @@ class BoxSet:
         return not self.boxes
 
     def volume(self) -> Fraction:
-        return sum((box_volume(b) for b in self.boxes), Fraction(0))
+        return _volume(self.boxes)
 
     def bbox(self) -> Box | None:
         return boxes_bbox(self.boxes)
@@ -204,37 +225,33 @@ class BoxSet:
 
     # -- booleans ---------------------------------------------------------------
 
-    def _binary(self, other: "BoxSet", op) -> "BoxSet":
+    def _binary(self, other: "BoxSet", op: str) -> "BoxSet":
         if not self.boxes and not other.boxes:
             return BoxSet.empty(max(self.dim, other.dim, 3))
-        allb = list(self.boxes) + list(other.boxes)
-        dim = len(allb[0])
-        grids_dy = [_axis_grid(allb, a) for a in range(dim)]
-        grids = [[d.as_fraction() for d in g] for g in grids_dy]
-        shape = [max(len(g) - 1, 0) for g in grids]
-        a = np.zeros(shape, dtype=bool)
-        b = np.zeros(shape, dtype=bool)
-        if a.size:
-            _fill(a, grids, self.boxes)
-            _fill(b, grids, other.boxes)
-        res = op(a, b)
-        out = BoxSet(_extract(res, grids_dy) if res.size else [], _canonical=True)
+        n = len(self.boxes)
+        e, ib = _lattice(self.boxes + other.boxes)
+        grids, index = _dense_grid(op, ib)
+        res = _OPS[op](_fill(index, ib[:n]), _fill(index, ib[n:]))
+        out = BoxSet(_extract(res, grids, e), _canonical=True)
         if not out.boxes:
-            return BoxSet.empty(dim)
+            return BoxSet.empty(len(ib[0]))
         return out
 
     def union(self, other: "BoxSet") -> "BoxSet":
-        return self._binary(other, np.logical_or)
+        return self._binary(other, "union")
 
     def intersection(self, other: "BoxSet") -> "BoxSet":
-        return self._binary(other, np.logical_and)
+        return self._binary(other, "intersection")
 
     def difference(self, other: "BoxSet") -> "BoxSet":
         """Regularized difference: closure of (self minus other)."""
-        return self._binary(other, lambda x, y: np.logical_and(x, np.logical_not(y)))
+        return self._binary(other, "difference")
 
     def interior_intersects(self, other: "BoxSet") -> bool:
-        return bool(set_contacts([self, other])[1])
+        """Whether the interiors meet; stops at the first overlapping pair."""
+        owner = [0] * len(self.boxes) + [1] * len(other.boxes)
+        return any(area is None
+                   for _, _, area in _contacts(self.boxes + other.boxes, owner))
 
     def contains_set(self, other: "BoxSet") -> bool:
         return other.difference(self).is_empty()
@@ -348,9 +365,7 @@ def _contacts(boxes: Sequence[Box], owner: Sequence):
     axis 0 skips pairs whose closures are apart on that axis."""
     if not boxes:
         return
-    e = max(c.exp for b in boxes for iv in b for c in iv)
-    ib = [tuple((lo.num << (e - lo.exp), hi.num << (e - hi.exp)) for lo, hi in b)
-          for b in boxes]
+    e, ib = _lattice(boxes)
     denom = 1 << (e * (len(ib[0]) - 1))
     active: list[int] = []
     for k in sorted(range(len(ib)), key=lambda k: ib[k][0][0]):

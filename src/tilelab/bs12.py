@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from .boxes import ResourceLimit
 from .dyadic import Dyadic, ZERO
 from .labels import LabelSource
 from .trees import RootedTreeWindow
@@ -121,7 +122,7 @@ def bs12_ball(radius: int, center: BsElement = IDENTITY, cap: int = 500000) -> C
                     nxt.append(w)
         frontier = nxt
         if len(dist) > cap:
-            raise ResourceWarning(f"window exceeds cap ({cap} vertices)")
+            raise ResourceLimit(f"window exceeds cap ({cap} vertices)")
     vset = set(dist)
     edges = []
     for v in vset:

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from . import bs12 as bs12mod
 from . import exports, fractal, tunnels, unimodular
+from .boxes import ResourceLimit
 from .config import ConfigError, RunConfig, load_config
 from .dyadic import Dyadic
 from .labels import LabelSource
@@ -285,7 +286,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         return _COMMANDS[args.command](cfg)
-    except (ResourceWarning, MemoryError) as exc:
+    except (ResourceLimit, MemoryError) as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except ConfigError as exc:

@@ -22,12 +22,13 @@ class Dyadic:
         if exp < 0:
             num <<= -exp
             exp = 0
-        while exp > 0 and num % 2 == 0:
-            # strip factors of two; terminates quickly because exp bounds the loop
-            num //= 2
-            exp -= 1
         if num == 0:
             exp = 0
+        elif exp:
+            # strip the trailing zero bits of num, at most exp of them
+            tz = min((num & -num).bit_length() - 1, exp)
+            num >>= tz
+            exp -= tz
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "exp", exp)
 
@@ -137,8 +138,8 @@ HALF = Dyadic(1, 1)
 
 
 def dmin(*xs: Number) -> Dyadic:
-    return min((Dyadic.coerce(x) for x in xs), key=lambda d: d.as_fraction())
+    return min(Dyadic.coerce(x) for x in xs)
 
 
 def dmax(*xs: Number) -> Dyadic:
-    return max((Dyadic.coerce(x) for x in xs), key=lambda d: d.as_fraction())
+    return max(Dyadic.coerce(x) for x in xs)

@@ -29,7 +29,7 @@ import random
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .boxes import Box, BoxSet, box_of, set_contacts
+from .boxes import Box, BoxSet, box_contains_box, box_of, set_contacts
 from .dyadic import Dyadic
 
 # Family offsets in fifths of the scale; per interpretation, per family,
@@ -277,9 +277,9 @@ def adjacency_report(pieces: Sequence[FractalPiece], window: Box,
     interior = []
     for idx, p in enumerate(pieces):
         grown = p.region.inflate_all(halo)
-        if not win_set.contains_set(grown):
+        if not box_contains_box(swin, grown.bbox()):
             continue
-        if not grown.intersection(uncovered).is_empty():
+        if grown.interior_intersects(uncovered):
             continue
         interior.append(idx)
     interior_set = set(interior)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 
-from .boxes import Box, BoxSet, box_is_empty, box_volume, deflate, set_contacts
+from .boxes import Box, BoxSet, box_is_empty, deflate, set_contacts
 from .dyadic import Dyadic, HALF
 from .labels import LabelSource
 from .partition import PartitionStack
@@ -347,20 +347,26 @@ class Tiling:
         self.unresolved = set(unresolved)
         self.demoted = list(demoted)
         self.meta = dict(meta or {})
+        self._contacts = None
         self._adjacency = None
 
     def vertices(self):
         return list(self.tile_of)
 
+    def contacts(self) -> tuple:
+        """``(verts, areas, overlaps)``: the vertices in ``repr`` order and
+        `set_contacts` of their tiles in that order, computed once."""
+        if self._contacts is None:
+            verts = sorted(self.tile_of, key=repr)
+            self._contacts = (verts, *set_contacts([self.tile_of[v] for v in verts]))
+        return self._contacts
+
     def adjacency(self) -> set:
         """Pairs of vertices whose tile closures share positive face area."""
-        if self._adjacency is not None:
-            return self._adjacency
-        verts = sorted(self.tile_of, key=repr)
-        areas, _ = set_contacts([self.tile_of[v] for v in verts])
-        edges = {(verts[a], verts[b]) for a, b in areas}
-        self._adjacency = edges
-        return edges
+        if self._adjacency is None:
+            verts, areas, _ = self.contacts()
+            self._adjacency = {(verts[a], verts[b]) for a, b in areas}
+        return self._adjacency
 
     def transform(self, perm, signs, translation) -> "Tiling":
         t = {
@@ -465,26 +471,25 @@ def verify_representation(tiling: Tiling, tree: RootedTreeWindow,
 
     report = {"pass": True}
 
+    volume = {v: s.volume() for v, s in tiling.tile_of.items()}
     bad = []
     for v, s in tiling.tile_of.items():
-        if s.is_empty() or s.volume() <= 0 or len(s.components()) != 1:
+        if s.is_empty() or volume[v] <= 0 or len(s.components()) != 1:
             bad.append(repr(v))
     report["tiles_open_connected"] = {"pass": not bad, "witnesses": bad[:5]}
 
-    verts = sorted(tiling.tile_of, key=repr)
-    vol = Fraction(0)
-    for i, v in enumerate(verts):
-        vol += tiling.tile_of[v].volume()
-    _, overlaps = set_contacts([tiling.tile_of[v] for v in verts])
+    verts, _, overlaps = tiling.contacts()
+    vol = sum(volume.values(), Fraction(0))
     overlap = None
     if overlaps:
         i, j = min(overlaps)
         overlap = (repr(verts[i]), repr(verts[j]))
-    cover_ok = (vol == tiling.region.volume()) and overlap is None
+    region_volume = tiling.region.volume()
+    cover_ok = (vol == region_volume) and overlap is None
     report["disjoint_and_cover"] = {
         "pass": cover_ok,
         "tile_volume": str(vol),
-        "region_volume": str(tiling.region.volume()),
+        "region_volume": str(region_volume),
         "overlap_witness": overlap,
     }
 

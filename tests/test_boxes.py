@@ -1,14 +1,18 @@
-"""Exact box-set algebra, with a Fraction measure oracle and a voxel
-erosion oracle from scipy.ndimage."""
+"""Exact box-set algebra, with a Fraction measure oracle, a Fraction-grid
+reference kernel and a voxel erosion oracle from scipy.ndimage."""
 
 import random
+from bisect import bisect_left
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import ndimage
 
-from tilelab.boxes import BoxSet, _contacts, box_of, box_volume, cube_at
+from tilelab import boxes as boxes_mod
+from tilelab.boxes import (BoxSet, ResourceLimit, _contacts, box_of, box_volume,
+                           cube_at)
 from tilelab.dyadic import Dyadic
 
 
@@ -208,3 +212,134 @@ def test_translate_and_permute_preserve_volume():
 def test_box_volume():
     b = box_of(interval(0, 8), interval(0, 4), interval(0, 2))
     assert box_volume(b) == Fraction(8 * 4 * 2, 8 ** 3)
+
+
+# -- reference kernel ---------------------------------------------------------
+# The dense-grid booleans as they were before the kernel moved to ints: grids
+# of Fractions searched by bisection, and the canonical merge by comparing the
+# recursive run structure of every slab.
+
+
+def _ref_axis_grid(boxes, axis):
+    vals = {b[axis][0].as_fraction(): b[axis][0] for b in boxes}
+    vals.update({b[axis][1].as_fraction(): b[axis][1] for b in boxes})
+    return [vals[k] for k in sorted(vals)]
+
+
+def _ref_fill(arr, grids, boxes):
+    for b in boxes:
+        idx = []
+        for a, (lo, hi) in enumerate(b):
+            i0 = bisect_left(grids[a], lo.as_fraction())
+            i1 = bisect_left(grids[a], hi.as_fraction())
+            idx.append(slice(i0, i1))
+        arr[tuple(idx)] = True
+
+
+def _ref_extract(arr, grids_dy):
+    def structure(sub):
+        if sub.ndim == 1:
+            runs = []
+            i = 0
+            n = sub.shape[0]
+            while i < n:
+                if sub[i]:
+                    j = i
+                    while j < n and sub[j]:
+                        j += 1
+                    runs.append((i, j))
+                    i = j
+                else:
+                    i += 1
+            return tuple(runs)
+        groups = []
+        prev = None
+        start = 0
+        for i in range(sub.shape[0]):
+            s = structure(sub[i])
+            if s != prev:
+                if prev is not None and prev != ():
+                    groups.append((start, i, prev))
+                prev = s
+                start = i
+        if prev is not None and prev != ():
+            groups.append((start, sub.shape[0], prev))
+        return tuple(groups)
+
+    def emit(struct, depth, prefix, out):
+        g = grids_dy[depth]
+        if depth == len(grids_dy) - 1:
+            for i0, i1 in struct:
+                out.append(tuple(prefix + [(g[i0], g[i1])]))
+        else:
+            for i0, i1, sub in struct:
+                emit(sub, depth + 1, prefix + [(g[i0], g[i1])], out)
+
+    out = []
+    emit(structure(arr), 0, [], out)
+    return out
+
+
+def reference_boolean(op, a_boxes, b_boxes=()):
+    """Canonical box list of ``op(a, b)`` over a Fraction grid; with no
+    ``b_boxes`` and ``op`` the identity on ``a``, the canonical form of a."""
+    allb = list(a_boxes) + list(b_boxes)
+    if not allb:
+        return []
+    dim = len(allb[0])
+    grids_dy = [_ref_axis_grid(allb, a) for a in range(dim)]
+    grids = [[d.as_fraction() for d in g] for g in grids_dy]
+    shape = [len(g) - 1 for g in grids]
+    a = np.zeros(shape, dtype=bool)
+    b = np.zeros(shape, dtype=bool)
+    _ref_fill(a, grids, a_boxes)
+    _ref_fill(b, grids, b_boxes)
+    return _ref_extract(op(a, b), grids_dy)
+
+
+def exact(boxes):
+    """Box list as plain ints, so equality compares (num, exp) exactly."""
+    return [[(lo.num, lo.exp, hi.num, hi.exp) for lo, hi in b] for b in boxes]
+
+
+@st.composite
+def raw_box_lists(draw):
+    """Two overlapping, non-canonical box lists of one dimension (2 or 3),
+    with mixed exponents, negative coordinates and, sometimes, a large
+    dyadic translation of both."""
+    dim = draw(st.sampled_from([2, 3]))
+    shift = draw(st.sampled_from([0, Dyadic(-(1 << 80) - 3, 41)]))
+
+    def box_list():
+        out = []
+        for _ in range(draw(st.integers(0, 6))):
+            box = []
+            for _ in range(dim):
+                exp = draw(st.integers(0, 3))
+                lo = draw(st.integers(-6 << exp, 6 << exp))
+                hi = lo + draw(st.integers(1, 5 << exp))
+                box.append((Dyadic(lo, exp) + shift, Dyadic(hi, exp) + shift))
+            out.append(tuple(box))
+        return out
+
+    return box_list(), box_list()
+
+
+@given(raw_box_lists())
+def test_kernel_matches_fraction_grid_reference(case):
+    raw_a, raw_b = case
+    a, b = BoxSet(raw_a), BoxSet(raw_b)
+    assert exact(a.boxes) == exact(reference_boolean(lambda x, y: x, raw_a))
+    assert exact(b.boxes) == exact(reference_boolean(lambda x, y: x, raw_b))
+    for got, op in ((a.union(b), np.logical_or),
+                    (a.intersection(b), np.logical_and),
+                    (a.difference(b), lambda x, y: x & ~y)):
+        assert exact(got.boxes) == exact(reference_boolean(op, a.boxes, b.boxes))
+
+
+def test_over_limit_grid_raises_before_allocating():
+    n = 200  # 2n distinct coordinates per axis: (2n - 1)^3 cells
+    assert (2 * n - 1) ** 3 > boxes_mod.MAX_GRID_CELLS
+    boxes = [((Dyadic(k), Dyadic(2 * k + 1, 1)),) * 3 for k in range(n)]
+    with pytest.raises(ResourceLimit, match="canonicalize: dense grid 399x399x399"):
+        BoxSet(boxes)

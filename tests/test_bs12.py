@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from tilelab.boxes import ResourceLimit
 from tilelab.bs12 import (GEN_A, GEN_B, IDENTITY, BsElement, bs12_ball,
                           fiber_spanning_tree, fibers)
 from tilelab.labels import LabelSource
@@ -117,5 +118,5 @@ def test_fiber_spanning_tree_spans_window():
 
 
 def test_ball_cap():
-    with pytest.raises(ResourceWarning):
+    with pytest.raises(ResourceLimit):
         bs12_ball(30, cap=1000)

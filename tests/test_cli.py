@@ -101,3 +101,15 @@ def test_verification_failure_exit_code(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "verify_representation", broken)
     code = cli.main(["tile-tree", "--tree", "path(6)", "--out", str(tmp_path)])
     assert code == 1
+
+
+def test_dense_grid_over_limit_exit_code(tmp_path, monkeypatch, capsys):
+    import tilelab.boxes as boxes
+    import tilelab.cli as cli
+
+    # below every grid the pipeline needs, so its first boolean stops before
+    # allocating anything
+    monkeypatch.setattr(boxes, "MAX_GRID_CELLS", 1)
+    code = cli.main(["tile-tree", "--tree", "path(6)", "--out", str(tmp_path)])
+    assert code == cli.EXIT_RESOURCE
+    assert "dense grid" in capsys.readouterr().err

@@ -59,3 +59,11 @@ def test_dmin_dmax(xs):
     fr = [x.as_fraction() for x in xs]
     assert dmin(*xs).as_fraction() == min(fr)
     assert dmax(*xs).as_fraction() == max(fr)
+
+
+@given(st.integers(-(1 << 70), 1 << 70), st.integers(-8, 80))
+def test_normalization_matches_fraction(num, exp):
+    d = Dyadic(num, exp)
+    f = Fraction(num) / Fraction(2) ** exp
+    # normalized: (num, exp) are f's numerator and the log2 of its denominator
+    assert (d.num, 1 << d.exp) == (f.numerator, f.denominator)
