@@ -96,7 +96,7 @@ def _lattice(boxes: Sequence[Box]) -> tuple[int, list[tuple]]:
     """Boxes on the integer lattice of their finest exponent ``e``: returns
     ``e`` and, per box, a tuple of ``(lo, hi)`` int pairs, where the int
     ``c`` stands for ``c / 2**e``."""
-    e = max(c.exp for b in boxes for iv in b for c in iv)
+    e = max((c.exp for b in boxes for iv in b for c in iv), default=0)
     return e, [tuple((lo.num << (e - lo.exp), hi.num << (e - hi.exp)) for lo, hi in b)
                for b in boxes]
 
@@ -250,8 +250,8 @@ class BoxSet:
     def interior_intersects(self, other: "BoxSet") -> bool:
         """Whether the interiors meet; stops at the first overlapping pair."""
         owner = [0] * len(self.boxes) + [1] * len(other.boxes)
-        return any(area is None
-                   for _, _, area in _contacts(self.boxes + other.boxes, owner))
+        ib = _lattice(self.boxes + other.boxes)[1]
+        return any(area is None for _, _, area in _contacts(ib, owner))
 
     def contains_set(self, other: "BoxSet") -> bool:
         return other.difference(self).is_empty()
@@ -313,7 +313,7 @@ class BoxSet:
                 i = parent[i]
             return i
 
-        for i, j, area in _contacts(self.boxes, range(n)):
+        for i, j, area in _contacts(_lattice(self.boxes)[1], range(n)):
             if area is not None:
                 pi, pj = find(i), find(j)
                 if pi != pj:
@@ -355,18 +355,15 @@ class BoxSet:
         return arr, bbox
 
 
-def _contacts(boxes: Sequence[Box], owner: Sequence):
-    """Exact contact sweep: yield ``(i, j, area)`` for every pair ``i < j`` of
-    boxes with different owners that touch along a codim-1 face (``area`` is
-    the positive contact area) or whose interiors overlap (``area`` is None).
-    Pairs meeting only along an edge or a corner are not reported.
+def _contacts(ib: Sequence[tuple], owner: Sequence):
+    """Exact contact sweep over int boxes (``_lattice``): yield ``(i, j,
+    area)`` for every pair ``i < j`` of boxes with different owners that
+    touch along a codim-1 face (``area`` is the positive int contact area,
+    in units of ``2**-(e * (dim - 1))``) or whose interiors overlap (``area``
+    is None).  Pairs meeting only along an edge or a corner are not reported.
 
-    Coordinates become ints at one common exponent; a sort-and-sweep along
-    axis 0 skips pairs whose closures are apart on that axis."""
-    if not boxes:
-        return
-    e, ib = _lattice(boxes)
-    denom = 1 << (e * (len(ib[0]) - 1))
+    A sort-and-sweep along axis 0 skips pairs whose closures are apart on
+    that axis."""
     active: list[int] = []
     for k in sorted(range(len(ib)), key=lambda k: ib[k][0][0]):
         q = ib[k]
@@ -388,25 +385,31 @@ def _contacts(boxes: Sequence[Box], owner: Sequence):
                 else:
                     area *= hi - lo
             else:
-                yield min(j, k), max(j, k), Fraction(area, denom) if touch else None
+                yield min(j, k), max(j, k), area if touch else None
         active.append(k)
+
+
+def _face_unit(e: int, ib: Sequence[tuple]) -> int:
+    """Denominator of the int face areas `_contacts` yields for ``ib``."""
+    return 1 << (e * (len(ib[0]) - 1)) if ib else 1
 
 
 def set_contacts(sets: Sequence[BoxSet]) -> tuple[dict, set]:
     """Pairwise contact of box sets: ``(areas, overlaps)`` where ``areas``
     maps each set pair ``(a, b)``, ``a < b``, with positive shared face area
     to that area, and ``overlaps`` holds the set pairs whose interiors meet."""
-    boxes = [b for s in sets for b in s.boxes]
+    e, ib = _lattice([b for s in sets for b in s.boxes])
     owner = [k for k, s in enumerate(sets) for _ in s.boxes]
     areas: dict = {}
     overlaps = set()
-    for i, j, area in _contacts(boxes, owner):
+    for i, j, area in _contacts(ib, owner):
         key = (owner[i], owner[j])
         if area is None:
             overlaps.add(key)
         else:
             areas[key] = areas.get(key, 0) + area
-    return areas, overlaps
+    unit = _face_unit(e, ib)
+    return {key: Fraction(a, unit) for key, a in areas.items()}, overlaps
 
 
 def contact_faces(a: BoxSet, b: BoxSet) -> list[tuple[Box, Fraction]]:
@@ -415,13 +418,15 @@ def contact_faces(a: BoxSet, b: BoxSet) -> list[tuple[Box, Fraction]]:
     (a box, b box) index order, which the stable sort by area in
     ``tunnels.route_gamma`` turns into its tie-break between equal areas."""
     n = len(a.boxes)
-    boxes = a.boxes + b.boxes
+    e, ib = _lattice(a.boxes + b.boxes)
+    unit = _face_unit(e, ib)
     hits = sorted((i, j - n, area)
-                  for i, j, area in _contacts(boxes, [0] * n + [1] * len(b.boxes))
+                  for i, j, area in _contacts(ib, [0] * n + [1] * len(b.boxes))
                   if area is not None)
     return [
         (tuple((pl if pl >= ql else ql, ph if ph <= qh else qh)
-               for (pl, ph), (ql, qh) in zip(a.boxes[i], b.boxes[j])), area)
+               for (pl, ph), (ql, qh) in zip(a.boxes[i], b.boxes[j])),
+         Fraction(area, unit))
         for i, j, area in hits
     ]
 
@@ -431,22 +436,46 @@ def contact_faces(a: BoxSet, b: BoxSet) -> list[tuple[Box, Fraction]]:
 # ---------------------------------------------------------------------------
 
 
+def _segments(points: Sequence[Sequence]) -> list[Box]:
+    """Degenerate boxes of a rectilinear polyline: one per segment, or the
+    point itself for a single point.  Raises ValueError for an empty
+    polyline or a segment that is not axis-aligned."""
+    pts = [[Dyadic.coerce(x) for x in p] for p in points]
+    if not pts:
+        raise ValueError("empty polyline")
+    if len(pts) == 1:
+        return [tuple((x, x) for x in pts[0])]
+    segs = []
+    for p, q in zip(pts, pts[1:]):
+        if sum(x != y for x, y in zip(p, q)) > 1:
+            raise ValueError("polyline segments must be axis-aligned")
+        segs.append(tuple((x, y) if x <= y else (y, x) for x, y in zip(p, q)))
+    return segs
+
+
 def polyline_neighborhood(points: Sequence[Sequence], c) -> BoxSet:
     """Closed c-neighborhood (L-infinity) of a rectilinear polyline."""
     cc = Dyadic.coerce(c)
-    pts = [[Dyadic.coerce(x) for x in p] for p in points]
-    if len(pts) == 0:
-        raise ValueError("empty polyline")
-    boxes = []
-    if len(pts) == 1:
-        boxes.append(inflate(tuple((x, x) for x in pts[0]), cc))
-    for p, q in zip(pts, pts[1:]):
-        diff_axes = [a for a in range(len(p)) if p[a] != q[a]]
-        if len(diff_axes) > 1:
-            raise ValueError("polyline segments must be axis-aligned")
-        seg = tuple(
-            (p[a] if p[a] <= q[a] else q[a], p[a] if p[a] >= q[a] else q[a])
-            for a in range(len(p))
-        )
-        boxes.append(inflate(seg, cc))
-    return BoxSet(boxes)
+    return BoxSet([inflate(seg, cc) for seg in _segments(points)])
+
+
+def clearance(points: Sequence[Sequence], region: BoxSet) -> Dyadic:
+    """L-infinity distance from a rectilinear polyline to the closure of the
+    complement of ``region``, capped at 1.  For 0 < eps <= 1 the closed
+    eps-neighborhood of the polyline lies inside ``region`` exactly when
+    ``eps <= clearance(points, region)``.
+
+    Within 1 of the polyline the complement is ``frame - region``, with
+    ``frame`` the bounding box of both inflated by 1.  The distance from a
+    segment box to a complement box is their largest per-axis gap (an open
+    eps-box around the segment meets the closed complement box in a set with
+    interior iff eps exceeds it); the clearance is the least such gap."""
+    segs = _segments(points)
+    frame = inflate(boxes_bbox(segs + list(region.boxes)), 1)
+    comp = BoxSet([frame], _canonical=True).difference(region).boxes
+    e, ib = _lattice(segs + list(comp))
+    n = len(segs)
+    gap = min(max([g for (sl, sh), (cl, ch) in zip(s, c)
+                   for g in (cl - sh, sl - ch)])
+              for s in ib[:n] for c in ib[n:])
+    return Dyadic(min(max(gap, 0), 1 << e), e)

@@ -61,10 +61,6 @@ GEN_A = BsElement(1, 0)
 GEN_B = BsElement(0, 1)
 
 
-def bs12_mul(g: BsElement, h: BsElement) -> BsElement:
-    return g * h
-
-
 class CayleyWindow:
     """Ball in the Cayley graph of BS(1,2) with generator-colored edges."""
 
@@ -90,11 +86,6 @@ class CayleyWindow:
 
     def neighbors(self, v):
         return [t for t, _c, _o in self.adjacency()[v]]
-
-    def star_complete(self, v) -> bool:
-        """True when all four generator moves from v stay in the window."""
-        moves = [GEN_A, GEN_A.inverse(), GEN_B, GEN_B.inverse()]
-        return all((v * g) in self.index for g in moves)
 
     def to_json(self) -> dict:
         verts = [[v.level, v.offset.num, v.offset.exp] for v in self.vertices]
@@ -219,24 +210,6 @@ class FiberDecomposition:
         ids = self.members if fiber_ids is None else fiber_ids
         return {fid: len(self.fiber_graph[fid]) for fid in ids}
 
-    def has_cycle(self) -> bool:
-        seen = set()
-        for start in self.fiber_graph:
-            if start in seen:
-                continue
-            stack = [(start, None)]
-            comp_seen = set()
-            while stack:
-                v, par = stack.pop()
-                if v in comp_seen:
-                    return True
-                comp_seen.add(v)
-                for w in self.fiber_graph[v]:
-                    if w != par:
-                        stack.append((w, v))
-            seen |= comp_seen
-        return False
-
 
 def fibers(window: CayleyWindow) -> FiberDecomposition:
     return FiberDecomposition(window)
@@ -265,31 +238,6 @@ def _tree_from_parent(window, apex, parent_map) -> RootedTreeWindow:
 def _from_key(key) -> BsElement:
     level, num, exp = key
     return BsElement(level, Dyadic(num, exp))
-
-
-def spanning_tree_window(window: CayleyWindow, labels: LabelSource) -> RootedTreeWindow:
-    """Breadth-first spanning tree toward a label-chosen apex of maximal level."""
-    apex = _apex(window, labels)
-    d = {apex: 0}
-    order = [apex]
-    adj = window.adjacency()
-    head = 0
-    while head < len(order):
-        v = order[head]
-        head += 1
-        for w in window.neighbors(v):
-            if w not in d:
-                d[w] = d[v] + 1
-                order.append(w)
-    if len(d) != len(window.vertices):
-        raise ValueError("window is disconnected")
-    parent_map = {}
-    for v in window.vertices:
-        if v == apex:
-            continue
-        closer = [w.key() for w in window.neighbors(v) if d[w] == d[v] - 1]
-        parent_map[v.key()] = labels.choose_min(closer)
-    return _tree_from_parent(window, apex, parent_map)
 
 
 def fiber_spanning_tree(window: CayleyWindow, fib: FiberDecomposition,

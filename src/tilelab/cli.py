@@ -1,7 +1,7 @@
 """Command-line entry point: build, verify and export the tiling pipelines.
 
-Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 resource cap exceeded.
+Exit codes: 0 success, 1 verification failure or internal invariant break
+(a failed buddy allocation), 2 configuration error, 3 resource cap exceeded.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .config import ConfigError, RunConfig, load_config
 from .dyadic import Dyadic
 from .labels import LabelSource
 from .partition import Schedule
-from .tiler import tile_tree, verify_representation
+from .tiler import AllocationError, tile_tree, verify_representation
 from .trees import synthetic_tree
 
 EXIT_OK = 0
@@ -286,9 +286,12 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         return _COMMANDS[args.command](cfg)
-    except (ResourceLimit, MemoryError) as exc:
+    except ResourceLimit as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except AllocationError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

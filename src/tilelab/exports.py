@@ -92,8 +92,16 @@ def svg_with_header(svg: str, config_hash: str, seed) -> str:
 
 
 def write_file(out_dir: str, name: str, content: str) -> str:
+    """Write atomically: a temp file in ``out_dir`` replaces ``name`` only
+    once it is complete, so an interrupted write leaves no partial file."""
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
-    with open(path, "w") as fh:
-        fh.write(content)
+    tmp = os.path.join(out_dir, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(content)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the write failed before the replace
+            os.remove(tmp)
     return path

@@ -41,6 +41,12 @@ def nest_margin(stratum: int, depth: int) -> Dyadic:
     return Dyadic((1 << (depth + 1)) - 1, stratum + 2 + depth)
 
 
+class AllocationError(RuntimeError):
+    """The buddy allocator had no free block for a request.  `assign_grid`
+    checks every block's demand against its capacity first, so this is an
+    internal invariant break, not a resource limit (CLI exit code 1)."""
+
+
 class BuddyAllocator:
     """Aligned packing of power-of-two blocks inside a size-m block."""
 
@@ -51,7 +57,9 @@ class BuddyAllocator:
     def alloc(self, size: int):
         avail = [t for t in self.free if t >= size and self.free[t]]
         if not avail:
-            raise MemoryError(f"buddy allocation failed for size {size}")
+            raise AllocationError(
+                f"buddy allocation failed for size {size}; free block sizes: "
+                f"{sorted(t for t in self.free if self.free[t])}")
         t = min(avail)
         self.free[t].sort()
         origin = self.free[t].pop(0)
@@ -124,9 +132,6 @@ class GridAssignment:
         self.hang = hang                  # F-vertex -> top children hanging there
         self.territory = territory        # F-vertex -> (size, origin) or None
         self.demoted = demoted
-
-    def box_dims(self, x):
-        return block_dims(self.topset.m_of[x])
 
     def roots(self):
         return [x for x in self.kept
@@ -285,14 +290,6 @@ def _cell_box(origin, dims) -> Box:
         (Dyadic(2 * o - 1, 1), Dyadic(2 * (o + d) - 1, 1))
         for o, d in zip(origin, dims)
     )
-
-
-def expand_cubes(grid: GridAssignment) -> dict:
-    """Unit cube centered at each assigned coordinate."""
-    return {
-        v: tuple((Dyadic.coerce(c) - HALF, Dyadic.coerce(c) + HALF) for c in cell)
-        for v, cell in grid.coords.items()
-    }
 
 
 def _pow2_floor(fr: Fraction) -> Dyadic:
@@ -497,8 +494,7 @@ def verify_representation(tiling: Tiling, tree: RootedTreeWindow,
     for pt in sample_points:
         ball = BoxSet([tuple((Dyadic.coerce(c) - HALF, Dyadic.coerce(c) + HALF)
                              for c in pt)])
-        hit = sum(1 for v in verts
-                  if not tiling.tile_of[v].intersection(ball).is_empty())
+        hit = sum(1 for v in verts if tiling.tile_of[v].interior_intersects(ball))
         counts.append(hit)
     report["local_finiteness"] = {"pass": True, "counts": counts}
 

@@ -11,9 +11,7 @@ neighbor are therefore reported as unrealizable rather than approximated.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .boxes import BoxSet, contact_faces, polyline_neighborhood
+from .boxes import BoxSet, clearance, contact_faces, polyline_neighborhood
 from .bs12 import CayleyWindow, FiberDecomposition, fiber_spanning_tree, fibers
 from .dyadic import Dyadic
 from .labels import LabelSource
@@ -75,20 +73,18 @@ def schedule_edges(tree: RootedTreeWindow, non_tree_edges) -> EdgeSchedule:
     return EdgeSchedule(buckets)
 
 
-def _seg_points(p, q):
-    diff = [a for a in range(3) if p[a] != q[a]]
-    if len(diff) > 1:
-        raise ValueError("not axis aligned")
-    return [p, q]
+# finest clearance a tunnel is routed with: 2^-FINEST_EXP
+FINEST_EXP = 12
 
 
-def _max_clearance(points, region: BoxSet, finest_exp: int = 12) -> Dyadic | None:
-    """Largest 2^-j (j <= finest_exp) with the 2^-j-neighborhood of the
-    polyline inside the region; exact membership tests."""
-    for j in range(1, finest_exp + 1):
-        eps = Dyadic(1, j)
-        if polyline_neighborhood(points, eps).difference(region).is_empty():
-            return eps
+def _max_clearance(points, region: BoxSet) -> Dyadic | None:
+    """Largest 2^-j (1 <= j <= FINEST_EXP) with the 2^-j-neighborhood of the
+    polyline inside the region; raises ValueError when the polyline is not
+    rectilinear."""
+    room = clearance(points, region)
+    for j in range(1, FINEST_EXP + 1):
+        if Dyadic(1, j) <= room:
+            return Dyadic(1, j)
     return None
 
 
@@ -118,11 +114,9 @@ def route_gamma(tiling_tiles: dict, path, occupied=()) -> TunnelPlan:
                 pts = [p] + mids + [q]
                 pts = _dedupe(pts)
                 try:
-                    for a, b in zip(pts, pts[1:]):
-                        _seg_points(a, b)
+                    eps = _max_clearance(pts, union)
                 except ValueError:
-                    continue
-                eps = _max_clearance(pts, union)
+                    continue  # the direct segment is not axis-aligned
                 if eps is None:
                     continue
                 # extend the ends into the interiors of d1 and d3
@@ -131,10 +125,10 @@ def route_gamma(tiling_tiles: dict, path, occupied=()) -> TunnelPlan:
                     continue
                 pts2, eps = ext
                 plan = TunnelPlan((path[0], path[-1]), path, pts2, eps)
-                if not plan.tube().difference(union).is_empty():
+                if clearance(plan.gamma, union) < eps.halve():
                     continue
                 halo = plan.halo()
-                if any(not halo.intersection(o).is_empty() for o in occupied):
+                if any(halo.interior_intersects(o) for o in occupied):
                     continue
                 return plan
     raise RoutingError(f"no certified corridor found along {path!r}")
@@ -180,8 +174,7 @@ def _extend(pts, f12, f23, eps, d1, d3):
         for sign in (1, -1):
             cand = list(out[end])
             cand[ax] = cand[ax] + eps.halve() if sign > 0 else cand[ax] - eps.halve()
-            probe = polyline_neighborhood([tuple(cand)], eps.halve())
-            if probe.difference(tile).is_empty():
+            if eps.halve() <= clearance([tuple(cand)], tile):
                 if end == 0:
                     out.insert(0, tuple(cand))
                 else:
@@ -207,9 +200,9 @@ def add_edge(tiling: Tiling, plan: TunnelPlan) -> Tiling:
         )
     u, mid, w = path
     d1, d2, d3 = tiling.tile_of[u], tiling.tile_of[mid], tiling.tile_of[w]
-    tube = plan.tube()
-    if not tube.difference(d1.union(d2).union(d3)).is_empty():
+    if clearance(plan.gamma, d1.union(d2).union(d3)) < plan.epsilon.halve():
         raise RoutingError("tube escapes the path tiles")
+    tube = plan.tube()
     new_d1 = d1.union(tube.difference(d3))
     new_d2 = d2.difference(tube)
     if len(new_d2.components()) != 1:

@@ -11,8 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import ndimage
 
 from tilelab import boxes as boxes_mod
-from tilelab.boxes import (BoxSet, ResourceLimit, _contacts, box_of, box_volume,
-                           cube_at)
+from tilelab.boxes import (BoxSet, ResourceLimit, _contacts, _lattice, box_of,
+                           box_volume, clearance, cube_at, polyline_neighborhood)
 from tilelab.dyadic import Dyadic
 
 
@@ -146,7 +146,10 @@ def test_contact_sweep_matches_all_pairs_oracle(case):
     boxes, owner, shift = case
     boxes = [tuple((lo + s, hi + s) for (lo, hi), s in zip(b, shift))
              for b in boxes]
-    got = list(_contacts(boxes, owner))
+    e, ib = _lattice(boxes)
+    unit = 1 << (e * (len(ib[0]) - 1)) if ib else 1  # int areas count 2^-e cells
+    got = [(i, j, None if area is None else Fraction(area, unit))
+           for i, j, area in _contacts(ib, owner)]
     expected = set()
     for i in range(len(boxes)):
         for j in range(i + 1, len(boxes)):
@@ -155,6 +158,69 @@ def test_contact_sweep_matches_all_pairs_oracle(case):
                 expected.add((i, j, kind))
     assert len(got) == len(set(got))
     assert set(got) == expected
+
+
+@st.composite
+def polyline_cases(draw):
+    """A random 3-D region of mixed-exponent boxes, a rectilinear polyline
+    (a single point, a straight segment, an L or a staircase) that may lie
+    partly or wholly outside the region's bounding box, and an eps in
+    (0, 1]."""
+    region = []
+    for _ in range(draw(st.integers(0, 5))):
+        box = []
+        for _ in range(3):
+            exp = draw(st.integers(0, 2))
+            lo = draw(st.integers(0, 5 << exp))
+            hi = lo + draw(st.integers(1, 4 << exp))
+            box.append((Dyadic(lo, exp), Dyadic(hi, exp)))
+        region.append(tuple(box))
+    exp = draw(st.integers(0, 2))
+    pt = [Dyadic(draw(st.integers(-2 << exp, 9 << exp)), exp) for _ in range(3)]
+    points = [tuple(pt)]
+    for _ in range(draw(st.integers(0, 3))):
+        axis = draw(st.integers(0, 2))
+        pt[axis] = pt[axis] + Dyadic(draw(st.integers(-3 << exp, 3 << exp)), exp)
+        points.append(tuple(pt))
+    j = draw(st.integers(0, 4))
+    eps = Dyadic(draw(st.integers(1, 1 << j)), j)
+    return points, BoxSet(region), eps
+
+
+REGION = BoxSet([box_of((0, 4), (0, 4), (0, 4))])
+
+
+@given(polyline_cases())
+@example(([(Dyadic(1), Dyadic(2), Dyadic(2)), (Dyadic(3), Dyadic(2), Dyadic(2)),
+           (Dyadic(3), Dyadic(3), Dyadic(2))],
+          REGION, Dyadic(1)))  # an L at distance exactly 1 from the walls
+@example(([(Dyadic(2), Dyadic(2), Dyadic(3)), (Dyadic(2), Dyadic(2), Dyadic(6))],
+          REGION, Dyadic(1, 3)))  # partly outside
+@example(([(Dyadic(9),) * 3], REGION, Dyadic(1)))  # wholly outside
+@example(([(Dyadic(2),) * 3], REGION, Dyadic(1)))  # at distance 2, capped at 1
+@example(([(Dyadic(1),) * 3], BoxSet.empty(), Dyadic(1, 2)))  # empty region
+def test_clearance_matches_neighborhood_oracle(case):
+    points, region, eps = case
+
+    def inside(e):
+        return polyline_neighborhood(points, e).difference(region).is_empty()
+
+    room = clearance(points, region)
+    assert 0 <= room <= 1
+    assert inside(eps) == (eps <= room)
+    if room > 0:
+        assert inside(room)  # the distance is attained...
+    if room < 1:
+        assert not inside(room + Dyadic(1, 8))  # ...and exact
+
+
+def test_clearance_rejects_diagonal_segments():
+    with pytest.raises(ValueError, match="axis-aligned"):
+        clearance([(0, 0, 0), (1, 1, 0)], REGION)
+    with pytest.raises(ValueError, match="axis-aligned"):
+        polyline_neighborhood([(0, 0, 0), (1, 0, 0), (2, 1, 1)], Dyadic(1, 2))
+    with pytest.raises(ValueError, match="empty polyline"):
+        clearance([], REGION)
 
 
 def test_components_counts():

@@ -113,3 +113,23 @@ def test_dense_grid_over_limit_exit_code(tmp_path, monkeypatch, capsys):
     code = cli.main(["tile-tree", "--tree", "path(6)", "--out", str(tmp_path)])
     assert code == cli.EXIT_RESOURCE
     assert "dense grid" in capsys.readouterr().err
+
+
+def test_failed_buddy_allocation_exit_code(tmp_path, monkeypatch, capsys):
+    import tilelab.cli as cli
+    import tilelab.tiler as tiler
+
+    alloc = tiler.BuddyAllocator.alloc
+
+    def starved(self, size):
+        # drop the free blocks of all sizes but 0, so no request above 0 fits
+        self.free = {0: [(0, 0, 0)]}
+        return alloc(self, size)
+
+    monkeypatch.setattr(tiler.BuddyAllocator, "alloc", starved)
+    code = cli.main(["tile-tree", "--tree", "binary-canopy(7)",
+                     "--out", str(tmp_path)])
+    assert code == 1  # an internal invariant break, not a resource limit
+    err = capsys.readouterr().err
+    assert "internal error: buddy allocation failed for size" in err
+    assert "free block sizes: [0]" in err

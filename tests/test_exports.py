@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from tilelab.exports import (csv_table, json_report, svg_with_header,
                              tiling_obj, tiling_off, write_file)
 from tilelab.labels import LabelSource
@@ -69,3 +71,13 @@ def test_exports_deterministic(tmp_path):
     assert a == b
     p = write_file(str(tmp_path / "sub"), "scene.off", a)
     assert open(p).read() == a
+
+
+def test_write_file_is_atomic(tmp_path):
+    (tmp_path / "keep.json").write_text("old")
+    for name in ("new.json", "keep.json"):
+        # a lone surrogate cannot be encoded: the write fails after the open
+        with pytest.raises(UnicodeEncodeError):
+            write_file(str(tmp_path), name, "complete prefix \ud800")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.json"]
+    assert (tmp_path / "keep.json").read_text() == "old"
