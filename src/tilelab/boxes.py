@@ -2,10 +2,10 @@
 
 A :class:`BoxSet` is a finite union of closed axis-aligned boxes with
 :class:`~tilelab.dyadic.Dyadic` corner coordinates, kept in a canonical form:
-the maximal slab decomposition obtained by merging grid cells along the last
-axis first, then grouping identical sections along earlier axes.  The
-canonical form depends only on the point set, so equality of canonical box
-lists is equality of regions.
+maximal runs along the last axis, then touching slabs with equal sections
+merged along each earlier axis, outermost first.  The canonical form depends
+only on the point set, so equality of canonical box lists is equality of
+regions.
 
 All boolean operations are *regularized*: results are closures of open sets,
 so lower-dimensional slivers never survive.  The kernel is dimension-generic
@@ -14,16 +14,18 @@ so lower-dimensional slivers never survive.  The kernel is dimension-generic
 Inside the kernel every coordinate is a Python int on the lattice of the
 finest exponent among its inputs (`_lattice`); booleans, contacts and
 volumes compute on those ints, and `Dyadic` corners are built only for the
-boxes a result returns.
+boxes a result returns.  Every boolean and canonicalization is one section-
+by-section merge of slab trees (`_merge`, after the Extreme Vertices Model of
+Aguilera and Ayala); no grid of the distinct coordinates is ever built.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
 from math import prod
+from operator import itemgetter
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .dyadic import Dyadic, ZERO
 
@@ -81,11 +83,10 @@ def boxes_bbox(boxes: Iterable[Box]) -> Box | None:
                  for a in range(len(boxes[0])))
 
 
-# Cells a dense grid of `BoxSet._binary` or `_canonicalize` may have.  An op
-# holds up to three byte grids plus a nested list of the result (one pointer
-# per cell), about 190 MB at this limit.  The largest grid of the test suite
-# has 11,025 cells (a 3-D union, 25x21x21), of the benchmark jobs 9,025.
-MAX_GRID_CELLS = 1 << 24
+# Slabs one merge of two slab trees may append over all axes, sections later
+# absorbed into a touching equal one included: about 200 MB of trees.  The
+# largest merge of `tilelab t3 --radius 9` appends 78,161 (a fiber's union).
+MAX_SLABS = 1 << 20
 
 
 class ResourceLimit(Exception):
@@ -101,65 +102,66 @@ def _lattice(boxes: Sequence[Box]) -> tuple[int, list[tuple]]:
                for b in boxes]
 
 
-def _dense_grid(op: str, ib: Sequence[tuple]) -> tuple[list[list[int]], list[dict]]:
-    """Sorted distinct coordinates per axis of the int boxes ``ib`` and, per
-    axis, the index of each coordinate in its grid; raises `ResourceLimit`
-    when the grid of cells between them would exceed ``MAX_GRID_CELLS``."""
-    grids = [sorted({c for b in ib for c in b[a]}) for a in range(len(ib[0]))]
-    shape = [len(g) - 1 for g in grids]
-    cells = prod(shape)
-    if cells > MAX_GRID_CELLS:
-        raise ResourceLimit(f"{op}: dense grid {'x'.join(map(str, shape))} has "
-                            f"{cells} cells, over the limit of {MAX_GRID_CELLS}")
-    return grids, [{c: i for i, c in enumerate(g)} for g in grids]
+def _parse(ib: Sequence[tuple], depth: int = 0):
+    """Slab tree of a canonical int box list (`_lattice`): sorted slabs ``(lo,
+    hi, section)`` along the first axis, ``section`` the slab tree of the other
+    axes (True below the last), ``()`` the empty set.  Touching slabs never have
+    equal sections, so the tree is a function of the point set."""
+    if not ib or depth == len(ib[0]):
+        return True if ib else ()
+    return tuple((lo, hi, _parse(list(group), depth + 1))
+                 for (lo, hi), group in groupby(ib, key=itemgetter(depth)))
 
 
-def _fill(index: list[dict], ib: Sequence[tuple]) -> np.ndarray:
-    """Occupancy of the grid ``index`` by the int boxes ``ib``."""
-    arr = np.zeros([len(ix) - 1 for ix in index], dtype=bool)
-    for b in ib:
-        arr[tuple([slice(ix[lo], ix[hi]) for ix, (lo, hi) in zip(index, b)])] = True
-    return arr
+def _merge(name: str, op: str, trees: list):
+    """Slab tree of ``trees[0] op trees[1] op ...`` by balanced pairwise merges;
+    one that appends over ``MAX_SLABS`` slabs raises `ResourceLimit` for ``name``."""
 
-
-def _extract(arr: np.ndarray, grids: list[list[int]], e: int) -> list[Box]:
-    """Canonical maximal merge: runs along the last axis, then equal adjacent
-    slabs grouped along each earlier axis, outermost first."""
-    last = arr.ndim - 1
-    runs: list[tuple] = []  # per box, a (start, stop) cell index pair per axis
-
-    def walk(sub: list, depth: int, prefix: tuple) -> None:
-        n = len(sub)
-        i = 0
-        if depth == last:
-            while True:
-                try:
-                    i0 = sub.index(True, i)
-                except ValueError:
-                    return
-                try:
-                    i = sub.index(False, i0)
-                except ValueError:
-                    i = n
-                runs.append(prefix + ((i0, i),))
-        while i < n:
-            j = i + 1
-            while j < n and sub[j] == sub[i]:
+    def merge(a, b, budget):
+        if not a or not b:
+            return (b or a) if op == "union" else (() if op == "intersection" else a)
+        if a == b:
+            return () if op == "difference" else a
+        cuts = sorted({x for lo, hi, _ in a + b for x in (lo, hi)})
+        out = []
+        i = j = 0
+        na, nb = len(a), len(b)
+        for lo, hi in zip(cuts, cuts[1:]):
+            # every slab end is a cut, so at most one slab per side ends at lo
+            if i < na and a[i][1] <= lo:
+                i += 1
+            if j < nb and b[j][1] <= lo:
                 j += 1
-            walk(sub[i], depth + 1, prefix + ((i, j),))
-            i = j
+            sec = merge(a[i][2] if i < na and a[i][0] <= lo else (),
+                        b[j][2] if j < nb and b[j][0] <= lo else (), budget)
+            if out and out[-1][1] == lo and out[-1][2] == sec:  # so sec is nonempty
+                out[-1] = (out[-1][0], hi, sec)
+            elif sec:
+                budget[0] -= 1
+                if budget[0] < 0:
+                    raise ResourceLimit(f"{name}: one merge over {MAX_SLABS} slabs")
+                out.append((lo, hi, sec))
+        return tuple(out)
 
-    walk(arr.tolist(), 0, ())
-    dy = [{i: Dyadic(g[i], e) for i in {i for r in runs for i in r[a]}}
-          for a, g in enumerate(grids)]
-    return [tuple([(d[i0], d[i1]) for d, (i0, i1) in zip(dy, r)]) for r in runs]
+    while len(trees) > 1:
+        trees = [merge(*trees[k:k + 2], [MAX_SLABS]) if k + 1 < len(trees) else trees[k]
+                 for k in range(0, len(trees), 2)]
+    return trees[0]
 
 
-_OPS = {
-    "union": np.logical_or,
-    "intersection": np.logical_and,
-    "difference": lambda x, y: np.logical_and(x, np.logical_not(y)),
-}
+def _int_boxes(tree) -> list[tuple]:
+    """The int boxes of a slab tree, in pre-order."""
+    if tree is True:
+        return [()]
+    return [((lo, hi),) + rest for lo, hi, sec in tree for rest in _int_boxes(sec)]
+
+
+def _emit(tree, e: int) -> list[Box]:
+    """Canonical box list of a slab tree on the lattice of exponent ``e``,
+    with one `Dyadic` per distinct coordinate."""
+    ib = _int_boxes(tree)
+    dy = {c: Dyadic(c, e) for c in {c for b in ib for iv in b for c in iv}}
+    return [tuple([(dy[lo], dy[hi]) for lo, hi in b]) for b in ib]
 
 
 class BoxSet:
@@ -184,8 +186,7 @@ class BoxSet:
     @staticmethod
     def _canonicalize(boxes: Sequence[Box]) -> list[Box]:
         e, ib = _lattice(boxes)
-        grids, index = _dense_grid("canonicalize", ib)
-        return _extract(_fill(index, ib), grids, e)
+        return _emit(_merge("canonicalize", "union", [_parse([b]) for b in ib]), e)
 
     @staticmethod
     def empty(dim: int = 3) -> "BoxSet":
@@ -226,16 +227,12 @@ class BoxSet:
     # -- booleans ---------------------------------------------------------------
 
     def _binary(self, other: "BoxSet", op: str) -> "BoxSet":
-        if not self.boxes and not other.boxes:
-            return BoxSet.empty(max(self.dim, other.dim, 3))
         n = len(self.boxes)
         e, ib = _lattice(self.boxes + other.boxes)
-        grids, index = _dense_grid(op, ib)
-        res = _OPS[op](_fill(index, ib[:n]), _fill(index, ib[n:]))
-        out = BoxSet(_extract(res, grids, e), _canonical=True)
-        if not out.boxes:
-            return BoxSet.empty(len(ib[0]))
-        return out
+        tree = _merge(op, op, [_parse(ib[:n]), _parse(ib[n:])])
+        if not tree:
+            return BoxSet.empty(len(ib[0]) if ib else max(self.dim, other.dim, 3))
+        return BoxSet(_emit(tree, e), _canonical=True)
 
     def union(self, other: "BoxSet") -> "BoxSet":
         return self._binary(other, "union")
@@ -321,38 +318,8 @@ class BoxSet:
         groups: dict[int, list[Box]] = {}
         for i in range(n):
             groups.setdefault(find(i), []).append(self.boxes[i])
-        return [BoxSet(g, _canonical=True) for g in groups.values()]
-
-    # -- voxel bridge ---------------------------------------------------------------
-
-    def voxelize(self, pitch_exp: int, bbox: Box | None = None) -> tuple[np.ndarray, Box]:
-        """Occupancy grid with cell size 2^-pitch_exp over ``bbox``.
-
-        Exact when every box corner lies on the pitch lattice (callers that
-        need exactness align their inputs); otherwise cells are marked when
-        covered, by half-open index ranges of the snapped corners.
-        """
-        if bbox is None:
-            bbox = self.bbox()
-        if bbox is None:
-            raise ValueError("voxelize: empty set without bbox")
-        scale = 1 << pitch_exp
-        lo = [x[0].as_fraction() for x in bbox]
-        shape = []
-        for (a, b) in bbox:
-            span = (b - a).as_fraction() * scale
-            if span != int(span):
-                raise ValueError("voxelize: bbox not on pitch lattice")
-            shape.append(int(span))
-        arr = np.zeros(shape, dtype=bool)
-        for box in self.boxes:
-            idx = []
-            for ax, (a, b) in enumerate(box):
-                i0 = (a.as_fraction() - lo[ax]) * scale
-                i1 = (b.as_fraction() - lo[ax]) * scale
-                idx.append(slice(max(int(i0), 0), min(int(i1), shape[ax])))
-            arr[tuple(idx)] = True
-        return arr, bbox
+        # a component's boxes need not be its canonical list
+        return [self] if len(groups) == 1 else [BoxSet(g) for g in groups.values()]
 
 
 def _contacts(ib: Sequence[tuple], owner: Sequence):

@@ -294,16 +294,11 @@ def _cell_box(origin, dims) -> Box:
 
 def _pow2_floor(fr: Fraction) -> Dyadic:
     """Largest power of two <= fr (fr > 0)."""
-    e = 0
-    while Fraction(1, 1 << e) > fr:
-        e += 1
-    while Fraction(2) * Fraction(1, 1 << e) <= fr and e > 0:
-        e -= 1
-    # also allow values >= 1
-    v = Dyadic(1, e)
-    while (v + v).as_fraction() <= fr:
-        v = v + v
-    return v
+    # 2**(k - 1) < fr < 2**(k + 1)
+    k = fr.numerator.bit_length() - fr.denominator.bit_length()
+    if (fr.numerator << max(-k, 0)) < (fr.denominator << max(k, 0)):
+        k -= 1  # fr < 2**k
+    return Dyadic(1, -k)
 
 
 def place_cubes(box: Box, k: int) -> list:

@@ -300,9 +300,7 @@ def contract_fibers(tiling: Tiling, fib: FiberDecomposition) -> Tiling:
         if not tiles:
             unresolved.add(fid)
             continue
-        acc = tiles[0]
-        for t in tiles[1:]:
-            acc = acc.union(t)
+        acc = BoxSet([b for t in tiles for b in t.boxes])
         if len(acc.components()) != 1:
             # a fragmented window trace cannot make an honest piece
             unresolved.add(("disconnected", fid))

@@ -29,6 +29,7 @@ from tilelab.tiler import tile_tree, verify_representation
 from tilelab.trees import synthetic_tree
 from tilelab.tunnels import (RoutingError, UnrealizableEdgeError, add_edge,
                              assemble_bs12, contract_fibers, route_gamma)
+from voxels import voxelize
 
 TREE_DESCRIPTORS = [
     "binary-canopy(3)", "binary-canopy(4)", "binary-canopy(5)",
@@ -295,10 +296,10 @@ def test_a08_erosion_oracle():
             boxes.append(tuple(iv))
         bs = BoxSet(boxes)
         thin = bs.thin(Dyadic(1, p))
-        vox, _ = bs.voxelize(p, pad)
+        vox, _ = voxelize(bs, p, pad)
         eroded = ndimage.binary_erosion(vox, np.ones((3, 3, 3)),
                                         border_value=0)
-        got = (thin.voxelize(p, pad)[0] if not thin.is_empty()
+        got = (voxelize(thin, p, pad)[0] if not thin.is_empty()
                else np.zeros_like(vox))
         assert np.array_equal(eroded, got), case
     print("criterion 8: PASS - thin == brute-force voxel erosion on 200 "

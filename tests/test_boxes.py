@@ -14,6 +14,7 @@ from tilelab import boxes as boxes_mod
 from tilelab.boxes import (BoxSet, ResourceLimit, _contacts, _lattice, box_of,
                            box_volume, clearance, cube_at, polyline_neighborhood)
 from tilelab.dyadic import Dyadic
+from voxels import voxelize
 
 
 def interval(lo, hi, exp=3):
@@ -39,7 +40,7 @@ def grid_volume(bs, size=32):
     if bs.is_empty():
         return Fraction(0)
     pad = tuple(interval(-8, 40) for _ in range(len(bs.boxes[0])))
-    arr, _ = bs.voxelize(3, pad)
+    arr, _ = voxelize(bs, 3, pad)
     return Fraction(int(arr.sum()), 8 ** len(bs.boxes[0]))
 
 
@@ -233,6 +234,16 @@ def test_components_counts():
     assert len(BoxSet([a, corner]).components()) == 2
 
 
+def test_components_are_canonical():
+    # the slab x in [1, 2] holds both components, so the canonical boxes of
+    # the whole set split `low` in two
+    low = box_of(interval(0, 16), interval(0, 8))
+    high = box_of(interval(8, 16), interval(40, 48))
+    whole = BoxSet([low, high])
+    assert len(whole.boxes) == 3
+    assert set(whole.components()) == {BoxSet([low]), BoxSet([high])}
+
+
 def test_thin_of_cube():
     a = BoxSet.from_box(cube_at((0, 0, 0), Dyadic(2)))
     t = a.thin(Dyadic(1, 1))
@@ -259,9 +270,9 @@ def test_thin_matches_voxel_erosion():
     for _ in range(25):
         bs = _random_union(rng, p)
         thin = bs.thin(Dyadic(1, p))
-        vox, _ = bs.voxelize(p, pad)
+        vox, _ = voxelize(bs, p, pad)
         eroded = ndimage.binary_erosion(vox, np.ones((3, 3, 3)), border_value=0)
-        got = (thin.voxelize(p, pad)[0] if not thin.is_empty()
+        got = (voxelize(thin, p, pad)[0] if not thin.is_empty()
                else np.zeros_like(vox))
         assert np.array_equal(eroded, got)
 
@@ -391,7 +402,22 @@ def raw_box_lists(draw):
     return box_list(), box_list()
 
 
+def _int_box(*intervals):
+    return tuple((Dyadic(lo), Dyadic(hi)) for lo, hi in intervals)
+
+
+_OVERLAPPING = [_int_box((0, 3), (0, 2), (0, 1)), _int_box((1, 4), (1, 3), (0, 2))]
+
+
 @given(raw_box_lists())
+# equal operands: a - a is empty, a | a and a & a are a
+@example((_OVERLAPPING, _OVERLAPPING))
+# slabs of a and b with equal sections merge: on axis 0, and on the last axis
+@example(([_int_box((0, 1), (0, 2))], [_int_box((1, 2), (0, 2))]))
+@example(([_int_box((0, 2), (0, 1))], [_int_box((0, 2), (1, 2))]))
+# a - b leaves two touching slabs with equal sections, which merge
+@example(([_int_box((0, 2), (0, 2)), _int_box((2, 4), (0, 1))],
+          [_int_box((0, 2), (1, 2))]))
 def test_kernel_matches_fraction_grid_reference(case):
     raw_a, raw_b = case
     a, b = BoxSet(raw_a), BoxSet(raw_b)
@@ -403,9 +429,20 @@ def test_kernel_matches_fraction_grid_reference(case):
         assert exact(got.boxes) == exact(reference_boolean(op, a.boxes, b.boxes))
 
 
-def test_over_limit_grid_raises_before_allocating():
-    n = 200  # 2n distinct coordinates per axis: (2n - 1)^3 cells
-    assert (2 * n - 1) ** 3 > boxes_mod.MAX_GRID_CELLS
+def test_diagonal_cubes_canonicalize_without_a_grid():
+    # 2n distinct coordinates per axis: a dense grid would have (2n - 1)^3
+    # cells, the slab merge holds only the n cubes
+    n = 200
     boxes = [((Dyadic(k), Dyadic(2 * k + 1, 1)),) * 3 for k in range(n)]
-    with pytest.raises(ResourceLimit, match="canonicalize: dense grid 399x399x399"):
+    assert BoxSet(boxes[::-1]).boxes == tuple(boxes)
+
+
+def test_slab_limit_raises_resource_limit(monkeypatch):
+    # three disjoint squares on a diagonal: one slab per square on axis 0
+    monkeypatch.setattr(boxes_mod, "MAX_SLABS", 2)
+    boxes = [((Dyadic(2 * k), Dyadic(2 * k + 1)),) * 2 for k in range(3)]
+    a = BoxSet(boxes[:2])  # exactly at the limit
+    with pytest.raises(ResourceLimit, match="canonicalize: one merge over 2 slabs"):
         BoxSet(boxes)
+    with pytest.raises(ResourceLimit, match="union: one merge over 2 slabs"):
+        a.union(BoxSet(boxes[2:]))

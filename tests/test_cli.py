@@ -11,6 +11,15 @@ def run_cli(*args, cwd=None):
         capture_output=True, text=True, cwd=cwd)
 
 
+def test_cli_import_does_not_load_numpy():
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, tilelab.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
 def test_tile_tree_pass(tmp_path):
     out = run_cli("tile-tree", "--seed", "3", "--tree", "path(12)",
                   "--out", str(tmp_path))
@@ -103,16 +112,15 @@ def test_verification_failure_exit_code(tmp_path, monkeypatch):
     assert code == 1
 
 
-def test_dense_grid_over_limit_exit_code(tmp_path, monkeypatch, capsys):
+def test_slab_limit_exit_code(tmp_path, monkeypatch, capsys):
     import tilelab.boxes as boxes
     import tilelab.cli as cli
 
-    # below every grid the pipeline needs, so its first boolean stops before
-    # allocating anything
-    monkeypatch.setattr(boxes, "MAX_GRID_CELLS", 1)
+    # below what the pipeline's first boolean appends
+    monkeypatch.setattr(boxes, "MAX_SLABS", 1)
     code = cli.main(["tile-tree", "--tree", "path(6)", "--out", str(tmp_path)])
     assert code == cli.EXIT_RESOURCE
-    assert "dense grid" in capsys.readouterr().err
+    assert "one merge over 1 slabs" in capsys.readouterr().err
 
 
 def test_failed_buddy_allocation_exit_code(tmp_path, monkeypatch, capsys):

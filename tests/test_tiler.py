@@ -3,12 +3,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from tilelab.dyadic import Dyadic
 from tilelab.labels import LabelSource
 from tilelab.partition import Schedule
-from tilelab.tiler import Tiling, block_dims, margin, nest_margin, tile_tree, \
-    verify_representation
+from tilelab.tiler import Tiling, _pow2_floor, block_dims, margin, nest_margin, \
+    tile_tree, verify_representation
 from tilelab.trees import synthetic_tree
 
 
@@ -18,6 +19,30 @@ def test_block_dims_volume_and_shape():
         assert dims[0] * dims[1] * dims[2] == 1 << m
         # dimensions differ from a cube by at most a factor of two
         assert max(dims) <= 2 * min(dims)
+
+
+def _pow2_floor_loops(fr):
+    """`_pow2_floor` as it was, with three Fraction loops."""
+    e = 0
+    while Fraction(1, 1 << e) > fr:
+        e += 1
+    while Fraction(2) * Fraction(1, 1 << e) <= fr and e > 0:
+        e -= 1
+    v = Dyadic(1, e)
+    while (v + v).as_fraction() <= fr:
+        v = v + v
+    return v
+
+
+@given(st.fractions(min_value=Fraction(1, 1 << 70), max_value=1 << 20))
+@example(Fraction(1))
+@example(Fraction(1, 1 << 40))
+@example(Fraction((1 << 40) - 1, 1 << 40))
+@example(Fraction(3, 4))
+@example(Fraction(1 << 20))
+def test_pow2_floor_matches_loops(fr):
+    got, want = _pow2_floor(fr), _pow2_floor_loops(fr)
+    assert (got.num, got.exp) == (want.num, want.exp)
 
 
 def test_margins():
