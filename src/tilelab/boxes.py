@@ -17,6 +17,10 @@ volumes compute on those ints, and `Dyadic` corners are built only for the
 boxes a result returns.  Every boolean and canonicalization is one section-
 by-section merge of slab trees (`_merge`, after the Extreme Vertices Model of
 Aguilera and Ayala); no grid of the distinct coordinates is ever built.
+
+`Clearance` is a region prepared for many polyline queries: its complement
+near the region is built once, on the lattice, and each query only lattices
+its own segments.
 """
 
 from __future__ import annotations
@@ -426,23 +430,62 @@ def polyline_neighborhood(points: Sequence[Sequence], c) -> BoxSet:
     return BoxSet([inflate(seg, cc) for seg in _segments(points)])
 
 
-def clearance(points: Sequence[Sequence], region: BoxSet) -> Dyadic:
-    """L-infinity distance from a rectilinear polyline to the closure of the
-    complement of ``region``, capped at 1.  For 0 < eps <= 1 the closed
+class Clearance:
+    """A region prepared for clearance queries: ``Clearance(region)(points)``
+    is the L-infinity distance from a rectilinear polyline to the closure of
+    the complement of ``region``, capped at 1.  For 0 < eps <= 1 the closed
     eps-neighborhood of the polyline lies inside ``region`` exactly when
-    ``eps <= clearance(points, region)``.
+    ``eps <= Clearance(region)(points)``.
 
-    Within 1 of the polyline the complement is ``frame - region``, with
-    ``frame`` the bounding box of both inflated by 1.  The distance from a
-    segment box to a complement box is their largest per-axis gap (an open
-    eps-box around the segment meets the closed complement box in a set with
-    interior iff eps exceeds it); the clearance is the least such gap."""
-    segs = _segments(points)
-    frame = inflate(boxes_bbox(segs + list(region.boxes)), 1)
-    comp = BoxSet([frame], _canonical=True).difference(region).boxes
-    e, ib = _lattice(segs + list(comp))
-    n = len(segs)
-    gap = min(max([g for (sl, sh), (cl, ch) in zip(s, c)
-                   for g in (cl - sh, sl - ch)])
-              for s in ib[:n] for c in ib[n:])
-    return Dyadic(min(max(gap, 0), 1 << e), e)
+    The complement within 1 of the region's bounding box, ``frame - region``
+    with ``frame`` that box inflated by 1, is built once, on the lattice, and
+    moved at most once to each finer lattice a query needs.  A polyline not
+    inside the box has a point outside the closed region, so its clearance
+    is 0.  Otherwise every point within 1 of it lies in ``frame``, and the
+    distance from a segment box to a complement box is their largest
+    per-axis gap (an open eps-box around the segment meets the closed
+    complement box in a set with interior iff eps exceeds it); the clearance
+    is the least such gap."""
+
+    __slots__ = ("exp", "lattices")
+
+    def __init__(self, region: BoxSet):
+        bbox = region.bbox()
+        # lattice exponent -> [bbox, *complement boxes] as ints on that lattice
+        self.exp, self.lattices = 0, {}
+        if bbox is not None:
+            comp = BoxSet([inflate(bbox, 1)], _canonical=True).difference(region).boxes
+            self.exp, ib = _lattice([bbox, *comp])
+            self.lattices[self.exp] = ib
+
+    def __call__(self, points: Sequence[Sequence]) -> Dyadic:
+        e, segs = _lattice(_segments(points))
+        if not self.lattices:
+            return ZERO
+        if e < self.exp:
+            segs, e = _shift(segs, self.exp - e), self.exp
+        if e not in self.lattices:
+            self.lattices[e] = _shift(self.lattices[self.exp], e - self.exp)
+        bbox, *comp = self.lattices[e]
+        if not all(bl <= sl and sh <= bh for s in segs
+                   for (sl, sh), (bl, bh) in zip(s, bbox)):
+            return ZERO
+        best = 1 << e
+        for s in segs:
+            for c in comp:
+                gap = max([g for (sl, sh), (cl, ch) in zip(s, c) for g in (cl - sh, sl - ch)])
+                if gap <= 0:
+                    return ZERO
+                if gap < best:
+                    best = gap
+        return Dyadic(best, e)
+
+
+def _shift(ib: Sequence[tuple], k: int) -> list[tuple]:
+    """Int boxes moved ``k`` exponents finer on the lattice."""
+    return [tuple((lo << k, hi << k) for lo, hi in b) for b in ib]
+
+
+def clearance(points: Sequence[Sequence], region: BoxSet) -> Dyadic:
+    """One-shot `Clearance` query."""
+    return Clearance(region)(points)

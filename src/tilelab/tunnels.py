@@ -11,7 +11,7 @@ neighbor are therefore reported as unrealizable rather than approximated.
 
 from __future__ import annotations
 
-from .boxes import BoxSet, clearance, contact_faces, polyline_neighborhood
+from .boxes import BoxSet, Clearance, clearance, contact_faces, polyline_neighborhood
 from .bs12 import CayleyWindow, FiberDecomposition, fiber_spanning_tree, fibers
 from .dyadic import Dyadic
 from .labels import LabelSource
@@ -77,15 +77,16 @@ def schedule_edges(tree: RootedTreeWindow, non_tree_edges) -> EdgeSchedule:
 FINEST_EXP = 12
 
 
-def _max_clearance(points, region: BoxSet) -> Dyadic | None:
+def _max_clearance(points, region: Clearance) -> Dyadic | None:
     """Largest 2^-j (1 <= j <= FINEST_EXP) with the 2^-j-neighborhood of the
     polyline inside the region; raises ValueError when the polyline is not
     rectilinear."""
-    room = clearance(points, region)
-    for j in range(1, FINEST_EXP + 1):
-        if Dyadic(1, j) <= room:
-            return Dyadic(1, j)
-    return None
+    room = region(points)
+    if room.num == 0:
+        return None
+    # 2^-j <= num * 2^-exp  iff  j >= exp - floor(log2(num))
+    j = max(1, room.exp - room.num.bit_length() + 1)
+    return Dyadic(1, j) if j <= FINEST_EXP else None
 
 
 def _center(face_box):
@@ -105,6 +106,8 @@ def route_gamma(tiling_tiles: dict, path, occupied=()) -> TunnelPlan:
     faces23 = sorted(contact_faces(d2, d3), key=lambda fa: -fa[1])
     if not faces12 or not faces23:
         raise RoutingError("consecutive path tiles are not adjacent")
+    # each region's complement is built once, for every candidate polyline
+    in_union, in_d1, in_d3 = Clearance(union), Clearance(d1), Clearance(d3)
 
     for f12, _a12 in faces12[:3]:
         for f23, _a23 in faces23[:3]:
@@ -114,18 +117,18 @@ def route_gamma(tiling_tiles: dict, path, occupied=()) -> TunnelPlan:
                 pts = [p] + mids + [q]
                 pts = _dedupe(pts)
                 try:
-                    eps = _max_clearance(pts, union)
+                    eps = _max_clearance(pts, in_union)
                 except ValueError:
                     continue  # the direct segment is not axis-aligned
                 if eps is None:
                     continue
                 # extend the ends into the interiors of d1 and d3
-                ext = _extend(pts, f12, f23, eps, d1, d3)
+                ext = _extend(pts, f12, f23, eps, in_d1, in_d3)
                 if ext is None:
                     continue
                 pts2, eps = ext
                 plan = TunnelPlan((path[0], path[-1]), path, pts2, eps)
-                if clearance(plan.gamma, union) < eps.halve():
+                if in_union(plan.gamma) < eps.halve():
                     continue
                 halo = plan.halo()
                 if any(halo.interior_intersects(o) for o in occupied):
@@ -158,7 +161,7 @@ def _dedupe(pts):
     return out
 
 
-def _extend(pts, f12, f23, eps, d1, d3):
+def _extend(pts, f12, f23, eps, in_d1, in_d3):
     """Push the polyline endpoints past the contact faces into d1 and d3."""
     def normal_axis(face):
         for a, (lo, hi) in enumerate(face):
@@ -167,14 +170,14 @@ def _extend(pts, f12, f23, eps, d1, d3):
         return None
 
     out = list(map(tuple, pts))
-    for end, face, tile in ((0, f12, d1), (-1, f23, d3)):
+    for end, face, tile in ((0, f12, in_d1), (-1, f23, in_d3)):
         ax = normal_axis(face)
         if ax is None:
             return None
         for sign in (1, -1):
             cand = list(out[end])
             cand[ax] = cand[ax] + eps.halve() if sign > 0 else cand[ax] - eps.halve()
-            if eps.halve() <= clearance([tuple(cand)], tile):
+            if eps.halve() <= tile([tuple(cand)]):
                 if end == 0:
                     out.insert(0, tuple(cand))
                 else:

@@ -11,8 +11,9 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import ndimage
 
 from tilelab import boxes as boxes_mod
-from tilelab.boxes import (BoxSet, ResourceLimit, _contacts, _lattice, box_of,
-                           box_volume, clearance, cube_at, polyline_neighborhood)
+from tilelab.boxes import (BoxSet, Clearance, ResourceLimit, _contacts, _lattice,
+                           box_of, box_volume, clearance, cube_at,
+                           polyline_neighborhood)
 from tilelab.dyadic import Dyadic
 from voxels import voxelize
 
@@ -162,30 +163,46 @@ def test_contact_sweep_matches_all_pairs_oracle(case):
 
 
 @st.composite
-def polyline_cases(draw):
-    """A random 3-D region of mixed-exponent boxes, a rectilinear polyline
-    (a single point, a straight segment, an L or a staircase) that may lie
-    partly or wholly outside the region's bounding box, and an eps in
-    (0, 1]."""
+def regions(draw, max_exp=2):
+    """A random 3-D region of up to 5 boxes, each axis at its own exponent
+    in [0, max_exp], inside [0, 9] on every axis."""
     region = []
     for _ in range(draw(st.integers(0, 5))):
         box = []
         for _ in range(3):
-            exp = draw(st.integers(0, 2))
+            exp = draw(st.integers(0, max_exp))
             lo = draw(st.integers(0, 5 << exp))
             hi = lo + draw(st.integers(1, 4 << exp))
             box.append((Dyadic(lo, exp), Dyadic(hi, exp)))
         region.append(tuple(box))
-    exp = draw(st.integers(0, 2))
-    pt = [Dyadic(draw(st.integers(-2 << exp, 9 << exp)), exp) for _ in range(3)]
+    return BoxSet(region)
+
+
+@st.composite
+def polylines(draw, max_exp=2, lo=-2, hi=9):
+    """A rectilinear polyline at one exponent in [0, max_exp]: a single point
+    in [lo, hi]^3, a straight segment, an L or a staircase."""
+    exp = draw(st.integers(0, max_exp))
+    pt = [Dyadic(draw(st.integers(lo << exp, hi << exp)), exp) for _ in range(3)]
     points = [tuple(pt)]
     for _ in range(draw(st.integers(0, 3))):
         axis = draw(st.integers(0, 2))
         pt[axis] = pt[axis] + Dyadic(draw(st.integers(-3 << exp, 3 << exp)), exp)
         points.append(tuple(pt))
+    return points
+
+
+@st.composite
+def polyline_cases(draw):
+    """A random 3-D region of mixed-exponent boxes, a rectilinear polyline
+    (a single point, a straight segment, an L or a staircase) that may lie
+    partly or wholly outside the region's bounding box, and an eps in
+    (0, 1]."""
+    region = draw(regions())
+    points = draw(polylines())
     j = draw(st.integers(0, 4))
     eps = Dyadic(draw(st.integers(1, 1 << j)), j)
-    return points, BoxSet(region), eps
+    return points, region, eps
 
 
 REGION = BoxSet([box_of((0, 4), (0, 4), (0, 4))])
@@ -213,6 +230,45 @@ def test_clearance_matches_neighborhood_oracle(case):
         assert inside(room)  # the distance is attained...
     if room < 1:
         assert not inside(room + Dyadic(1, 8))  # ...and exact
+
+
+def assert_clearance_exact(points, region, room, eps):
+    """``room`` against the neighborhood oracle: the eps-neighborhood lies in
+    the region exactly when eps <= room, and the distance is attained and
+    exact (every gap is a multiple of 2^-8 here)."""
+
+    def inside(e):
+        return polyline_neighborhood(points, e).difference(region).is_empty()
+
+    assert 0 <= room <= 1
+    assert inside(eps) == (eps <= room)
+    if room > 0:
+        assert inside(room)
+    if room < 1:
+        assert not inside(room + Dyadic(1, 8))
+
+
+FINE_REGION = BoxSet([box_of((Dyadic(1, 4), Dyadic(67, 4)), (0, 4), (0, 4)),
+                      box_of((Dyadic(67, 4), 6), (1, 3), (Dyadic(3, 4), 3))])
+
+
+@given(regions(max_exp=4),
+       st.lists(polylines(max_exp=5, lo=-4, hi=14), min_size=1, max_size=8),
+       st.integers(1, 32).map(lambda k: Dyadic(k, 5)))
+@example(REGION, [[(Dyadic(1),) * 3], [(Dyadic(1, 5), Dyadic(2), Dyadic(2))],
+                  [(Dyadic(2),) * 3]], Dyadic(1))  # finer, then coarser again
+@example(FINE_REGION, [[(Dyadic(3), Dyadic(2), Dyadic(2)),
+                        (Dyadic(5), Dyadic(2), Dyadic(2))],
+                       [(Dyadic(1),) * 3]], Dyadic(1, 4))  # region finer
+@example(REGION, [[(Dyadic(-3),) * 3], [(Dyadic(2), Dyadic(2), Dyadic(7))],
+                  [(Dyadic(13), Dyadic(2), Dyadic(2))]],
+         Dyadic(1, 2))  # more than 1 outside the bbox
+@example(BoxSet.empty(), [[(Dyadic(1),) * 3], [(Dyadic(-5),) * 3]],
+         Dyadic(1, 2))  # empty region
+def test_prepared_clearance_answers_many_polylines(region, queries, eps):
+    prepared = Clearance(region)
+    for points in queries:
+        assert_clearance_exact(points, region, prepared(points), eps)
 
 
 def test_clearance_rejects_diagonal_segments():

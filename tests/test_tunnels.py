@@ -1,15 +1,18 @@
 """Tunnel routing, edge addition, and the BS(1,2) assembly pipeline."""
 
 import pytest
+from hypothesis import example, given, strategies as st
 
+from tilelab.boxes import BoxSet
 from tilelab.bs12 import bs12_ball, fibers
+from tilelab.dyadic import Dyadic
 from tilelab.labels import LabelSource
 from tilelab.partition import Schedule
 from tilelab.tiler import tile_tree, verify_representation
 from tilelab.trees import synthetic_tree
-from tilelab.tunnels import (add_edge, assemble_bs12, contract_fibers,
-                             cube_symmetries, random_isometry, route_gamma,
-                             schedule_edges)
+from tilelab.tunnels import (FINEST_EXP, RoutingError, _max_clearance, add_edge,
+                             assemble_bs12, contract_fibers, cube_symmetries,
+                             random_isometry, route_gamma, schedule_edges)
 
 
 def tiled_path(n, seed=0):
@@ -42,6 +45,47 @@ def test_route_gamma_tube_inside_tiles():
     plan = route_gamma(tiling.tile_of, [2, 3, 4])
     union = tiling.tile_of[2].union(tiling.tile_of[3]).union(tiling.tile_of[4])
     assert plan.tube().difference(union).is_empty()
+
+
+def _max_clearance_loop(room):
+    """`_max_clearance` as it was, trying 2^-1, 2^-2, ... in turn."""
+    for j in range(1, FINEST_EXP + 1):
+        if Dyadic(1, j) <= room:
+            return Dyadic(1, j)
+    return None
+
+
+@given(st.integers(0, 24).flatmap(
+    lambda e: st.integers(0, 1 << e).map(lambda n: Dyadic(n, e))))
+@example(Dyadic(0))
+@example(Dyadic(1))
+@example(Dyadic(1, FINEST_EXP))
+@example(Dyadic(1, FINEST_EXP + 1))
+@example(Dyadic((1 << 20) - 1, 20 + FINEST_EXP))
+@example(Dyadic(3, 2))
+def test_max_clearance_matches_loop(room):
+    got = _max_clearance(None, lambda _points: room)
+    want = _max_clearance_loop(room)
+    assert (got and (got.num, got.exp)) == (want and (want.num, want.exp))
+
+
+@pytest.mark.parametrize("path,routable", [([2, 3, 4], True), ([3, 4, 5], False)])
+def test_route_gamma_builds_each_complement_once(monkeypatch, path, routable):
+    tree, tiling = tiled_path(8)
+    calls = []
+    difference = BoxSet.difference
+
+    def counted(self, other):
+        calls.append(1)
+        return difference(self, other)
+
+    monkeypatch.setattr(BoxSet, "difference", counted)
+    if routable:
+        route_gamma(tiling.tile_of, path)
+    else:
+        with pytest.raises(RoutingError, match="no certified corridor"):
+            route_gamma(tiling.tile_of, path)
+    assert len(calls) <= 3  # one per prepared region: the union, d1 and d3
 
 
 def test_schedule_edges_orders_by_size_metric():
