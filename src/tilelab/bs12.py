@@ -30,14 +30,14 @@ class BsElement:
 
     def __mul__(self, other: "BsElement") -> "BsElement":
         # composition: (g*h)(t) = g(h(t))
-        scaled = _shift(other.offset, -self.level)
+        scaled = other.offset.scale(-self.level)
         return BsElement(self.level + other.level, scaled + self.offset)
 
     def inverse(self) -> "BsElement":
-        return BsElement(-self.level, -_shift(self.offset, self.level))
+        return BsElement(-self.level, -self.offset.scale(self.level))
 
     def key(self):
-        return (self.level, self.offset.num, self.offset.exp)
+        return (self.level, *self.offset.as_pair())
 
     def __eq__(self, other):
         return isinstance(other, BsElement) and self.key() == other.key()
@@ -47,13 +47,6 @@ class BsElement:
 
     def __repr__(self):
         return f"BsElement(level={self.level}, offset={self.offset})"
-
-
-def _shift(d: Dyadic, by: int) -> Dyadic:
-    """Multiply a dyadic by 2^by (by may be negative)."""
-    if by >= 0:
-        return Dyadic(d.num << by, d.exp)
-    return Dyadic(d.num, d.exp - by)
 
 
 IDENTITY = BsElement(0, 0)
@@ -88,7 +81,7 @@ class CayleyWindow:
         return [t for t, _c, _o in self.adjacency()[v]]
 
     def to_json(self) -> dict:
-        verts = [[v.level, v.offset.num, v.offset.exp] for v in self.vertices]
+        verts = [list(v.key()) for v in self.vertices]
         edges = sorted(
             [self.index[s], self.index[t], c, 1] for s, t, c in self.edges
         )
@@ -138,11 +131,8 @@ class FiberDecomposition:
         self.members: dict = {}
         self.position = {}  # member -> integer b-coordinate within its coset
         for v in window.vertices:
-            step = Dyadic(1, v.level)  # 2**-level
-            q = v.offset.as_fraction()
-            s = step.as_fraction()
-            m = (q / s).numerator // (q / s).denominator
-            residue = v.offset - step * m
+            m = v.offset.scale(v.level).floor()  # offset // 2**-level
+            residue = v.offset - Dyadic(m).scale(-v.level)
             fid = (v.level, tuple(residue.as_pair()))
             self.fiber_of[v] = fid
             self.members.setdefault(fid, []).append(v)

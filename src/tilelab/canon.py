@@ -55,6 +55,25 @@ def rooted_forest_from_edges(vertices, edges, roots) -> dict:
     return children
 
 
+def has_cycle(edges) -> bool:
+    """Whether an undirected edge list over hashable vertices has a cycle."""
+    parent: dict = {}
+
+    def find(x):
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            return True
+        parent[ra] = rb
+    return False
+
+
 def graph_canonical_hash(nx_graph, node_attr=None, edge_attr=None, iterations=4) -> str:
     """Weisfeiler-Lehman hash (networkx) for small decorated graphs."""
     import networkx as nx

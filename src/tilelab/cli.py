@@ -9,11 +9,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import bs12 as bs12mod
 from . import exports, fractal, tunnels, unimodular
 from .boxes import ResourceLimit
+from .canon import has_cycle
 from .config import ConfigError, RunConfig, load_config
 from .dyadic import Dyadic
 from .labels import LabelSource
@@ -41,8 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="comma separated level sizes, e.g. 1,6")
         p.add_argument("--resolution", type=int, default=None,
                        help="voxel resolution exponent")
-        p.add_argument("--interpretation", default=None,
-                       choices=["square", "rect", "both"])
+        p.add_argument("--interpretation", default=None)
         p.add_argument("--threads", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--tree", default=None,
@@ -102,22 +101,8 @@ def cmd_tile_tree(cfg: RunConfig) -> int:
 def _interior_fiber_report(fib) -> dict:
     degs = fib.degrees(fib.interior_fibers)
     interior = set(fib.interior_fibers)
-    parent = {f: f for f in interior}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    acyclic = True
-    for f1, f2 in fib.fiber_edges:
-        if f1 in interior and f2 in interior:
-            r1, r2 = find(f1), find(f2)
-            if r1 == r2:
-                acyclic = False
-            else:
-                parent[r1] = r2
+    acyclic = not has_cycle((f1, f2) for f1, f2 in fib.fiber_edges
+                            if f1 in interior and f2 in interior)
     return {
         "n_fibers": len(fib.members),
         "n_interior": len(interior),
@@ -157,10 +142,7 @@ def cmd_t3(cfg: RunConfig) -> int:
         if fid in contracted.tile_of:
             features[fid] = unimodular.piece_features(
                 contracted.tile_of[fid], len(fib.members[fid]))
-    stats = unimodular.piece_statistics(features) if len(features) >= 2 else {
-        "n_pieces": len(features), "flagged": [], "separated": False,
-        "table": {repr(k): v for k, v in features.items()},
-        "features": list(unimodular.PIECE_FEATURES)}
+    stats = unimodular.piece_statistics(features)
 
     exports.write_file(cfg.out, "t3-scene.off",
                        exports.tiling_off(placed, h, cfg.seed,

@@ -6,6 +6,7 @@ import hashlib
 import json
 from typing import Dict, List, Optional
 
+from .fractal import INTERPRETATIONS
 from .partition import Schedule, ScheduleError
 
 
@@ -69,8 +70,9 @@ class RunConfig:
             raise ConfigError("radius must be positive")
         if self.stages < 1 or self.stages > len(self.schedule):
             raise ConfigError("stages must be in [1, len(schedule)]")
-        if self.interpretation not in ("square", "rect", "both"):
-            raise ConfigError("interpretation must be square, rect or both")
+        names = INTERPRETATIONS + ("both",)
+        if self.interpretation not in names:
+            raise ConfigError(f"interpretation must be one of {', '.join(names)}")
         if self.i_min > 0 or self.i_max < 0:
             raise ConfigError("need i_min <= 0 <= i_max")
         if self.threads < 1:

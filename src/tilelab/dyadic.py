@@ -3,8 +3,11 @@
 A dyadic rational is ``num * 2**-exp`` with integer ``num`` and non-negative
 integer ``exp``.  Values are kept normalized: ``exp`` is minimal, i.e. ``num``
 is odd or ``(num, exp) == (0, 0)``.  Dyadics are closed under addition,
-subtraction, multiplication and halving, which is all the geometry kernel
-needs; comparisons and hashing are exact.
+subtraction, multiplication and scaling by any power of two (``scale``,
+``halve``); ``floor`` divides by a positive integer and rounds down, and
+``pow2_floor`` is the largest power of two not above a positive value.  That
+is all the geometry and the BS(1,2) code need; comparisons and hashing are
+exact.
 """
 
 from __future__ import annotations
@@ -71,6 +74,20 @@ class Dyadic:
 
     def halve(self) -> "Dyadic":
         return Dyadic(self.num, self.exp + 1)
+
+    def scale(self, k: int) -> "Dyadic":
+        """``self * 2**k``; ``k`` may be negative."""
+        return Dyadic(self.num, self.exp - k)
+
+    def floor(self, d: int = 1) -> int:
+        """``floor(self / d)`` for a positive int ``d``."""
+        return self.num // (d << self.exp)
+
+    def pow2_floor(self) -> "Dyadic":
+        """The largest power of two ``<= self`` (``self > 0``)."""
+        if self.num <= 0:
+            raise ValueError(f"pow2_floor of non-positive {self}")
+        return Dyadic(1, self.exp - self.num.bit_length() + 1)
 
     def __abs__(self) -> "Dyadic":
         return Dyadic(abs(self.num), self.exp)

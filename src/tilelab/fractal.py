@@ -30,6 +30,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .boxes import Box, BoxSet, box_contains_box, box_of, set_contacts
+from .canon import has_cycle
 from .dyadic import Dyadic
 
 # Family offsets in fifths of the scale; per interpretation, per family,
@@ -49,10 +50,7 @@ def _pow2(i: int) -> Dyadic:
 
 def _dyadic_mod(x: Dyadic, i: int) -> Dyadic:
     """x mod 2**i, result in [0, 2**i)."""
-    step = Fraction(2) ** i
-    q = Fraction(x.num, 1 << x.exp) / step
-    k = q.numerator // q.denominator
-    return x - _pow2(i) * k
+    return x - Dyadic(x.scale(-i).floor()).scale(i)
 
 
 class ScaleChain:
@@ -171,19 +169,15 @@ def _cells_meeting(chain: ScaleChain, i: int, family: str,
                    window: Box, interpretation: str) -> List[Tuple[int, int]]:
     """Lattice cells whose scale-i set closure meets the (scaled) window."""
     offs = FAMILY_OFFSETS[interpretation][family]
-    step = _pow2(i)
     ranges = []
     for ax in range(2):
-        v5 = chain.anchor(i)[ax] * 5
-        wlo = Fraction(window[ax][0].num, 1 << window[ax][0].exp)
-        whi = Fraction(window[ax][1].num, 1 << window[ax][1].exp)
-        s = Fraction(step.num, 1 << step.exp)
-        base = Fraction(v5.num, 1 << v5.exp)
+        base = chain.anchor(i)[ax] * 5
+        wlo, whi = window[ax]
         # need base + 5*s*w + s*offs_hi >= wlo and base + 5*s*w + s*offs_lo <= whi
-        lo_w = (wlo - base - s * offs[ax][1]) / (5 * s)
-        hi_w = (whi - base - s * offs[ax][0]) / (5 * s)
-        lo_i = lo_w.numerator // lo_w.denominator + (0 if lo_w.denominator == 1 else 1)
-        hi_i = hi_w.numerator // hi_w.denominator
+        # with s = 2**i: w >= ceil((wlo - base - s*offs_hi) / 5s) and
+        # w <= floor((whi - base - s*offs_lo) / 5s)
+        lo_i = -((base - wlo).scale(-i) + offs[ax][1]).floor(5)
+        hi_i = ((whi - base).scale(-i) - offs[ax][0]).floor(5)
         ranges.append(range(lo_i, hi_i + 1))
     return [(wx, wy) for wx in ranges[0] for wy in ranges[1]]
 
@@ -234,23 +228,6 @@ def _piece_adjacency(pieces: Sequence[FractalPiece]) -> List[Tuple[int, int, Fra
     return [(a, b, length) for (a, b), length in sorted(areas.items())]
 
 
-def _has_cycle(n: int, edges: Sequence[Tuple[int, int]]) -> bool:
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return True
-        parent[ra] = rb
-    return False
-
-
 def adjacency_report(pieces: Sequence[FractalPiece], window: Box,
                      interpretation: str) -> dict:
     """Adjacency graph of the pieces plus the window-interior summary.
@@ -287,9 +264,7 @@ def adjacency_report(pieces: Sequence[FractalPiece], window: Box,
     interior_edges = [(a, b) for a, b, _ in edges
                       if a in interior_set and b in interior_set]
     # acyclicity is judged on the subgraph spanned by interior pieces
-    index_of = {idx: k for k, idx in enumerate(interior)}
-    acyclic = not _has_cycle(len(interior),
-                             [(index_of[a], index_of[b]) for a, b in interior_edges])
+    acyclic = not has_cycle(interior_edges)
 
     hist: Dict[int, int] = {}
     for idx in interior:
@@ -333,11 +308,8 @@ def embed_tree(pieces: Sequence[FractalPiece], edges: Sequence[Tuple[int, int]],
                 points.append(cand)  # type: ignore[arg-type]
                 break
 
-    def frac(d: Dyadic) -> Fraction:
-        return Fraction(d.num, 1 << d.exp)
-
-    segs = [((frac(points[a][0]), frac(points[a][1])),
-             (frac(points[b][0]), frac(points[b][1]))) for a, b in edges]
+    segs = [(tuple(c.as_fraction() for c in points[a]),
+             tuple(c.as_fraction() for c in points[b])) for a, b in edges]
 
     def orient(p, q, r):
         v = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
@@ -372,12 +344,7 @@ def pieces_svg(pieces: Sequence[FractalPiece], window: Box,
                size: int = 640) -> str:
     """SVG drawing of the window, pieces colored by scale."""
     swin = _scaled_window(window)
-
-    def f(d: Dyadic) -> float:
-        return d.num / (1 << d.exp)
-
-    x0, x1 = f(swin[0][0]), f(swin[0][1])
-    y0, y1 = f(swin[1][0]), f(swin[1][1])
+    (x0, x1), (y0, y1) = ((float(lo), float(hi)) for lo, hi in swin)
     span = max(x1 - x0, y1 - y0) or 1.0
     sc = size / span
 
@@ -393,9 +360,9 @@ def pieces_svg(pieces: Sequence[FractalPiece], window: Box,
                 for k, s in enumerate(scales)}
     for p in pieces:
         for box in p.region.boxes:
-            ax, ay = pt(f(box[0][0]), f(box[1][1]))
-            w = (f(box[0][1]) - f(box[0][0])) * sc
-            h = (f(box[1][1]) - f(box[1][0])) * sc
+            ax, ay = pt(float(box[0][0]), float(box[1][1]))
+            w = (float(box[0][1]) - float(box[0][0])) * sc
+            h = (float(box[1][1]) - float(box[1][0])) * sc
             parts.append(
                 f'<rect x="{ax:.3f}" y="{ay:.3f}" width="{w:.3f}" '
                 f'height="{h:.3f}" fill="{color_of[p.scale]}" '

@@ -11,7 +11,6 @@ reproduces the tree edges exactly on the resolved vertex set.
 from __future__ import annotations
 
 import sys
-from fractions import Fraction
 
 from .boxes import Box, BoxSet, box_is_empty, deflate, set_contacts
 from .dyadic import Dyadic, HALF
@@ -120,11 +119,12 @@ def top_set(tree: RootedTreeWindow, stack: PartitionStack) -> TopSet:
 
 
 class GridAssignment:
-    def __init__(self, tree, topset, kept, block_origin, coords, vtop_children,
-                 f_children, hang, territory, demoted):
+    def __init__(self, tree, topset, kept, roots, block_origin, coords,
+                 vtop_children, f_children, hang, territory, demoted):
         self.tree = tree
         self.topset = topset
         self.kept = kept                  # surviving top vertices
+        self.roots = roots                # kept vertices with no kept ancestor
         self.block_origin = block_origin  # top vertex -> integer cell origin
         self.coords = coords              # class vertex -> integer cell
         self.vtop_children = vtop_children
@@ -132,10 +132,6 @@ class GridAssignment:
         self.hang = hang                  # F-vertex -> top children hanging there
         self.territory = territory        # F-vertex -> (size, origin) or None
         self.demoted = demoted
-
-    def roots(self):
-        return [x for x in self.kept
-                if not any(y != x and self.tree.is_ancestor(y, x) for y in self.kept)]
 
 
 def _ceil_log2(n: int) -> int:
@@ -263,7 +259,7 @@ def assign_grid(tree: RootedTreeWindow, topset: TopSet,
         for cell, v in zip(free_cells, free_verts):
             coords[v] = cell
 
-    return GridAssignment(tree, topset, kept, block_origin, coords,
+    return GridAssignment(tree, topset, kept, roots, block_origin, coords,
                           vtop_children, f_children, hang, territory, demoted)
 
 
@@ -292,40 +288,23 @@ def _cell_box(origin, dims) -> Box:
     )
 
 
-def _pow2_floor(fr: Fraction) -> Dyadic:
-    """Largest power of two <= fr (fr > 0)."""
-    # 2**(k - 1) < fr < 2**(k + 1)
-    k = fr.numerator.bit_length() - fr.denominator.bit_length()
-    if (fr.numerator << max(-k, 0)) < (fr.denominator << max(k, 0)):
-        k -= 1  # fr < 2**k
-    return Dyadic(1, -k)
-
-
 def place_cubes(box: Box, k: int) -> list:
     """k disjoint closed cubes strictly inside a box, dyadic coordinates."""
-    sides = [(hi - lo).as_fraction() for lo, hi in box]
-    msid = min(sides)
+    sides = [hi - lo for lo, hi in box]
     ax = sides.index(max(sides))
-    k2 = 1 << _ceil_log2(max(k, 1))
-    slot = (box[ax][1] - box[ax][0]).as_fraction() / (2 * k2)
-    g = _pow2_floor(min(Fraction(msid, 4), Fraction(slot, 2)))
+    # the longest side holds k2 = 2**ceil(log2 k) slots of width 2 * slot
+    slot = sides[ax].scale(-1 - _ceil_log2(max(k, 1)))
+    g = min(min(sides).scale(-2), slot.halve()).pow2_floor()
     half = g.halve()
     out = []
     lo_ax = box[ax][0]
-    slot_d = _frac_dyadic(slot)
     for i in range(k):
         center = [
-            (lo + hi).halve() if a != ax else lo_ax + slot_d * Dyadic(2 * i + 1)
+            (lo + hi).halve() if a != ax else lo_ax + slot * (2 * i + 1)
             for a, (lo, hi) in enumerate(box)
         ]
         out.append(tuple((c - half, c + half) for c in center))
     return out
-
-
-def _frac_dyadic(fr: Fraction) -> Dyadic:
-    e = fr.denominator.bit_length() - 1
-    assert (1 << e) == fr.denominator, "not dyadic"
-    return Dyadic(fr.numerator, e)
 
 
 class Tiling:
@@ -393,8 +372,7 @@ def carve(tree: RootedTreeWindow, topset: TopSet, grid: GridAssignment) -> Tilin
         kids = grid.tree.children[v]
         killed = []
         if kids:
-            side = (cube[0][1] - cube[0][0]).as_fraction()
-            inner = deflate(cube, _frac_dyadic(Fraction(side, 8)))
+            inner = deflate(cube, (cube[0][1] - cube[0][0]).scale(-3))
             killed = place_cubes(inner, len(kids))
             for c, sub in zip(kids, killed):
                 emit_cubes(c, sub)
@@ -436,7 +414,7 @@ def carve(tree: RootedTreeWindow, topset: TopSet, grid: GridAssignment) -> Tilin
 
         emit_node(x, blockbox, 0)
 
-    roots = grid.roots()
+    roots = grid.roots
     for x in sorted(roots, key=repr):
         emit_block(x)
         region_boxes.append(
@@ -471,7 +449,7 @@ def verify_representation(tiling: Tiling, tree: RootedTreeWindow,
     report["tiles_open_connected"] = {"pass": not bad, "witnesses": bad[:5]}
 
     verts, _, overlaps = tiling.contacts()
-    vol = sum(volume.values(), Fraction(0))
+    vol = sum(volume.values())
     overlap = None
     if overlaps:
         i, j = min(overlaps)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .boxes import BoxSet, Clearance, clearance, contact_faces, polyline_neighborhood
 from .bs12 import CayleyWindow, FiberDecomposition, fiber_spanning_tree, fibers
-from .dyadic import Dyadic
+from .dyadic import Dyadic, HALF
 from .labels import LabelSource
 from .partition import Schedule
 from .tiler import Tiling, tile_tree
@@ -42,11 +42,6 @@ class TunnelPlan:
         return polyline_neighborhood(self.gamma, self.epsilon)
 
 
-def tree_path(tree: RootedTreeWindow, e):
-    u, v = e
-    return tree.tree_path(u, v)
-
-
 class EdgeSchedule:
     def __init__(self, buckets: dict):
         self.buckets = buckets  # n -> list of edges
@@ -61,7 +56,7 @@ def schedule_edges(tree: RootedTreeWindow, non_tree_edges) -> EdgeSchedule:
     """Bucket each edge by max(path length, 1 + points hanging off the path)."""
     buckets: dict = {}
     for e in non_tree_edges:
-        path = tree_path(tree, e)
+        path = tree.tree_path(*e)
         on_path = set(path)
         hanging = 0
         for v in path:
@@ -82,11 +77,7 @@ def _max_clearance(points, region: Clearance) -> Dyadic | None:
     polyline inside the region; raises ValueError when the polyline is not
     rectilinear."""
     room = region(points)
-    if room.num == 0:
-        return None
-    # 2^-j <= num * 2^-exp  iff  j >= exp - floor(log2(num))
-    j = max(1, room.exp - room.num.bit_length() + 1)
-    return Dyadic(1, j) if j <= FINEST_EXP else None
+    return min(room.pow2_floor(), HALF) if room >= Dyadic(1, FINEST_EXP) else None
 
 
 def _center(face_box):

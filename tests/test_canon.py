@@ -3,10 +3,11 @@
 import random
 
 import networkx as nx
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from tilelab.canon import (ahu_code, forest_hash, graph_canonical_hash,
-                           rooted_forest_from_edges)
+                           has_cycle, rooted_forest_from_edges)
 from tilelab.trees import synthetic_tree
 
 
@@ -83,3 +84,14 @@ def test_graph_hash_uses_attributes():
         h.nodes[v]["mark"] = v % 2
     assert (graph_canonical_hash(g, node_attr="mark")
             != graph_canonical_hash(h, node_attr="mark"))
+
+
+@pytest.mark.parametrize("edges,cyclic", [
+    ([], False),
+    ([(0, 1), (1, 2), (1, 3), ("a", "b")], False),
+    ([(0, 1), (1, 2), (2, 0)], True),
+    ([("x", "y"), (0, 1), (1, 2), (2, 3), (3, 1)], True),
+])
+def test_has_cycle(edges, cyclic):
+    assert has_cycle(edges) is cyclic
+    assert has_cycle(reversed(edges)) is cyclic

@@ -91,6 +91,10 @@ def test_config_error_exit_code(tmp_path):
     out = run_cli("tile-tree", "--config", "/nonexistent/х.cfg",
                   "--out", str(tmp_path))
     assert out.returncode == 2
+    out = run_cli("fractal", "--interpretation", "diagonal",
+                  "--out", str(tmp_path))
+    assert out.returncode == 2
+    assert "config error: interpretation must be one of" in out.stderr
 
 
 def test_radius_one_window_is_vacuously_ok(tmp_path):

@@ -1,5 +1,6 @@
 """Exact dyadic rationals, checked against stdlib Fraction as the oracle."""
 
+import math
 from fractions import Fraction
 
 from hypothesis import given, strategies as st
@@ -67,3 +68,32 @@ def test_normalization_matches_fraction(num, exp):
     f = Fraction(num) / Fraction(2) ** exp
     # normalized: (num, exp) are f's numerator and the log2 of its denominator
     assert (d.num, 1 << d.exp) == (f.numerator, f.denominator)
+
+
+@given(dyadics, st.integers(-30, 30), st.sampled_from([1, 5]))
+def test_scale_floor_pow2_floor_match_fraction(a, k, d):
+    f = a.as_fraction()
+    assert a.scale(k).as_fraction() == f * Fraction(2) ** k
+    got = a.floor(d)
+    assert isinstance(got, int) and got == math.floor(f / d)
+    assert a.floor() == a.floor(1)
+    if a > 0:
+        p = a.pow2_floor().as_fraction()
+        # a power of two in lowest terms: one side is 1, the other 2**n
+        assert (p.numerator * p.denominator).bit_count() == 1
+        assert p <= f < 2 * p
+
+
+def test_floor_rounds_down_for_negatives():
+    assert Dyadic(-1, 1).floor() == -1
+    assert Dyadic(-5).floor(5) == -1
+    assert Dyadic(-6).floor(5) == -2
+    assert Dyadic(-11, 1).floor(5) == -2  # -5.5 / 5
+    assert Dyadic(9, 1).floor(5) == 0
+
+
+def test_pow2_floor_rejects_non_positive():
+    import pytest
+    for x in (Dyadic(0), Dyadic(-1, 3)):
+        with pytest.raises(ValueError):
+            x.pow2_floor()

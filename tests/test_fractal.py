@@ -1,10 +1,14 @@
 """Scale chains and hierarchical plane pieces: exact disjointness, cover
 bookkeeping, and the mirror symmetry between the two interpretations."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import example, given, strategies as st
 
 from tilelab.dyadic import Dyadic
-from tilelab.fractal import (INTERPRETATIONS, adjacency_report, build_chain,
+from tilelab.fractal import (FAMILY_OFFSETS, INTERPRETATIONS, _cells_meeting,
+                             _dyadic_mod, adjacency_report, build_chain,
                              embed_tree, pieces_in_window, pieces_svg)
 
 
@@ -109,3 +113,66 @@ def test_report_serializations():
     pieces = pieces_in_window(chain, win, "square")
     svg = pieces_svg(pieces, win)
     assert svg.startswith("<svg") or "<svg" in svg
+
+
+# -- lattice arithmetic against the Fraction formulas it replaced -------------
+
+dyadics = st.builds(Dyadic, st.integers(-(1 << 16), 1 << 16), st.integers(0, 12))
+# window corners within 4 of the origin, so a scale -6 lattice meets at most
+# about 100 cells per axis
+corners = st.builds(Dyadic, st.integers(-(1 << 10), 1 << 10), st.integers(8, 12))
+scales = st.integers(-6, 4)
+
+
+def _dyadic_mod_fraction(x, i):
+    step = Fraction(2) ** i
+    q = x.as_fraction() / step
+    k = q.numerator // q.denominator
+    return x - Dyadic(1, -i) * k
+
+
+def _cells_meeting_fraction(anchor, i, offs, window):
+    s = Fraction(2) ** i
+    ranges = []
+    for ax in range(2):
+        base = (anchor[ax] * 5).as_fraction()
+        wlo, whi = (c.as_fraction() for c in window[ax])
+        lo_w = (wlo - base - s * offs[ax][1]) / (5 * s)
+        hi_w = (whi - base - s * offs[ax][0]) / (5 * s)
+        lo_i = lo_w.numerator // lo_w.denominator + (0 if lo_w.denominator == 1 else 1)
+        hi_i = hi_w.numerator // hi_w.denominator
+        ranges.append(range(lo_i, hi_i + 1))
+    return [(wx, wy) for wx in ranges[0] for wy in ranges[1]]
+
+
+class _Anchors:
+    def __init__(self, i, point):
+        self.point = {i: point}
+
+    def anchor(self, i):
+        return self.point[i]
+
+
+@given(dyadics, scales)
+@example(Dyadic(-1, 3), -2)
+@example(Dyadic(-8), 2)
+def test_dyadic_mod_matches_fraction(x, i):
+    got = _dyadic_mod(x, i)
+    assert got == _dyadic_mod_fraction(x, i)
+    assert 0 <= got.as_fraction() < Fraction(2) ** i
+
+
+@given(st.tuples(dyadics, dyadics), scales,
+       st.sampled_from(INTERPRETATIONS), st.sampled_from(["A", "B"]),
+       st.lists(corners, min_size=2, max_size=2).map(sorted),
+       st.lists(corners, min_size=2, max_size=2).map(sorted))
+@example((Dyadic(0), Dyadic(0)), 0, "square", "A",
+         [Dyadic(-5), Dyadic(5)], [Dyadic(-5), Dyadic(5)])
+@example((Dyadic(3, 4), Dyadic(-7, 5)), -3, "rect", "B",
+         [Dyadic(-1, 3), Dyadic(1, 9)], [Dyadic(-9, 7), Dyadic(-1, 7)])
+def test_cells_meeting_matches_fraction(anchor, i, interpretation, family,
+                                        xs, ys):
+    window = (tuple(xs), tuple(ys))
+    got = _cells_meeting(_Anchors(i, anchor), i, family, window, interpretation)
+    offs = FAMILY_OFFSETS[interpretation][family]
+    assert got == _cells_meeting_fraction(anchor, i, offs, window)

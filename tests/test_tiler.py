@@ -8,8 +8,8 @@ from hypothesis import example, given, strategies as st
 from tilelab.dyadic import Dyadic
 from tilelab.labels import LabelSource
 from tilelab.partition import Schedule
-from tilelab.tiler import Tiling, _pow2_floor, block_dims, margin, nest_margin, \
-    tile_tree, verify_representation
+from tilelab.tiler import Tiling, block_dims, margin, nest_margin, tile_tree, \
+    verify_representation
 from tilelab.trees import synthetic_tree
 
 
@@ -22,7 +22,8 @@ def test_block_dims_volume_and_shape():
 
 
 def _pow2_floor_loops(fr):
-    """`_pow2_floor` as it was, with three Fraction loops."""
+    """The largest power of two <= fr, as the tiler first computed it with
+    three Fraction loops."""
     e = 0
     while Fraction(1, 1 << e) > fr:
         e += 1
@@ -34,14 +35,16 @@ def _pow2_floor_loops(fr):
     return v
 
 
-@given(st.fractions(min_value=Fraction(1, 1 << 70), max_value=1 << 20))
-@example(Fraction(1))
-@example(Fraction(1, 1 << 40))
-@example(Fraction((1 << 40) - 1, 1 << 40))
-@example(Fraction(3, 4))
-@example(Fraction(1 << 20))
-def test_pow2_floor_matches_loops(fr):
-    got, want = _pow2_floor(fr), _pow2_floor_loops(fr)
+@given(st.integers(0, 70).flatmap(lambda e: st.integers(
+    1, 1 << (20 + e)).map(lambda n: Dyadic(n, e))))
+@example(Dyadic(1))
+@example(Dyadic(1, 40))
+@example(Dyadic((1 << 40) - 1, 40))
+@example(Dyadic(3, 2))
+@example(Dyadic(1 << 20))
+@example(Dyadic(1, 70))
+def test_pow2_floor_matches_loops(d):
+    got, want = d.pow2_floor(), _pow2_floor_loops(d.as_fraction())
     assert (got.num, got.exp) == (want.num, want.exp)
 
 
