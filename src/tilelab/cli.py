@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 verification failure or internal invariant break
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import bs12 as bs12mod

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from .fractal import INTERPRETATIONS
 from .partition import Schedule, ScheduleError

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import os
 from decimal import Decimal
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, List, Sequence
 
 from .dyadic import Dyadic
 

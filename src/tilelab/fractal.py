@@ -29,7 +29,7 @@ import random
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .boxes import Box, BoxSet, box_contains_box, box_of, set_contacts
+from .boxes import Box, BoxSet, box_contains_box, set_contacts
 from .canon import has_cycle
 from .dyadic import Dyadic
 

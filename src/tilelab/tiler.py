@@ -13,9 +13,10 @@ from __future__ import annotations
 import sys
 
 from .boxes import Box, BoxSet, box_is_empty, deflate, set_contacts
+from .canon import forest_hash, rooted_forest_from_edges
 from .dyadic import Dyadic, HALF
 from .labels import LabelSource
-from .partition import PartitionStack
+from .partition import PartitionStack, limit_partitions
 from .trees import RootedTreeWindow
 
 
@@ -437,8 +438,6 @@ def verify_representation(tiling: Tiling, tree: RootedTreeWindow,
     finiteness around sample points; (iv) face-adjacency graph equal, as a
     rooted forest, to the tree restricted to resolved vertices.
     """
-    from .canon import forest_hash, rooted_forest_from_edges
-
     report = {"pass": True}
 
     volume = {v: s.volume() for v, s in tiling.tile_of.items()}
@@ -508,8 +507,6 @@ def verify_representation(tiling: Tiling, tree: RootedTreeWindow,
 def tile_tree(tree: RootedTreeWindow, schedule, stages: int,
               labels: LabelSource, u_min: int = 2):
     """Full pipeline: partitions -> top set -> grid -> carve."""
-    from .partition import limit_partitions
-
     stack, _u, _report = limit_partitions(tree, schedule, stages, labels, u_min)
     ts = top_set(tree, stack)
     if not ts.members:

@@ -11,6 +11,8 @@ neighbor are therefore reported as unrealizable rather than approximated.
 
 from __future__ import annotations
 
+import itertools
+
 from .boxes import BoxSet, Clearance, clearance, contact_faces, polyline_neighborhood
 from .bs12 import CayleyWindow, FiberDecomposition, fiber_spanning_tree, fibers
 from .dyadic import Dyadic, HALF
@@ -312,8 +314,6 @@ _CUBE_SYMMETRIES = None
 def cube_symmetries():
     global _CUBE_SYMMETRIES
     if _CUBE_SYMMETRIES is None:
-        import itertools
-
         out = []
         for perm in itertools.permutations((0, 1, 2)):
             for signs in itertools.product((1, -1), repeat=3):

@@ -13,9 +13,12 @@ import json
 import math
 import random
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
+# networkx takes about half of a cold start; only the graph suites behind
+# `check` call it, so each function that does imports it on first use.
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 # -- rooted samples ------------------------------------------------------------
@@ -54,6 +57,8 @@ def check_family_weights(samples: Sequence[RootedSample]) -> None:
 
 
 def _ball(graph: nx.Graph, root, r: int) -> nx.Graph:
+    import networkx as nx
+
     dist = nx.single_source_shortest_path_length(graph, root, cutoff=r)
     ball = graph.subgraph(dist).copy()
     for v, d in dist.items():
@@ -62,6 +67,8 @@ def _ball(graph: nx.Graph, root, r: int) -> nx.Graph:
 
 
 def _rooted_ball_isomorphic(g1: nx.Graph, o1, g2: nx.Graph, o2, r: int) -> bool:
+    import networkx as nx
+
     b1, b2 = _ball(g1, o1, r), _ball(g2, o2, r)
     nm = nx.algorithms.isomorphism.categorical_node_match(
         ["_dist", "mark"], [None, None])
@@ -73,7 +80,7 @@ def _rooted_ball_isomorphic(g1: nx.Graph, o1, g2: nx.Graph, o2, r: int) -> bool:
 
 F_BATTERY_VERSION = "1.0"
 
-TransportFn = Callable[[nx.Graph, object, object], Fraction]
+TransportFn = Callable[["nx.Graph", object, object], Fraction]
 
 
 def _f_unit_neighbors(g, x, y):
@@ -192,6 +199,8 @@ class Bigraph:
     """A primary graph with a decoration graph on a subset of its vertices."""
 
     def __init__(self, primary: nx.Graph, secondary: nx.Graph, root):
+        import networkx as nx
+
         if primary.number_of_nodes() and not nx.is_connected(primary):
             raise ValueError("primary graph must be connected")
         if secondary.number_of_nodes() and not nx.is_connected(secondary):
@@ -442,6 +451,8 @@ def variance_decay(indicator_ensemble: Sequence[Sequence[int]],
 
 def bundled_fixtures() -> Dict[str, nx.Graph]:
     """Small decorated regular graphs used by the exact checking suites."""
+    import networkx as nx
+
     graphs = {
         "cycle6": nx.cycle_graph(6),
         "complete4": nx.complete_graph(4),
@@ -459,6 +470,8 @@ def bundled_fixtures() -> Dict[str, nx.Graph]:
 
 def omega_fixture(graph: nx.Graph) -> nx.Graph:
     """A deterministic spanning subgraph: every other edge in sorted order."""
+    import networkx as nx
+
     omega = nx.Graph()
     omega.add_nodes_from(graph.nodes(data=True))
     for j, e in enumerate(sorted(graph.edges, key=repr)):

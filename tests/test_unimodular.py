@@ -1,5 +1,7 @@
 """Mass transport, duality, delayed walks, and ergodic averaging."""
 
+import subprocess
+import sys
 from fractions import Fraction
 
 import networkx as nx
@@ -157,3 +159,16 @@ def test_pooled_separation():
         tables.append(um.piece_statistics(table))
     pooled = um.pooled_separation(tables)
     assert not pooled["separated"]
+
+
+def test_import_defers_networkx_to_the_graph_suites():
+    script = "\n".join([
+        "import sys, tilelab.unimodular as um",
+        "assert 'networkx' not in sys.modules",
+        "g = um.bundled_fixtures()['petersen']",
+        "res = um.mtp_battery(um.uniform_family(g))",
+        "assert len(res) == 8 and all(r['equal'] for r in res.values()), res",
+    ])
+    out = subprocess.run([sys.executable, "-c", script],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
