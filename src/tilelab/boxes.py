@@ -1,22 +1,23 @@
 """Exact axis-aligned box sets over dyadic coordinates.
 
-A :class:`BoxSet` is a finite union of closed axis-aligned boxes with
-:class:`~tilelab.dyadic.Dyadic` corner coordinates, kept in a canonical form:
-maximal runs along the last axis, then touching slabs with equal sections
-merged along each earlier axis, outermost first.  The canonical form depends
-only on the point set, so equality of canonical box lists is equality of
-regions.
+A :class:`BoxSet` is a finite union of closed axis-aligned boxes with dyadic
+corner coordinates, kept in a canonical form: maximal runs along the last
+axis, then touching slabs with equal sections merged along each earlier
+axis, outermost first.  The canonical form depends only on the point set, so
+equality of canonical box lists is equality of regions.
 
 All boolean operations are *regularized*: results are closures of open sets,
 so lower-dimensional slivers never survive.  The kernel is dimension-generic
 (the fractal module uses it in 2D, everything else in 3D).
 
-Inside the kernel every coordinate is a Python int on the lattice of the
-finest exponent among its inputs (`_lattice`); booleans, contacts and
-volumes compute on those ints, and `Dyadic` corners are built only for the
-boxes a result returns.  Every boolean and canonicalization is one section-
-by-section merge of slab trees (`_merge`, after the Extreme Vertices Model of
-Aguilera and Ayala); no grid of the distinct coordinates is ever built.
+A set keeps its canonical boxes as ``(lo, hi)`` int pairs, ``ints``, on the
+lattice of ``exp``, the least exponent >= 0 at which every corner ``c / 2**exp``
+has an int ``c``; equal sets have equal ``(exp, ints)``.  `Dyadic` corners enter
+through the constructor and a `Clearance` query (`_lattice`) and leave through
+``boxes``, ``bbox`` and ``contact_faces``.  Operations move the coarser operand
+to the finer lattice with ``<<``; every boolean and canonicalization is one
+section-by-section merge of slab trees (`_merge`, after the Extreme Vertices
+Model of Aguilera and Ayala), and no grid of the distinct coordinates is built.
 
 `Clearance` is a region prepared for many polyline queries: its complement
 near the region is built once, on the lattice, and each query only lattices
@@ -26,10 +27,11 @@ its own segments.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import groupby
 from math import prod
-from operator import itemgetter
-from typing import Iterable, Sequence
+from operator import itemgetter, or_
+from typing import Sequence
 
 from .dyadic import Dyadic, ZERO
 
@@ -37,32 +39,11 @@ Box = tuple  # tuple of (lo, hi) Dyadic pairs, one per axis
 
 
 def box_of(*intervals) -> Box:
-    out = []
-    for lo, hi in intervals:
-        out.append((Dyadic.coerce(lo), Dyadic.coerce(hi)))
-    return tuple(out)
-
-
-def cube_at(center: Sequence, half: Dyadic) -> Box:
-    h = Dyadic.coerce(half)
-    return tuple((Dyadic.coerce(c) - h, Dyadic.coerce(c) + h) for c in center)
+    return tuple((Dyadic.coerce(lo), Dyadic.coerce(hi)) for lo, hi in intervals)
 
 
 def box_is_empty(box: Box) -> bool:
     return any(lo >= hi for lo, hi in box)
-
-
-def box_volume(box: Box) -> Fraction:
-    return _volume([box])
-
-
-def _volume(boxes: Sequence[Box]) -> Fraction:
-    """Exact total volume: a sum of int products at the common exponent."""
-    if not boxes:
-        return Fraction(0)
-    e, ib = _lattice(boxes)
-    return Fraction(sum(prod(hi - lo for lo, hi in b) for b in ib),
-                    1 << (e * len(ib[0])))
 
 
 def inflate(box: Box, eps) -> Box:
@@ -79,14 +60,6 @@ def box_contains_box(outer: Box, inner: Box) -> bool:
     return all(ol <= il and ih <= oh for (ol, oh), (il, ih) in zip(outer, inner))
 
 
-def boxes_bbox(boxes: Iterable[Box]) -> Box | None:
-    boxes = list(boxes)
-    if not boxes:
-        return None
-    return tuple((min(b[a][0] for b in boxes), max(b[a][1] for b in boxes))
-                 for a in range(len(boxes[0])))
-
-
 # Slabs one merge of two slab trees may append over all axes, sections later
 # absorbed into a touching equal one included: about 200 MB of trees.  The
 # largest merge of `tilelab t3 --radius 9` appends 78,161 (a fiber's union).
@@ -98,17 +71,39 @@ class ResourceLimit(Exception):
 
 
 def _lattice(boxes: Sequence[Box]) -> tuple[int, list[tuple]]:
-    """Boxes on the integer lattice of their finest exponent ``e``: returns
-    ``e`` and, per box, a tuple of ``(lo, hi)`` int pairs, where the int
-    ``c`` stands for ``c / 2**e``."""
+    """``e``, the finest exponent of ``boxes``, and per box a tuple of ``(lo,
+    hi)`` int pairs on its lattice, the int ``c`` standing for ``c / 2**e``."""
     e = max((c.exp for b in boxes for iv in b for c in iv), default=0)
     return e, [tuple((lo.num << (e - lo.exp), hi.num << (e - hi.exp)) for lo, hi in b)
                for b in boxes]
 
 
+def _shift(ib: Sequence[tuple], k: int) -> Sequence[tuple]:
+    """Int boxes moved ``k`` exponents finer on the lattice."""
+    return [tuple((lo << k, hi << k) for lo, hi in b) for b in ib] if k else ib
+
+
+def _offset(e: int, ib: Sequence[tuple], moves: Sequence[tuple]):
+    """``(f, boxes)``: int boxes on the lattice of ``e`` plus the `Dyadic` pair
+    ``moves[a]`` on the corners of axis ``a``, on the finest lattice ``f`` of all."""
+    f = max([e] + [x.exp for m in moves for x in m])
+    d = [[x.num << (f - x.exp) for x in m] for m in moves]
+    k = f - e
+    return f, [tuple(((lo << k) + a, (hi << k) + b) for (lo, hi), (a, b) in zip(box, d))
+               for box in ib]
+
+
+def _common(sets: Sequence["BoxSet"]) -> tuple[int, list[tuple], list[int]]:
+    """The finest exponent of ``sets``, all their int boxes on its lattice,
+    set after set, and the index of each box's set."""
+    e = max((s.exp for s in sets), default=0)
+    return (e, [b for s in sets for b in _shift(s.ints, e - s.exp)],
+            [k for k, s in enumerate(sets) for _ in s.ints])
+
+
 def _parse(ib: Sequence[tuple], depth: int = 0):
-    """Slab tree of a canonical int box list (`_lattice`): sorted slabs ``(lo,
-    hi, section)`` along the first axis, ``section`` the slab tree of the other
+    """Slab tree of a canonical int box list: sorted slabs ``(lo, hi,
+    section)`` along the first axis, ``section`` the slab tree of the other
     axes (True below the last), ``()`` the empty set.  Touching slabs never have
     equal sections, so the tree is a function of the point set."""
     if not ib or depth == len(ib[0]):
@@ -118,8 +113,8 @@ def _parse(ib: Sequence[tuple], depth: int = 0):
 
 
 def _merge(name: str, op: str, trees: list):
-    """Slab tree of ``trees[0] op trees[1] op ...`` by balanced pairwise merges;
-    one that appends over ``MAX_SLABS`` slabs raises `ResourceLimit` for ``name``."""
+    """Slab tree of ``trees[0] op trees[1] op ...`` (``()`` for none) by balanced
+    pairwise merges; one appending over ``MAX_SLABS`` slabs raises `ResourceLimit`."""
 
     def merge(a, b, budget):
         if not a or not b:
@@ -150,7 +145,7 @@ def _merge(name: str, op: str, trees: list):
     while len(trees) > 1:
         trees = [merge(*trees[k:k + 2], [MAX_SLABS]) if k + 1 < len(trees) else trees[k]
                  for k in range(0, len(trees), 2)]
-    return trees[0]
+    return trees[0] if trees else ()
 
 
 def _int_boxes(tree) -> list[tuple]:
@@ -160,98 +155,130 @@ def _int_boxes(tree) -> list[tuple]:
     return [((lo, hi),) + rest for lo, hi, sec in tree for rest in _int_boxes(sec)]
 
 
-def _emit(tree, e: int) -> list[Box]:
-    """Canonical box list of a slab tree on the lattice of exponent ``e``,
-    with one `Dyadic` per distinct coordinate."""
-    ib = _int_boxes(tree)
-    dy = {c: Dyadic(c, e) for c in {c for b in ib for iv in b for c in iv}}
-    return [tuple([(dy[lo], dy[hi]) for lo, hi in b]) for b in ib]
+def _combine(op: str, sets: Sequence["BoxSet"]) -> "BoxSet":
+    """``sets[0] op sets[1] op ...`` by one `_merge` of their slab trees."""
+    e = max((s.exp for s in sets), default=0)
+    tree = _merge(op, op, [_parse(_shift(s.ints, e - s.exp)) for s in sets])
+    return BoxSet._of(e, _int_boxes(tree), max((s.dim for s in sets), default=0))
+
+
+def union_all(sets: Sequence["BoxSet"]) -> "BoxSet":
+    """The union of ``sets``, by one balanced merge of their slab trees."""
+    return _combine("union", sets)
+
+
+def _canonical(ib: Sequence[tuple]) -> list[tuple]:
+    """Canonical int boxes of the set ``ib`` covers, empty boxes dropped."""
+    trees = [_parse([b]) for b in ib if all(lo < hi for lo, hi in b)]
+    return _int_boxes(_merge("canonicalize", "union", trees))
 
 
 class BoxSet:
     """Canonical finite union of closed dyadic boxes."""
 
-    __slots__ = ("boxes", "dim")
+    __slots__ = ("exp", "ints", "dim", "_boxes")
 
-    def __init__(self, boxes: Sequence[Box], _canonical: bool = False):
-        if not _canonical:
-            boxes = [b for b in boxes if not box_is_empty(b)]
-            if boxes:
-                boxes = self._canonicalize(boxes)
+    def __init__(self, boxes: Sequence[Box]):
         dims = {len(b) for b in boxes}
         if len(dims) > 1:
             raise ValueError("mixed dimensions")
-        object.__setattr__(self, "boxes", tuple(boxes))
-        object.__setattr__(self, "dim", dims.pop() if dims else 0)
+        e, ib = _lattice(boxes)
+        self._store(e, _canonical(ib), dims.pop() if dims else 0)
+
+    @staticmethod
+    def _of(e: int, ib: Sequence[tuple], dim: int) -> "BoxSet":
+        """The set of canonical int boxes ``ib`` on the lattice of ``e``."""
+        s = object.__new__(BoxSet)
+        s._store(e, ib, dim)
+        return s
+
+    def _store(self, e: int, ib: Sequence[tuple], dim: int) -> None:
+        """Keep ``ib`` on the least lattice that holds it; ``dim`` if it is empty."""
+        # drop the trailing zero bits that every corner has, at most e
+        m = reduce(or_, (c for b in ib for iv in b for c in iv), 0) if e else 0
+        k = min(e, (m & -m).bit_length() - 1) if m else e
+        if k:
+            ib, e = [tuple((lo >> k, hi >> k) for lo, hi in b) for b in ib], e - k
+        for attr, value in (("exp", e), ("ints", tuple(ib)),
+                            ("dim", len(ib[0]) if ib else dim), ("_boxes", None)):
+            object.__setattr__(self, attr, value)
 
     def __setattr__(self, *a):
         raise AttributeError("BoxSet is immutable")
 
     @staticmethod
-    def _canonicalize(boxes: Sequence[Box]) -> list[Box]:
-        e, ib = _lattice(boxes)
-        return _emit(_merge("canonicalize", "union", [_parse([b]) for b in ib]), e)
-
-    @staticmethod
     def empty(dim: int = 3) -> "BoxSet":
-        s = BoxSet([])
-        object.__setattr__(s, "dim", dim)
-        return s
+        return BoxSet._of(0, (), dim)
 
-    @staticmethod
-    def from_box(box: Box) -> "BoxSet":
-        return BoxSet([box])
+    @property
+    def boxes(self) -> tuple:
+        """The canonical boxes with `Dyadic` corners, built on first use."""
+        if self._boxes is None:
+            e = self.exp
+            dy = {c: Dyadic(c, e) for c in {c for b in self.ints for iv in b for c in iv}}
+            object.__setattr__(self, "_boxes", tuple(
+                tuple([(dy[lo], dy[hi]) for lo, hi in b]) for b in self.ints))
+        return self._boxes
 
     # -- basic queries ---------------------------------------------------------
 
     def is_empty(self) -> bool:
-        return not self.boxes
+        return not self.ints
 
     def volume(self) -> Fraction:
-        return _volume(self.boxes)
+        """Exact total volume: a sum of int products on the set's lattice."""
+        return Fraction(sum(prod(hi - lo for lo, hi in b) for b in self.ints),
+                        1 << (self.exp * self.dim))
+
+    def _int_bbox(self) -> tuple:
+        ib = self.ints
+        return tuple((min(b[a][0] for b in ib), max(b[a][1] for b in ib))
+                     for a in range(len(ib[0])))
 
     def bbox(self) -> Box | None:
-        return boxes_bbox(self.boxes)
+        e = self.exp
+        return (tuple((Dyadic(lo, e), Dyadic(hi, e)) for lo, hi in self._int_bbox())
+                if self.ints else None)
+
+    def _frame(self, margin) -> "BoxSet":
+        """The bounding box inflated by ``margin``, as a set."""
+        m = Dyadic.coerce(margin)
+        e, ib = _offset(self.exp, [self._int_bbox()], [(-m, m)] * self.dim)
+        return BoxSet._of(e, ib, self.dim)
 
     def contains_point(self, pt: Sequence) -> bool:
         p = [Dyadic.coerce(x) for x in pt]
-        return any(all(lo <= x <= hi for x, (lo, hi) in zip(p, b)) for b in self.boxes)
+        e = max([self.exp] + [x.exp for x in p])
+        q = [x.num << (e - x.exp) for x in p]
+        return any(all(lo <= x <= hi for x, (lo, hi) in zip(q, b))
+                   for b in _shift(self.ints, e - self.exp))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BoxSet):
             return NotImplemented
-        return self.boxes == other.boxes
+        return self.exp == other.exp and self.ints == other.ints
 
     def __hash__(self):
-        return hash(self.boxes)
+        return hash((self.exp, self.ints))
 
     def __repr__(self):
-        return f"BoxSet({len(self.boxes)} boxes, dim={self.dim})"
+        return f"BoxSet({len(self.ints)} boxes, dim={self.dim})"
 
     # -- booleans ---------------------------------------------------------------
 
-    def _binary(self, other: "BoxSet", op: str) -> "BoxSet":
-        n = len(self.boxes)
-        e, ib = _lattice(self.boxes + other.boxes)
-        tree = _merge(op, op, [_parse(ib[:n]), _parse(ib[n:])])
-        if not tree:
-            return BoxSet.empty(len(ib[0]) if ib else max(self.dim, other.dim, 3))
-        return BoxSet(_emit(tree, e), _canonical=True)
-
     def union(self, other: "BoxSet") -> "BoxSet":
-        return self._binary(other, "union")
+        return _combine("union", [self, other])
 
     def intersection(self, other: "BoxSet") -> "BoxSet":
-        return self._binary(other, "intersection")
+        return _combine("intersection", [self, other])
 
     def difference(self, other: "BoxSet") -> "BoxSet":
         """Regularized difference: closure of (self minus other)."""
-        return self._binary(other, "difference")
+        return _combine("difference", [self, other])
 
     def interior_intersects(self, other: "BoxSet") -> bool:
         """Whether the interiors meet; stops at the first overlapping pair."""
-        owner = [0] * len(self.boxes) + [1] * len(other.boxes)
-        ib = _lattice(self.boxes + other.boxes)[1]
+        _, ib, owner = _common([self, other])
         return any(area is None for _, _, area in _contacts(ib, owner))
 
     def contains_set(self, other: "BoxSet") -> bool:
@@ -260,29 +287,20 @@ class BoxSet:
     # -- geometry ops -----------------------------------------------------------
 
     def translate(self, vec: Sequence) -> "BoxSet":
-        v = [Dyadic.coerce(x) for x in vec]
-        return BoxSet(
-            [tuple((lo + dv, hi + dv) for (lo, hi), dv in zip(b, v)) for b in self.boxes],
-            _canonical=True,
-        )
+        moves = [(x, x) for x in map(Dyadic.coerce, vec)]
+        return BoxSet._of(*_offset(self.exp, self.ints, moves), self.dim)
 
     def signed_permute(self, perm: Sequence[int], signs: Sequence[int]) -> "BoxSet":
         """Apply the cube symmetry x_i -> signs[i] * x[perm[i]]."""
-        out = []
-        for b in self.boxes:
-            nb = []
-            for i in range(len(b)):
-                lo, hi = b[perm[i]]
-                if signs[i] < 0:
-                    lo, hi = -hi, -lo
-                nb.append((lo, hi))
-            out.append(tuple(nb))
-        return BoxSet(out)
+        out = [tuple(b[p] if s >= 0 else (-b[p][1], -b[p][0]) for p, s in zip(perm, signs))
+               for b in self.ints]
+        return BoxSet._of(self.exp, _canonical(out), self.dim)
 
     def inflate_all(self, eps) -> "BoxSet":
         """Closed eps-neighborhood in the L-infinity metric."""
-        e = Dyadic.coerce(eps)
-        return BoxSet([inflate(b, e) for b in self.boxes])
+        m = Dyadic.coerce(eps)
+        e, ib = _offset(self.exp, self.ints, [(-m, m)] * self.dim)
+        return BoxSet._of(e, _canonical(ib), self.dim)
 
     def thin(self, eps) -> "BoxSet":
         """Exact L-infinity erosion: points whose eps-cube stays inside."""
@@ -291,11 +309,8 @@ class BoxSet:
             raise ValueError("thin: negative margin")
         if self.is_empty() or e == ZERO:
             return self
-        bb = self.bbox()
-        outer = BoxSet.from_box(inflate(bb, e + Dyadic(1)))
-        comp = outer.difference(self)
-        dil = comp.inflate_all(e)
-        return self.difference(dil)
+        outside = self._frame(e + 1).difference(self)
+        return self.difference(outside.inflate_all(e))
 
     # -- contact structure --------------------------------------------------------
 
@@ -305,7 +320,7 @@ class BoxSet:
 
     def components(self) -> list["BoxSet"]:
         """Face-connected components (edge/corner contact does not connect)."""
-        n = len(self.boxes)
+        n = len(self.ints)
         parent = list(range(n))
 
         def find(i):
@@ -314,20 +329,21 @@ class BoxSet:
                 i = parent[i]
             return i
 
-        for i, j, area in _contacts(_lattice(self.boxes)[1], range(n)):
+        for i, j, area in _contacts(self.ints, range(n)):
             if area is not None:
                 pi, pj = find(i), find(j)
                 if pi != pj:
                     parent[pi] = pj
-        groups: dict[int, list[Box]] = {}
+        groups: dict[int, list[tuple]] = {}
         for i in range(n):
-            groups.setdefault(find(i), []).append(self.boxes[i])
+            groups.setdefault(find(i), []).append(self.ints[i])
         # a component's boxes need not be its canonical list
-        return [self] if len(groups) == 1 else [BoxSet(g) for g in groups.values()]
+        return ([self] if len(groups) == 1 else
+                [BoxSet._of(self.exp, _canonical(g), self.dim) for g in groups.values()])
 
 
 def _contacts(ib: Sequence[tuple], owner: Sequence):
-    """Exact contact sweep over int boxes (``_lattice``): yield ``(i, j,
+    """Exact contact sweep over int boxes on one lattice: yield ``(i, j,
     area)`` for every pair ``i < j`` of boxes with different owners that
     touch along a codim-1 face (``area`` is the positive int contact area,
     in units of ``2**-(e * (dim - 1))``) or whose interiors overlap (``area``
@@ -369,8 +385,7 @@ def set_contacts(sets: Sequence[BoxSet]) -> tuple[dict, set]:
     """Pairwise contact of box sets: ``(areas, overlaps)`` where ``areas``
     maps each set pair ``(a, b)``, ``a < b``, with positive shared face area
     to that area, and ``overlaps`` holds the set pairs whose interiors meet."""
-    e, ib = _lattice([b for s in sets for b in s.boxes])
-    owner = [k for k, s in enumerate(sets) for _ in s.boxes]
+    e, ib, owner = _common(sets)
     areas: dict = {}
     overlaps = set()
     for i, j, area in _contacts(ib, owner):
@@ -388,15 +403,12 @@ def contact_faces(a: BoxSet, b: BoxSet) -> list[tuple[Box, Fraction]]:
     paired with their areas.  Assumes disjoint interiors.  Faces come in
     (a box, b box) index order, which the stable sort by area in
     ``tunnels.route_gamma`` turns into its tie-break between equal areas."""
-    n = len(a.boxes)
-    e, ib = _lattice(a.boxes + b.boxes)
+    e, ib, owner = _common([a, b])
     unit = _face_unit(e, ib)
-    hits = sorted((i, j - n, area)
-                  for i, j, area in _contacts(ib, [0] * n + [1] * len(b.boxes))
-                  if area is not None)
+    hits = sorted((i, j, area) for i, j, area in _contacts(ib, owner) if area is not None)
     return [
-        (tuple((pl if pl >= ql else ql, ph if ph <= qh else qh)
-               for (pl, ph), (ql, qh) in zip(a.boxes[i], b.boxes[j])),
+        (tuple((Dyadic(pl if pl >= ql else ql, e), Dyadic(ph if ph <= qh else qh, e))
+               for (pl, ph), (ql, qh) in zip(ib[i], ib[j])),
          Fraction(area, unit))
         for i, j, area in hits
     ]
@@ -426,8 +438,7 @@ def _segments(points: Sequence[Sequence]) -> list[Box]:
 
 def polyline_neighborhood(points: Sequence[Sequence], c) -> BoxSet:
     """Closed c-neighborhood (L-infinity) of a rectilinear polyline."""
-    cc = Dyadic.coerce(c)
-    return BoxSet([inflate(seg, cc) for seg in _segments(points)])
+    return BoxSet([inflate(seg, c) for seg in _segments(points)])
 
 
 class Clearance:
@@ -438,11 +449,11 @@ class Clearance:
     ``eps <= Clearance(region)(points)``.
 
     The complement within 1 of the region's bounding box, ``frame - region``
-    with ``frame`` that box inflated by 1, is built once, on the lattice, and
-    moved at most once to each finer lattice a query needs.  A polyline not
-    inside the box has a point outside the closed region, so its clearance
-    is 0.  Otherwise every point within 1 of it lies in ``frame``, and the
-    distance from a segment box to a complement box is their largest
+    with ``frame`` that box inflated by 1, is built once, on the region's
+    lattice, and moved at most once to each finer lattice a query needs.  A
+    polyline not inside the box has a point outside the closed region, so its
+    clearance is 0.  Otherwise every point within 1 of it lies in ``frame``,
+    and the distance from a segment box to a complement box is their largest
     per-axis gap (an open eps-box around the segment meets the closed
     complement box in a set with interior iff eps exceeds it); the clearance
     is the least such gap."""
@@ -450,13 +461,12 @@ class Clearance:
     __slots__ = ("exp", "lattices")
 
     def __init__(self, region: BoxSet):
-        bbox = region.bbox()
         # lattice exponent -> [bbox, *complement boxes] as ints on that lattice
-        self.exp, self.lattices = 0, {}
-        if bbox is not None:
-            comp = BoxSet([inflate(bbox, 1)], _canonical=True).difference(region).boxes
-            self.exp, ib = _lattice([bbox, *comp])
-            self.lattices[self.exp] = ib
+        self.exp, self.lattices = region.exp, {}
+        if not region.is_empty():
+            comp = region._frame(1).difference(region)
+            self.lattices[self.exp] = [region._int_bbox(),
+                                       *_shift(comp.ints, self.exp - comp.exp)]
 
     def __call__(self, points: Sequence[Sequence]) -> Dyadic:
         e, segs = _lattice(_segments(points))
@@ -479,11 +489,6 @@ class Clearance:
                 if gap < best:
                     best = gap
         return Dyadic(best, e)
-
-
-def _shift(ib: Sequence[tuple], k: int) -> list[tuple]:
-    """Int boxes moved ``k`` exponents finer on the lattice."""
-    return [tuple((lo << k, hi << k) for lo, hi in b) for b in ib]
 
 
 def clearance(points: Sequence[Sequence], region: BoxSet) -> Dyadic:

@@ -1,4 +1,4 @@
-"""Canonical forms for trees and small decorated graphs."""
+"""Canonical forms for rooted trees and forests, and a cycle check."""
 
 from __future__ import annotations
 
@@ -73,11 +73,3 @@ def has_cycle(edges) -> bool:
         parent[ra] = rb
     return False
 
-
-def graph_canonical_hash(nx_graph, node_attr=None, edge_attr=None, iterations=4) -> str:
-    """Weisfeiler-Lehman hash (networkx) for small decorated graphs."""
-    import networkx as nx
-
-    return nx.weisfeiler_lehman_graph_hash(
-        nx_graph, node_attr=node_attr, edge_attr=edge_attr, iterations=iterations
-    )

@@ -29,7 +29,7 @@ import random
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .boxes import Box, BoxSet, box_contains_box, set_contacts
+from .boxes import Box, BoxSet, box_contains_box, set_contacts, union_all
 from .canon import has_cycle
 from .dyadic import Dyadic
 
@@ -201,7 +201,7 @@ def pieces_in_window(chain: ScaleChain, window: Box,
         for family in ("A", "B"):
             for cell in _cells_meeting(chain, i, family, swin, interpretation):
                 base = _base_box(chain, i, family, cell, interpretation)
-                region = BoxSet.from_box(base)
+                region = BoxSet([base])
                 # subtract the closures of every lower-scale set: with a
                 # generic anchor chain a set two or more scales down need not
                 # be covered by the scale directly below, so removing only
@@ -237,8 +237,8 @@ def adjacency_report(pieces: Sequence[FractalPiece], window: Box,
     visible; degrees and the cycle check are restricted to those.
     """
     swin = _scaled_window(window)
-    win_set = BoxSet.from_box(swin)
-    covered = BoxSet([b for p in pieces for b in p.region.boxes])
+    win_set = BoxSet([swin])
+    covered = union_all([p.region for p in pieces])
     uncovered = win_set.difference(covered)
 
     scales = [p.scale for p in pieces]

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import itertools
 
-from .boxes import BoxSet, Clearance, clearance, contact_faces, polyline_neighborhood
+from .boxes import (BoxSet, Clearance, clearance, contact_faces, polyline_neighborhood,
+                    union_all)
 from .bs12 import CayleyWindow, FiberDecomposition, fiber_spanning_tree, fibers
 from .dyadic import Dyadic, HALF
 from .labels import LabelSource
@@ -296,7 +297,7 @@ def contract_fibers(tiling: Tiling, fib: FiberDecomposition) -> Tiling:
         if not tiles:
             unresolved.add(fid)
             continue
-        acc = BoxSet([b for t in tiles for b in t.boxes])
+        acc = union_all(tiles)
         if len(acc.components()) != 1:
             # a fragmented window trace cannot make an honest piece
             unresolved.add(("disconnected", fid))

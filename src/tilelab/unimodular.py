@@ -513,7 +513,7 @@ def piece_features(piece, n_members: int) -> Dict[str, float]:
     bb = piece.bbox()
     sides = sorted(((hi - lo).as_fraction() for lo, hi in bb))
     return {
-        "boxes_per_member": len(piece.boxes) / n_members,
+        "boxes_per_member": len(piece.ints) / n_members,
         "elongation": float(sides[-1] / sides[0]),
     }
 

@@ -19,7 +19,6 @@ from scipy import ndimage
 import tilelab.unimodular as um
 from tilelab.boxes import BoxSet, box_of
 from tilelab.bs12 import bs12_ball, fibers
-from tilelab.canon import graph_canonical_hash
 from tilelab.dyadic import Dyadic
 from tilelab.fractal import (INTERPRETATIONS, adjacency_report, build_chain,
                              pieces_in_window)
@@ -29,6 +28,7 @@ from tilelab.tiler import tile_tree, verify_representation
 from tilelab.trees import synthetic_tree
 from tilelab.tunnels import (RoutingError, UnrealizableEdgeError, add_edge,
                              assemble_bs12, contract_fibers, route_gamma)
+from graph_hash import graph_canonical_hash
 from voxels import voxelize
 
 TREE_DESCRIPTORS = [

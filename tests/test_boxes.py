@@ -3,6 +3,7 @@ reference kernel and a voxel erosion oracle from scipy.ndimage."""
 
 import random
 from bisect import bisect_left
+from itertools import product
 from fractions import Fraction
 
 import numpy as np
@@ -12,14 +13,19 @@ from scipy import ndimage
 
 from tilelab import boxes as boxes_mod
 from tilelab.boxes import (BoxSet, Clearance, ResourceLimit, _contacts, _lattice,
-                           box_of, box_volume, clearance, cube_at,
-                           polyline_neighborhood)
+                           box_of, clearance, contact_faces, polyline_neighborhood,
+                           set_contacts)
 from tilelab.dyadic import Dyadic
 from voxels import voxelize
 
 
 def interval(lo, hi, exp=3):
     return (Dyadic(lo, exp), Dyadic(hi, exp))
+
+
+def cube_at(center, half):
+    """The closed cube of half-side ``half`` around ``center``."""
+    return tuple((Dyadic.coerce(c) - half, Dyadic.coerce(c) + half) for c in center)
 
 
 def dyadic_box(draw_bounds, dim=2):
@@ -49,8 +55,8 @@ def grid_volume(bs, size=32):
 def test_canonical_boxes_have_disjoint_interiors(a):
     for i in range(len(a.boxes)):
         for j in range(i + 1, len(a.boxes)):
-            x = BoxSet([a.boxes[i]], _canonical=True)
-            y = BoxSet([a.boxes[j]], _canonical=True)
+            x = BoxSet([a.boxes[i]])
+            y = BoxSet([a.boxes[j]])
             assert not x.interior_intersects(y)
 
 
@@ -90,9 +96,9 @@ def test_contains_point_matches_interval_test(a, pt):
 
 
 def test_shared_face_area_unit_cubes():
-    a = BoxSet.from_box(cube_at((0, 0, 0), Dyadic(1, 1)))
-    b = BoxSet.from_box(cube_at((1, 0, 0), Dyadic(1, 1)))
-    c = BoxSet.from_box(cube_at((1, 1, 0), Dyadic(1, 1)))
+    a = BoxSet([cube_at((0, 0, 0), Dyadic(1, 1))])
+    b = BoxSet([cube_at((1, 0, 0), Dyadic(1, 1))])
+    c = BoxSet([cube_at((1, 1, 0), Dyadic(1, 1))])
     assert a.shared_face_area(b) == 1  # full unit face
     assert a.shared_face_area(c) == 0  # edge contact only
 
@@ -301,7 +307,7 @@ def test_components_are_canonical():
 
 
 def test_thin_of_cube():
-    a = BoxSet.from_box(cube_at((0, 0, 0), Dyadic(2)))
+    a = BoxSet([cube_at((0, 0, 0), Dyadic(2))])
     t = a.thin(Dyadic(1, 1))
     assert t.volume() == Fraction(27)  # side 4 erodes to side 3
     assert a.thin(Dyadic(3)).is_empty()
@@ -340,11 +346,66 @@ def test_translate_and_permute_preserve_volume():
     assert moved.volume() == bs.volume()
     flipped = bs.signed_permute((2, 0, 1), (1, -1, 1))
     assert flipped.volume() == bs.volume()
+    # exact round trips, through a lattice finer than the set's 2^-6 one
+    fine = (Dyadic(5, 7), Dyadic(-3, 9), Dyadic(1, 8))
+    back = bs.translate(fine).translate([-x for x in fine])
+    assert back.boxes == bs.boxes and back == bs
+    back = flipped.signed_permute((1, 2, 0), (-1, 1, 1))
+    assert back.boxes == bs.boxes and back == bs
 
 
 def test_box_volume():
     b = box_of(interval(0, 8), interval(0, 4), interval(0, 2))
-    assert box_volume(b) == Fraction(8 * 4 * 2, 8 ** 3)
+    assert BoxSet([b]).volume() == Fraction(8 * 4 * 2, 8 ** 3)
+
+
+def split_at_midpoints(box):
+    """The 2^dim boxes of ``box`` cut at its midpoint on every axis."""
+    return list(product(*[((lo, (lo + hi).halve()), ((lo + hi).halve(), hi))
+                          for lo, hi in box]))
+
+
+@given(regions(), st.integers(1, 3))
+def test_lattice_exponent_is_the_least_that_holds_every_corner(a, finer):
+    split = BoxSet([part for b in a.boxes for part in split_at_midpoints(b)])
+    assert split == a and hash(split) == hash(a)
+    again = BoxSet(a.boxes)
+    assert again == a and exact(again.boxes) == exact(a.boxes)
+    # a box beyond the region, on a lattice finer than the region's
+    k = a.exp + finer
+    far = BoxSet([((Dyadic((20 << k) + 1, k), Dyadic(21)),) * 3])
+    both = a.union(far)
+    assert both.exp == k
+    rest = both.difference(far)
+    assert rest == a and rest.exp == a.exp
+
+
+def test_operations_on_sets_never_relattice_their_boxes(monkeypatch):
+    # `_lattice` only brings Dyadic boxes in: the constructor's, and the
+    # segments of a Clearance query
+    a = BoxSet([box_of((0, 4), (0, 2), (0, 1)), box_of((4, 5), (0, 1), (0, 1))])
+    b = BoxSet([box_of((Dyadic(7, 1), Dyadic(23, 2)), (1, 3), (0, 1))])
+    calls = []
+    real = boxes_mod._lattice
+    monkeypatch.setattr(boxes_mod, "_lattice", lambda bs: calls.append(1) or real(bs))
+    a.union(b)
+    a.intersection(b)
+    a.difference(b)
+    a.interior_intersects(b)
+    set_contacts([a, b])
+    contact_faces(a, b)
+    a.volume()
+    a.bbox()
+    a.contains_point((Dyadic(1, 3), 1, 0))
+    b.translate((Dyadic(1, 5), 0, 0))
+    b.signed_permute((2, 0, 1), (1, -1, 1))
+    b.inflate_all(Dyadic(1, 3))
+    b.thin(Dyadic(1, 4))
+    a.components()
+    Clearance(a)
+    assert calls == []
+    Clearance(a)([(1, 1, Dyadic(1, 2))])
+    assert calls == [1]
 
 
 # -- reference kernel ---------------------------------------------------------
