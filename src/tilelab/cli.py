@@ -234,12 +234,11 @@ def cmd_export(cfg: RunConfig) -> int:
     tree, result, report = _tile_tree_pipeline(cfg)
     h = cfg.hash()
     tiling = result["tiling"]
+    mesh = exports._tiling_mesh(tiling, cfg.decimal_digits)  # for both formats
     exports.write_file(cfg.out, "scene.off",
-                       exports.tiling_off(tiling, h, cfg.seed,
-                                          digits=cfg.decimal_digits))
+                       exports.tiling_off(tiling, h, cfg.seed, mesh=mesh))
     exports.write_file(cfg.out, "scene.obj",
-                       exports.tiling_obj(tiling, h, cfg.seed,
-                                          digits=cfg.decimal_digits))
+                       exports.tiling_obj(tiling, h, cfg.seed, mesh=mesh))
     exports.write_file(cfg.out, "tiling.json",
                        exports.json_report(tiling.to_json(), h, cfg.seed))
     print(f"export: {len(tiling.tile_of)} tiles -> scene.off, scene.obj, "

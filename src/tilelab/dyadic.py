@@ -5,9 +5,10 @@ integer ``exp``.  Values are kept normalized: ``exp`` is minimal, i.e. ``num``
 is odd or ``(num, exp) == (0, 0)``.  Dyadics are closed under addition,
 subtraction, multiplication and scaling by any power of two (``scale``,
 ``halve``); ``floor`` divides by a positive integer and rounds down, and
-``pow2_floor`` is the largest power of two not above a positive value.  That
-is all the geometry and the BS(1,2) code need; comparisons and hashing are
-exact.
+``pow2_floor`` is the largest power of two not above a positive value.
+That is all the geometry and the BS(1,2) code need; comparisons and hashing
+are exact.  ``pair`` gives the normalized JSON form of a lattice int without
+building a `Dyadic`.
 """
 
 from __future__ import annotations
@@ -154,9 +155,9 @@ ONE = Dyadic(1)
 HALF = Dyadic(1, 1)
 
 
-def dmin(*xs: Number) -> Dyadic:
-    return min(Dyadic.coerce(x) for x in xs)
-
-
-def dmax(*xs: Number) -> Dyadic:
-    return max(Dyadic.coerce(x) for x in xs)
+def pair(num: int, exp: int) -> list:
+    """``Dyadic(num, exp).as_pair()`` for ``exp >= 0``, without building one."""
+    if num == 0:
+        return [0, 0]
+    tz = min((num & -num).bit_length() - 1, exp)
+    return [num >> tz, exp - tz]

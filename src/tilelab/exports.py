@@ -11,47 +11,50 @@ import os
 from decimal import Decimal
 from typing import Dict, List, Sequence
 
-from .dyadic import Dyadic
-
-
-def _fmt(d: Dyadic, digits: int) -> str:
-    value = Decimal(d.num) / Decimal(1 << d.exp)
-    return f"{value:.{digits}f}"
+# Corner i of a box is (x[i & 1], y[i >> 1 & 1], z[i >> 2]); its six quads:
+_QUADS = (
+    (0, 1, 3, 2), (4, 6, 7, 5),  # bottom, top
+    (0, 2, 6, 4), (1, 5, 7, 3),  # x faces
+    (0, 4, 5, 1), (2, 3, 7, 6),  # y faces
+)
 
 
 def comment_header(config_hash: str, seed, char: str = "#") -> List[str]:
     return [f"{char} config-hash: {config_hash}", f"{char} seed: {seed}"]
 
 
-def _box_mesh(box, digits: int, offset: int):
-    """Vertices and quad faces of one axis box (indices offset)."""
-    (x0, x1), (y0, y1), (z0, z1) = box
-    corners = [(x, y, z) for z in (z0, z1) for y in (y0, y1) for x in (x0, x1)]
-    verts = [" ".join(_fmt(c, digits) for c in corner) for corner in corners]
-    quads = [
-        (0, 1, 3, 2), (4, 6, 7, 5),  # bottom, top
-        (0, 2, 6, 4), (1, 5, 7, 3),  # x faces
-        (0, 4, 5, 1), (2, 3, 7, 6),  # y faces
-    ]
-    faces = [tuple(offset + i for i in q) for q in quads]
-    return verts, faces
-
-
 def _tiling_mesh(tiling, digits: int):
-    """Vertices and quad faces of every box of every tile, in tile order."""
+    """``(verts, faces)``: the corners and quad faces of every box of every
+    tile, in tile order, read from the tiles' lattice ints.  Each distinct
+    coordinate ``c / 2**e`` is formatted once, through `Decimal`."""
     verts: List[str] = []
     faces: List[tuple] = []
+    text: Dict[tuple, str] = {}
+
+    def fmt(c: int, e: int) -> str:
+        s = text.get((c, e))
+        if s is None:
+            s = text[c, e] = f"{Decimal(c) / Decimal(1 << e):.{digits}f}"
+        return s
+
     for key in sorted(tiling.tile_of, key=repr):
-        for box in tiling.tile_of[key].boxes:
-            v, f = _box_mesh(box, digits, len(verts))
-            verts.extend(v)
-            faces.extend(f)
+        tile = tiling.tile_of[key]
+        e = tile.exp
+        for (x0, x1), (y0, y1), (z0, z1) in tile.ints:
+            xs = (fmt(x0, e), fmt(x1, e))
+            ys = (fmt(y0, e), fmt(y1, e))
+            n = len(verts)
+            verts += [f"{x} {y} {z}" for z in (fmt(z0, e), fmt(z1, e))
+                      for y in ys for x in xs]
+            faces += [(n + a, n + b, n + c, n + d) for a, b, c, d in _QUADS]
     return verts, faces
 
 
-def tiling_off(tiling, config_hash: str, seed, digits: int = 9) -> str:
-    """ASCII OFF scene: one cuboid shell per box of every tile."""
-    verts, faces = _tiling_mesh(tiling, digits)
+def tiling_off(tiling, config_hash: str, seed, digits: int = 9,
+               mesh=None) -> str:
+    """ASCII OFF scene: one cuboid shell per box of every tile.  ``mesh``,
+    when given, is ``_tiling_mesh(tiling, digits)`` built beforehand."""
+    verts, faces = mesh or _tiling_mesh(tiling, digits)
     lines = ["OFF"]
     lines += comment_header(config_hash, seed)
     lines.append(f"{len(verts)} {len(faces)} 0")
@@ -60,8 +63,10 @@ def tiling_off(tiling, config_hash: str, seed, digits: int = 9) -> str:
     return "\n".join(lines) + "\n"
 
 
-def tiling_obj(tiling, config_hash: str, seed, digits: int = 9) -> str:
-    verts, faces = _tiling_mesh(tiling, digits)
+def tiling_obj(tiling, config_hash: str, seed, digits: int = 9,
+               mesh=None) -> str:
+    """Wavefront OBJ scene of the same mesh as `tiling_off`."""
+    verts, faces = mesh or _tiling_mesh(tiling, digits)
     lines = comment_header(config_hash, seed)
     lines += [f"v {v}" for v in verts]
     # OBJ indices are 1-based

@@ -80,21 +80,6 @@ class SubStream:
         return min(vertices, key=lambda v: (self.bits(v), _encode_vertex(v)))
 
 
-def recombine(parts: list[int], k: int) -> int:
-    """Inverse of splitting: rebuild the 64-bit label from substream bits."""
-    widths = [len(range(j, LABEL_BITS, k)) for j in range(k)]
-    if len(parts) != k:
-        raise ValueError("need exactly k parts")
-    raw = 0
-    cursors = [w for w in widths]
-    for pos in range(LABEL_BITS):
-        j = pos % k
-        cursors[j] -= 1
-        bit = (parts[j] >> cursors[j]) & 1
-        raw = (raw << 1) | bit
-    return raw
-
-
 def _encode_vertex(vertex) -> bytes:
     """Stable byte encoding of a vertex id (ints, strings, nested tuples)."""
     return json.dumps(_plain(vertex), separators=(",", ":")).encode()

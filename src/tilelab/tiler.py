@@ -14,7 +14,7 @@ import sys
 
 from .boxes import Box, BoxSet, box_is_empty, deflate, set_contacts
 from .canon import forest_hash, rooted_forest_from_edges
-from .dyadic import Dyadic, HALF
+from .dyadic import Dyadic, pair
 from .labels import LabelSource
 from .partition import PartitionStack, limit_partitions
 from .trees import RootedTreeWindow
@@ -351,7 +351,9 @@ class Tiling:
 
     def to_json(self) -> dict:
         def boxes_json(bs: BoxSet):
-            return [[[lo.as_pair(), hi.as_pair()] for lo, hi in b] for b in bs.boxes]
+            e = bs.exp
+            pairs = {c: pair(c, e) for b in bs.ints for iv in b for c in iv}
+            return [[[pairs[lo], pairs[hi]] for lo, hi in b] for b in bs.ints]
 
         return {
             "tiles": {repr(v): boxes_json(s) for v, s in sorted(
@@ -406,7 +408,8 @@ def carve(tree: RootedTreeWindow, topset: TopSet, grid: GridAssignment) -> Tilin
                 outer = deflate(tbox, nest_margin(s, depth))
                 inner = deflate(tbox, nest_margin(s, depth) + Dyadic(1, s + 4 + depth))
                 band = BoxSet([outer]).difference(BoxSet([inner]))
-                host = min(band.boxes)
+                e = band.exp
+                host = tuple((Dyadic(lo, e), Dyadic(hi, e)) for lo, hi in min(band.ints))
                 cubes = place_cubes(host, len(cube_kids))
                 removed.extend(cubes)
                 for c, cu in zip(cube_kids, cubes):
@@ -429,14 +432,15 @@ def carve(tree: RootedTreeWindow, topset: TopSet, grid: GridAssignment) -> Tilin
                   meta={"strata": max(topset.stratum.values(), default=0)})
 
 
-def verify_representation(tiling: Tiling, tree: RootedTreeWindow,
-                          sample_points=()) -> dict:
+def verify_representation(tiling: Tiling, tree: RootedTreeWindow) -> dict:
     """Check the four tiling-representation conditions on the resolved set.
 
     (i) tiles nonempty, connected, polyhedral; (ii) pairwise interior
     disjointness plus exact closure-cover of the carved region; (iii) local
-    finiteness around sample points; (iv) face-adjacency graph equal, as a
-    rooted forest, to the tree restricted to resolved vertices.
+    finiteness, which holds trivially for the finitely many tiles of a
+    window, so it is reported as passed with no counts; (iv) face-adjacency
+    graph equal, as a rooted forest, to the tree restricted to resolved
+    vertices.
     """
     report = {"pass": True}
 
@@ -462,13 +466,7 @@ def verify_representation(tiling: Tiling, tree: RootedTreeWindow,
         "overlap_witness": overlap,
     }
 
-    counts = []
-    for pt in sample_points:
-        ball = BoxSet([tuple((Dyadic.coerce(c) - HALF, Dyadic.coerce(c) + HALF)
-                             for c in pt)])
-        hit = sum(1 for v in verts if tiling.tile_of[v].interior_intersects(ball))
-        counts.append(hit)
-    report["local_finiteness"] = {"pass": True, "counts": counts}
+    report["local_finiteness"] = {"pass": True, "counts": []}
 
     resolved = set(tiling.tile_of)
     expected = set()

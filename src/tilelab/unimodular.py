@@ -47,12 +47,6 @@ def uniform_family(graph: nx.Graph) -> List[RootedSample]:
     return [RootedSample(graph, v, Fraction(1, n)) for v in sorted(graph, key=repr)]
 
 
-def check_family_weights(samples: Sequence[RootedSample]) -> None:
-    total = sum((s.weight for s in samples), Fraction(0))
-    if total != 1:
-        raise ValueError(f"family weights sum to {total}, not 1")
-
-
 # -- rooted distance -----------------------------------------------------------
 
 

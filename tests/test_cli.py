@@ -124,12 +124,27 @@ def test_radius_one_window_is_vacuously_ok(tmp_path):
 def test_verification_failure_exit_code(tmp_path, monkeypatch):
     import tilelab.cli as cli
 
-    def broken(tiling, tree, sample_points=()):
+    def broken(tiling, tree):
         return {"pass": False}
 
     monkeypatch.setattr(cli, "verify_representation", broken)
     code = cli.main(["tile-tree", "--tree", "path(6)", "--out", str(tmp_path)])
     assert code == 1
+
+
+def test_export_builds_one_mesh_for_both_formats(tmp_path, monkeypatch):
+    import tilelab.cli as cli
+    import tilelab.exports as exports
+
+    built = []
+    real = exports._tiling_mesh
+    monkeypatch.setattr(exports, "_tiling_mesh",
+                        lambda *a: built.append(a) or real(*a))
+    code = cli.main(["export", "--tree", "path(6)", "--out", str(tmp_path)])
+    assert code == 0 and len(built) == 1
+    tiling, h = built[0][0], cli.RunConfig({"tree": "path(6)"}).hash()
+    assert (tmp_path / "scene.off").read_text() == exports.tiling_off(tiling, h, 0)
+    assert (tmp_path / "scene.obj").read_text() == exports.tiling_obj(tiling, h, 0)
 
 
 def test_slab_limit_exit_code(tmp_path, monkeypatch, capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from tilelab.dyadic import Dyadic, dmax, dmin
+from tilelab.dyadic import Dyadic, pair
 
 dyadics = st.builds(
     Dyadic,
@@ -34,6 +34,11 @@ def test_pair_roundtrip(a):
     assert Dyadic.from_pair(a.as_pair()) == a
 
 
+@given(st.integers(-(1 << 70), 1 << 70), st.integers(0, 80))
+def test_pair_normalizes_like_dyadic(num, exp):
+    assert pair(num, exp) == Dyadic(num, exp).as_pair()
+
+
 @given(dyadics)
 def test_halve(a):
     assert a.halve().as_fraction() == a.as_fraction() / 2
@@ -53,13 +58,6 @@ def test_coerce():
     import pytest
     with pytest.raises(TypeError):
         Dyadic.coerce(0.25)  # floats are rejected; exactness is the point
-
-
-@given(st.lists(dyadics, min_size=1, max_size=6))
-def test_dmin_dmax(xs):
-    fr = [x.as_fraction() for x in xs]
-    assert dmin(*xs).as_fraction() == min(fr)
-    assert dmax(*xs).as_fraction() == max(fr)
 
 
 @given(st.integers(-(1 << 70), 1 << 70), st.integers(-8, 80))

@@ -1,14 +1,19 @@
 """Export formats: OFF/OBJ mesh integrity, JSON/CSV headers, determinism."""
 
 import json
+from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tilelab.exports import (csv_table, json_report, svg_with_header,
-                             tiling_obj, tiling_off, write_file)
+from tilelab.boxes import BoxSet, union_all
+from tilelab.dyadic import Dyadic
+from tilelab.exports import (_tiling_mesh, csv_table, json_report,
+                             svg_with_header, tiling_obj, tiling_off,
+                             write_file)
 from tilelab.labels import LabelSource
 from tilelab.partition import Schedule
-from tilelab.tiler import tile_tree
+from tilelab.tiler import Tiling, tile_tree
 from tilelab.trees import synthetic_tree
 
 
@@ -81,3 +86,93 @@ def test_write_file_is_atomic(tmp_path):
             write_file(str(tmp_path), name, "complete prefix \ud800")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.json"]
     assert (tmp_path / "keep.json").read_text() == "old"
+
+
+# -- reference mesh -----------------------------------------------------------
+# The writers as they were before meshes were read from lattice ints: the
+# `Dyadic` corners of `.boxes`, each of the 24 coordinates of a box formatted
+# on its own, and the JSON pairs from `Dyadic.as_pair`.
+
+
+def _ref_fmt(d, digits):
+    return f"{Decimal(d.num) / Decimal(1 << d.exp):.{digits}f}"
+
+
+def _ref_mesh(tiling, digits):
+    quads = [(0, 1, 3, 2), (4, 6, 7, 5), (0, 2, 6, 4), (1, 5, 7, 3),
+             (0, 4, 5, 1), (2, 3, 7, 6)]
+    verts, faces = [], []
+    for key in sorted(tiling.tile_of, key=repr):
+        for (x0, x1), (y0, y1), (z0, z1) in tiling.tile_of[key].boxes:
+            corners = [(x, y, z) for z in (z0, z1) for y in (y0, y1)
+                       for x in (x0, x1)]
+            n = len(verts)
+            verts += [" ".join(_ref_fmt(c, digits) for c in corner)
+                      for corner in corners]
+            faces += [tuple(n + i for i in q) for q in quads]
+    return verts, faces
+
+
+def _ref_off(tiling, h, seed, digits):
+    verts, faces = _ref_mesh(tiling, digits)
+    lines = ["OFF", f"# config-hash: {h}", f"# seed: {seed}",
+             f"{len(verts)} {len(faces)} 0"] + verts
+    lines += [f"4 {a} {b} {c} {d}" for a, b, c, d in faces]
+    return "\n".join(lines) + "\n"
+
+
+def _ref_obj(tiling, h, seed, digits):
+    verts, faces = _ref_mesh(tiling, digits)
+    lines = [f"# config-hash: {h}", f"# seed: {seed}"]
+    lines += [f"v {v}" for v in verts]
+    lines += [f"f {a + 1} {b + 1} {c + 1} {d + 1}" for a, b, c, d in faces]
+    return "\n".join(lines) + "\n"
+
+
+def _ref_boxes_json(s):
+    return [[[lo.as_pair(), hi.as_pair()] for lo, hi in b] for b in s.boxes]
+
+
+@st.composite
+def dyadic_boxes(draw):
+    # one exponent per box, so the sets mix lattices; corners up to 16 in
+    # size at up to 100 binary places, so at 30 digits `Decimal`'s 28-digit
+    # quotient is rounded before the format rounds it again
+    e = draw(st.sampled_from([0, 1, 2, 5, 12, 40, 100]))
+    box = []
+    for _ in range(3):
+        lo = draw(st.integers(-(1 << (e + 4)), 1 << (e + 4)))
+        hi = lo + draw(st.integers(1, 1 << (e + 2)))
+        box.append((Dyadic(lo, e), Dyadic(hi, e)))
+    return tuple(box)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(dyadic_boxes(), min_size=1, max_size=3),
+                min_size=1, max_size=5),
+       st.sampled_from([0, 3, 9, 30]))
+def test_mesh_from_ints_matches_dyadic_corners(tiles, digits):
+    tile_of = {k: BoxSet(boxes) for k, boxes in enumerate(tiles)}
+    tiling = Tiling(tile_of, union_all(list(tile_of.values())), [0], (), ())
+    off = tiling_off(tiling, "h", 3, digits)
+    obj = tiling_obj(tiling, "h", 3, digits)
+    doc = json.dumps(tiling.to_json())
+    assert _tiling_mesh(tiling, digits) == _ref_mesh(tiling, digits)
+    assert off == _ref_off(tiling, "h", 3, digits)
+    assert obj == _ref_obj(tiling, "h", 3, digits)
+    assert tiling_off(tiling, "h", 3, mesh=_tiling_mesh(tiling, digits)) == off
+    assert tiling_obj(tiling, "h", 3, mesh=_tiling_mesh(tiling, digits)) == obj
+    ref = dict(json.loads(doc),
+               tiles={repr(k): _ref_boxes_json(s) for k, s in
+                      sorted(tile_of.items(), key=lambda kv: repr(kv[0]))},
+               region=_ref_boxes_json(tiling.region))
+    assert doc == json.dumps(ref)
+
+
+def test_exports_never_build_dyadic_corners():
+    tiling = small_tiling()
+    tiling_off(tiling, "h", 0)
+    tiling_obj(tiling, "h", 0)
+    tiling.to_json()
+    sets = list(tiling.tile_of.values()) + [tiling.region]
+    assert all(s._boxes is None for s in sets)

@@ -4,7 +4,19 @@ from fractions import Fraction
 
 import scipy.stats
 
-from tilelab.labels import LabelSource, recombine
+from tilelab.labels import LABEL_BITS, LabelSource
+
+
+def recombine(parts: list[int], k: int) -> int:
+    """Inverse of splitting: rebuild the 64-bit label from substream bits."""
+    assert len(parts) == k
+    cursors = [len(range(j, LABEL_BITS, k)) for j in range(k)]
+    raw = 0
+    for pos in range(LABEL_BITS):
+        j = pos % k
+        cursors[j] -= 1
+        raw = (raw << 1) | ((parts[j] >> cursors[j]) & 1)
+    return raw
 
 
 def test_deterministic_across_instances():
