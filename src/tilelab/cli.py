@@ -129,8 +129,8 @@ def cmd_bs12(cfg: RunConfig) -> int:
 
 def cmd_t3(cfg: RunConfig) -> int:
     window = bs12mod.bs12_ball(cfg.radius)
-    assembly = tunnels.assemble_bs12(window, cfg.seed,
-                                     schedule_n=tuple(cfg.schedule))
+    assembly = tunnels.assemble_bs12(window, cfg.seed, cfg.stages,
+                                     tuple(cfg.schedule), cfg.u_min)
     fib = assembly["fibers"]
     contracted = tunnels.contract_fibers(assembly["tiling"], fib)
     placed = tunnels.random_isometry(contracted, cfg.seed)
@@ -149,14 +149,15 @@ def cmd_t3(cfg: RunConfig) -> int:
     payload = {
         "fiber_report": _interior_fiber_report(fib),
         "piece_statistics": stats,
-        "realized_tunnels": len(assembly["realized"]),
+        # no tunnel can exist on a BS(1,2) window: see tunnels.assemble_bs12
+        "realized_tunnels": 0,
         "unrealized_tunnels": [[list(e), why]
                                for e, why in assembly["unrealized"]],
     }
     exports.write_file(cfg.out, "t3-report.json",
                        exports.json_report(payload, h, cfg.seed))
     print(f"t3: radius {cfg.radius}, {stats['n_pieces']} interior pieces, "
-          f"{len(assembly['realized'])} tunnels realized, "
+          "0 tunnels realized, "
           f"{len(assembly['unrealized'])} unrealized, "
           f"separated={stats['separated']}")
     return EXIT_OK
@@ -173,10 +174,10 @@ def cmd_fractal(cfg: RunConfig) -> int:
     for interp in interps:
         pieces = fractal.pieces_in_window(chain, window, interp)
         report = fractal.adjacency_report(pieces, window, interp)
+        interior = set(report["interior_indices"])
         embed = fractal.embed_tree(
             pieces, [e for e in report["edges"]
-                     if e[0] in set(report["interior_indices"])
-                     and e[1] in set(report["interior_indices"])],
+                     if e[0] in interior and e[1] in interior],
             cfg.seed)
         report["embedding"] = {k: embed[k] for k in
                                ("n_vertices", "n_edges", "crossings")}

@@ -29,7 +29,7 @@ import random
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .boxes import Box, BoxSet, box_contains_box, set_contacts, union_all
+from .boxes import Box, BoxSet, box_contains_box, inflate, set_contacts, union_all
 from .canon import has_cycle
 from .dyadic import Dyadic
 
@@ -222,10 +222,18 @@ def pieces_in_window(chain: ScaleChain, window: Box,
     return pieces
 
 
-def _piece_adjacency(pieces: Sequence[FractalPiece]) -> List[Tuple[int, int, Fraction]]:
-    """Pairs with positive shared boundary length, as index pairs."""
-    areas, _ = set_contacts([p.region for p in pieces])
-    return [(a, b, length) for (a, b), length in sorted(areas.items())]
+def _halo_contacts(regions: Sequence[BoxSet], uncovered: BoxSet,
+                   halo: Dyadic) -> Tuple[List[Tuple[int, int]], set]:
+    """``(edges, exposed)``: the sorted index pairs of regions with positive
+    shared boundary, and the indices of the regions whose closed
+    ``halo``-neighborhood has interior meeting the interior of ``uncovered``.
+
+    For regular closed P and U, int(P + B_h) meets int U exactly when int P
+    meets int(U + B_h), so one contact sweep of ``uncovered`` grown by the
+    halo (index 0) against the regions answers every region at once."""
+    areas, overlaps = set_contacts([uncovered.inflate_all(halo), *regions])
+    return ([(a - 1, b - 1) for a, b in sorted(areas) if a],
+            {b - 1 for a, b in overlaps if a == 0})
 
 
 def adjacency_report(pieces: Sequence[FractalPiece], window: Box,
@@ -237,31 +245,25 @@ def adjacency_report(pieces: Sequence[FractalPiece], window: Box,
     visible; degrees and the cycle check are restricted to those.
     """
     swin = _scaled_window(window)
-    win_set = BoxSet([swin])
-    covered = union_all([p.region for p in pieces])
-    uncovered = win_set.difference(covered)
+    regions = [p.region for p in pieces]
+    covered = union_all(regions)
+    uncovered = BoxSet([swin]).difference(covered)
 
     scales = [p.scale for p in pieces]
     i_min = min(scales) if scales else 0
     halo = Dyadic(1, max(0, 4 - i_min))  # well below the smallest feature size
 
-    edges = _piece_adjacency(pieces)
+    edges, exposed = _halo_contacts(regions, uncovered, halo)
     degree = [0] * len(pieces)
-    for a, b, _ in edges:
+    for a, b in edges:
         degree[a] += 1
         degree[b] += 1
 
-    interior = []
-    for idx, p in enumerate(pieces):
-        grown = p.region.inflate_all(halo)
-        if not box_contains_box(swin, grown.bbox()):
-            continue
-        if grown.interior_intersects(uncovered):
-            continue
-        interior.append(idx)
+    interior = [idx for idx, r in enumerate(regions) if idx not in exposed
+                and box_contains_box(swin, inflate(r.bbox(), halo))]
     interior_set = set(interior)
 
-    interior_edges = [(a, b) for a, b, _ in edges
+    interior_edges = [(a, b) for a, b in edges
                       if a in interior_set and b in interior_set]
     # acyclicity is judged on the subgraph spanned by interior pieces
     acyclic = not has_cycle(interior_edges)
@@ -275,7 +277,7 @@ def adjacency_report(pieces: Sequence[FractalPiece], window: Box,
         "n_pieces": len(pieces),
         "n_interior": len(interior),
         "interior_indices": interior,
-        "edges": [(a, b) for a, b, _ in edges],
+        "edges": edges,
         "degrees": degree,
         "degree_histogram": {str(k): v for k, v in sorted(hist.items())},
         "acyclic_interior": acyclic,

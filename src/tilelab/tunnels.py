@@ -7,6 +7,12 @@ bit-identical.  In an axis-aligned box tiling, at most four dihedral sectors
 meet around any arrangement edge, so a tunnel necessarily creates a triangle
 with the tile it passes through; edges whose endpoints have no common
 neighbor are therefore reported as unrealizable rather than approximated.
+
+On a BS(1,2) window no tunnel is ever possible: the carved tiling's
+adjacency is the spanning tree, so a common neighbor of the endpoints of a
+non-tree edge would close a triangle in the Cayley graph of BS(1,2), which
+has none (see `assemble_bs12`).  `route_gamma` and `add_edge` are the
+tunnel lemma on other tilings.
 """
 
 from __future__ import annotations
@@ -32,8 +38,7 @@ class UnrealizableEdgeError(RuntimeError):
 
 
 class TunnelPlan:
-    def __init__(self, edge, path, gamma, epsilon: Dyadic):
-        self.edge = edge
+    def __init__(self, path, gamma, epsilon: Dyadic):
         self.path = list(path)
         self.gamma = [tuple(Dyadic.coerce(c) for c in p) for p in gamma]
         self.epsilon = Dyadic.coerce(epsilon)
@@ -45,30 +50,16 @@ class TunnelPlan:
         return polyline_neighborhood(self.gamma, self.epsilon)
 
 
-class EdgeSchedule:
-    def __init__(self, buckets: dict):
-        self.buckets = buckets  # n -> list of edges
-
-    def ordered(self):
-        for n in sorted(self.buckets):
-            for e in sorted(self.buckets[n], key=repr):
-                yield e
-
-
-def schedule_edges(tree: RootedTreeWindow, non_tree_edges) -> EdgeSchedule:
-    """Bucket each edge by max(path length, 1 + points hanging off the path)."""
-    buckets: dict = {}
-    for e in non_tree_edges:
+def schedule_edges(tree: RootedTreeWindow, non_tree_edges) -> list:
+    """The edges as tuples, ordered by max(path length, 1 + points hanging
+    off the path), then by repr."""
+    def size(e):
         path = tree.tree_path(*e)
         on_path = set(path)
-        hanging = 0
-        for v in path:
-            for c in tree.children[v]:
-                if c not in on_path:
-                    hanging += tree.subtree_size[c]
-        n = max(len(path), hanging + 1)
-        buckets.setdefault(n, []).append(tuple(e))
-    return EdgeSchedule(buckets)
+        hanging = sum(tree.subtree_size[c] for v in path
+                      for c in tree.children[v] if c not in on_path)
+        return max(len(path), hanging + 1), repr(e)
+    return sorted(map(tuple, non_tree_edges), key=size)
 
 
 # finest clearance a tunnel is routed with: 2^-FINEST_EXP
@@ -87,7 +78,7 @@ def _center(face_box):
     return tuple((lo + hi).halve() for lo, hi in face_box)
 
 
-def route_gamma(tiling_tiles: dict, path, occupied=()) -> TunnelPlan:
+def route_gamma(tiling_tiles: dict, path) -> TunnelPlan:
     """Rectilinear polyline from the first tile of a 3-vertex path, through
     the middle tile, into the last, with certified exact clearance."""
     if len(path) != 3:
@@ -121,11 +112,8 @@ def route_gamma(tiling_tiles: dict, path, occupied=()) -> TunnelPlan:
                 if ext is None:
                     continue
                 pts2, eps = ext
-                plan = TunnelPlan((path[0], path[-1]), path, pts2, eps)
+                plan = TunnelPlan(path, pts2, eps)
                 if in_union(plan.gamma) < eps.halve():
-                    continue
-                halo = plan.halo()
-                if any(halo.interior_intersects(o) for o in occupied):
                     continue
                 return plan
     raise RoutingError(f"no certified corridor found along {path!r}")
@@ -189,8 +177,6 @@ def add_edge(tiling: Tiling, plan: TunnelPlan) -> Tiling:
     the resulting adjacency graph is the old one plus the planned edge.
     """
     path = plan.path
-    if len(path) == 2:
-        return tiling  # endpoints already adjacent; graph unchanged
     if len(path) != 3:
         raise UnrealizableEdgeError(
             "axis-aligned tunnels require a 3-vertex path (common neighbor)"
@@ -217,12 +203,21 @@ def add_edge(tiling: Tiling, plan: TunnelPlan) -> Tiling:
 
 
 def assemble_bs12(window: CayleyWindow, seed: int, stages: int = 2,
-                  schedule_n=(1, 6)) -> dict:
-    """Window pipeline: fiber spanning tree, partitions, carving, tunnels.
+                  schedule_n=(1, 6), u_min: int = 2) -> dict:
+    """Window pipeline: fiber spanning tree, partitions, carving.
 
     Returns a dict with the tiling, the fiber decomposition, the spanning
-    tree, and an honest report of which non-tree edges were realized as
-    tunnels (only edges whose endpoints acquire a common neighbor can be).
+    tree, and every non-tree edge of the window as unrealized, in
+    `schedule_edges` order, each with its reason.
+
+    No non-tree edge can become a tunnel.  `route_gamma` needs a 3-vertex
+    path u-v-w through a tile v adjacent to both endpoints, and the carved
+    tiling's adjacency is the spanning tree (`verify_representation`), so
+    u-v and v-w would be Cayley edges and u-v-w a triangle in the Cayley
+    graph of BS(1,2) = <a, b | a b a^-1 = b^2>.  It has none: the a-exponent
+    sum of a trivial word is 0, so a trivial word of length 3 would be b^3,
+    b^-3 or a^k b^j a^-k with j, k in {1, -1}, and none of these is trivial,
+    since b has infinite order.
     """
     labels = LabelSource(seed)
     fib = fibers(window)
@@ -232,8 +227,7 @@ def assemble_bs12(window: CayleyWindow, seed: int, stages: int = 2,
     # fiber interiority criterion downstream
     tree = RootedTreeWindow(flagged_tree.root, flagged_tree.parent)
     sched = Schedule(schedule_n[:stages], 4)
-    built = tile_tree(tree, sched, stages, labels)
-    tiling, ts, grid = built["tiling"], built["topset"], built["grid"]
+    tiling = tile_tree(tree, sched, stages, labels, u_min)["tiling"]
 
     tree_edges = {frozenset((tree.parent[v], v)) for v in tree.order
                   if tree.parent[v] is not None}
@@ -242,49 +236,15 @@ def assemble_bs12(window: CayleyWindow, seed: int, stages: int = 2,
         e = frozenset((s.key(), t.key()))
         if e not in tree_edges:
             non_tree.append(tuple(sorted(e)))
-    sched_edges = schedule_edges(tree, non_tree)
 
-    realized, unrealized = [], []
-    occupied = []
-    current = tiling
-    adj = {frozenset(e) for e in current.adjacency()}
-    for e in sched_edges.ordered():
-        u, w = e
-        if u not in current.tile_of or w not in current.tile_of:
-            unrealized.append((e, "endpoint unresolved"))
-            continue
-        if frozenset(e) in adj:
-            realized.append((e, "already adjacent"))
-            continue
-        commons = [v for v in current.tile_of
-                   if frozenset((u, v)) in adj and frozenset((w, v)) in adj]
-        if not commons:
-            unrealized.append((e, "no common neighbor (axis-aligned obstruction)"))
-            continue
-        done = False
-        for v in sorted(commons, key=repr):
-            try:
-                plan = route_gamma(current.tile_of, [u, v, w], occupied)
-                current = add_edge(current, plan)
-                occupied.append(plan.halo())
-                adj.add(frozenset(e))
-                realized.append((e, f"via {v!r}"))
-                done = True
-                break
-            except (RoutingError, UnrealizableEdgeError):
-                continue
-        if not done:
-            unrealized.append((e, "routing failed"))
-
-    return {
-        "tiling": current,
-        "fibers": fib,
-        "tree": tree,
-        "topset": ts,
-        "grid": grid,
-        "realized": realized,
-        "unrealized": unrealized,
-    }
+    unrealized = []
+    for u, w in schedule_edges(tree, non_tree):
+        why = ("endpoint unresolved"
+               if u not in tiling.tile_of or w not in tiling.tile_of
+               else "no common neighbor (axis-aligned obstruction)")
+        unrealized.append(((u, w), why))
+    return {"tiling": tiling, "fibers": fib, "tree": tree,
+            "unrealized": unrealized}
 
 
 def contract_fibers(tiling: Tiling, fib: FiberDecomposition) -> Tiling:

@@ -46,6 +46,16 @@ def test_ball_sizes():
         1, 5, 17, 43, 93, 191]
 
 
+def test_ball_has_no_triangle():
+    # the reason no tunnel can be carved on a BS(1,2) window (see
+    # tunnels.assemble_bs12): no two adjacent vertices share a neighbor
+    for radius in range(1, 7):
+        w = bs12_ball(radius)
+        nbrs = {v: set(w.neighbors(v)) for v in w.vertices}
+        for s, t, _c in w.edges:
+            assert not nbrs[s] & nbrs[t], (radius, s, t)
+
+
 def test_ball_distances_are_geodesic():
     w = bs12_ball(4)
     adj = w.adjacency()

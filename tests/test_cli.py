@@ -62,6 +62,20 @@ def test_t3_runs(tmp_path):
     assert "piece_statistics" in doc and "fiber_report" in doc
 
 
+def test_t3_honors_stages(tmp_path):
+    import tilelab.cli as cli
+    bodies = []
+    for stages in (1, 2):
+        cfg = tmp_path / f"stages{stages}.cfg"
+        cfg.write_text(f"stages = {stages}\n")
+        out = tmp_path / f"out{stages}"
+        assert cli.main(["t3", "--config", str(cfg), "--radius", "6",
+                         "--out", str(out)]) == 0
+        lines = (out / "t3-scene.off").read_text().splitlines()
+        bodies.append([ln for ln in lines if not ln.startswith("#")])
+    assert bodies[0] != bodies[1]
+
+
 def test_fractal_runs(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("i_min = -1\ni_max = 1\nwindow = 1.0\n")

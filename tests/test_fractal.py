@@ -6,10 +6,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
+from tilelab.boxes import BoxSet
 from tilelab.dyadic import Dyadic
 from tilelab.fractal import (FAMILY_OFFSETS, INTERPRETATIONS, _cells_meeting,
-                             _dyadic_mod, adjacency_report, build_chain,
-                             embed_tree, pieces_in_window, pieces_svg)
+                             _dyadic_mod, _halo_contacts, adjacency_report,
+                             build_chain, embed_tree, pieces_in_window,
+                             pieces_svg)
 
 
 def window(half):
@@ -176,3 +178,37 @@ def test_cells_meeting_matches_fraction(anchor, i, interpretation, family,
     got = _cells_meeting(_Anchors(i, anchor), i, family, window, interpretation)
     offs = FAMILY_OFFSETS[interpretation][family]
     assert got == _cells_meeting_fraction(anchor, i, offs, window)
+
+
+# -- one contact sweep against the per-piece interiority test -----------------
+
+
+def _interval(e):
+    """An interval of positive length inside [-2, 2] on the lattice 2^-e."""
+    n = 2 << e
+    return st.integers(-n, n - 1).flatmap(
+        lambda lo: st.integers(lo + 1, n).map(
+            lambda hi: (Dyadic(lo, e), Dyadic(hi, e))))
+
+
+def _box_sets(dim, min_size):
+    # each interval on its own lattice, so one set mixes exponents 0..3
+    box = st.tuples(*[st.integers(0, 3).flatmap(_interval) for _ in range(dim)])
+    return st.lists(box, min_size=min_size, max_size=3).map(BoxSet)
+
+
+_halo_cases = st.sampled_from((2, 3)).flatmap(lambda dim: st.tuples(
+    st.lists(_box_sets(dim, 1), min_size=1, max_size=4),
+    _box_sets(dim, 0),
+    st.integers(0, 4).map(lambda k: Dyadic(1, k))))
+
+
+@given(_halo_cases)
+def test_halo_contacts_matches_per_piece_oracle(case):
+    regions, uncovered, halo = case
+    edges, exposed = _halo_contacts(regions, uncovered, halo)
+    assert exposed == {k for k, r in enumerate(regions)
+                       if r.inflate_all(halo).interior_intersects(uncovered)}
+    assert edges == [(a, b) for a in range(len(regions))
+                     for b in range(a + 1, len(regions))
+                     if regions[a].shared_face_area(regions[b]) > 0]

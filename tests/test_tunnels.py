@@ -3,8 +3,9 @@
 import pytest
 from hypothesis import example, given, strategies as st
 
-from tilelab.boxes import BoxSet
+from tilelab.boxes import BoxSet, set_contacts
 from tilelab.bs12 import bs12_ball, fibers
+from tilelab.canon import has_cycle
 from tilelab.dyadic import Dyadic
 from tilelab.labels import LabelSource
 from tilelab.partition import Schedule
@@ -98,8 +99,8 @@ def test_schedule_edges_orders_by_size_metric():
                       for c in tree.children[x] if c not in on_path)
         return max(len(path), hanging + 1)
 
-    sched = schedule_edges(tree, [(0, 9), (2, 4), (1, 5)])
-    metrics = [metric(u, v) for u, v in sched.ordered()]
+    ordered = schedule_edges(tree, [(0, 9), (2, 4), (1, 5)])
+    metrics = [metric(u, v) for u, v in ordered]
     assert metrics == sorted(metrics)
 
 
@@ -110,21 +111,38 @@ def test_cube_symmetries_count():
 
 
 def test_assemble_contract_isometry():
-    out = assemble_bs12(bs12_ball(3), seed=1)
+    window = bs12_ball(4)
+    out = assemble_bs12(window, seed=1)
     tiling = out["tiling"]
     fib = out["fibers"]
     report = verify_representation(tiling, out["tree"])
     assert report["pass"]
-    # every unrealized tunnel carries an explicit reason
+    # every non-tree edge is unrealized, with an explicit reason
+    assert len(out["unrealized"]) == len(window.edges) - (len(window.vertices) - 1)
     assert all(len(item) >= 2 for item in out["unrealized"])
 
     pieces = contract_fibers(tiling, fib)
+    # at this radius an interior fiber's window trace falls apart
+    assert any(("disconnected", fid) in pieces.unresolved
+               for fid in fib.interior_fibers)
     # contracted pieces are unions of their member tiles, volumes add up
     for fid, piece in pieces.tile_of.items():
         member_vol = sum(tiling.tile_of[v.key()].volume()
                          for v in fib.members[fid]
                          if v.key() in tiling.tile_of)
         assert piece.volume() == member_vol
+
+    # the pieces have disjoint interiors, and the resolved interior ones
+    # touch exactly along the fiber contact graph, which is a forest there
+    fids = sorted(pieces.tile_of, key=repr)
+    areas, overlaps = set_contacts([pieces.tile_of[f] for f in fids])
+    assert not overlaps
+    inner = set(fids) & fib.interior_fibers
+    faces = {frozenset((fids[a], fids[b])) for a, b in areas
+             if fids[a] in inner and fids[b] in inner}
+    assert faces == {frozenset(e) for e in fib.fiber_edges
+                     if set(e) <= inner}
+    assert faces and not has_cycle(tuple(e) for e in faces)
 
     moved = random_isometry(pieces, seed=4)
     assert moved.region.volume() == pieces.region.volume()
@@ -136,4 +154,4 @@ def test_assemble_deterministic():
     a = assemble_bs12(bs12_ball(2), seed=5)
     b = assemble_bs12(bs12_ball(2), seed=5)
     assert a["tiling"].to_json() == b["tiling"].to_json()
-    assert a["realized"] == b["realized"]
+    assert a["unrealized"] == b["unrealized"]
