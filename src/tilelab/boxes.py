@@ -12,12 +12,13 @@ so lower-dimensional slivers never survive.  The kernel is dimension-generic
 
 A set keeps its canonical boxes as ``(lo, hi)`` int pairs, ``ints``, on the
 lattice of ``exp``, the least exponent >= 0 at which every corner ``c / 2**exp``
-has an int ``c``; equal sets have equal ``(exp, ints)``.  `Dyadic` corners enter
-through the constructor and a `Clearance` query (`_lattice`) and leave through
-``boxes``, ``bbox`` and ``contact_faces``.  Operations move the coarser operand
-to the finer lattice with ``<<``; every boolean and canonicalization is one
-section-by-section merge of slab trees (`_merge`, after the Extreme Vertices
-Model of Aguilera and Ayala), and no grid of the distinct coordinates is built.
+has an int ``c``; equal sets have equal ``(exp, ints)``.  Int boxes enter through
+`BoxSet.from_ints`, `Dyadic` corners through the constructor and a `Clearance`
+query (`_lattice`); they leave through ``boxes``, ``bbox`` and ``contact_faces``.
+Operations move the coarser operand to the finer lattice with ``<<``; every
+boolean and canonicalization is one section-by-section merge of slab trees
+(`_merge`, after the Extreme Vertices Model of Aguilera and Ayala), and no
+grid of the distinct coordinates is built.
 
 `Clearance` is a region prepared for many polyline queries: its complement
 near the region is built once, on the lattice, and each query only lattices
@@ -33,7 +34,7 @@ from math import prod
 from operator import itemgetter, or_
 from typing import Sequence
 
-from .dyadic import Dyadic, ZERO
+from .dyadic import Dyadic, ZERO, on_lattice
 
 Box = tuple  # tuple of (lo, hi) Dyadic pairs, one per axis
 
@@ -54,10 +55,6 @@ def inflate(box: Box, eps) -> Box:
 def deflate(box: Box, eps) -> Box:
     e = Dyadic.coerce(eps)
     return tuple((lo + e, hi - e) for lo, hi in box)
-
-
-def box_contains_box(outer: Box, inner: Box) -> bool:
-    return all(ol <= il and ih <= oh for (ol, oh), (il, ih) in zip(outer, inner))
 
 
 # Slabs one merge of two slab trees may append over all axes, sections later
@@ -86,11 +83,10 @@ def _shift(ib: Sequence[tuple], k: int) -> Sequence[tuple]:
 def _offset(e: int, ib: Sequence[tuple], moves: Sequence[tuple]):
     """``(f, boxes)``: int boxes on the lattice of ``e`` plus the `Dyadic` pair
     ``moves[a]`` on the corners of axis ``a``, on the finest lattice ``f`` of all."""
-    f = max([e] + [x.exp for m in moves for x in m])
-    d = [[x.num << (f - x.exp) for x in m] for m in moves]
+    f, d = on_lattice([x for m in moves for x in m], e)
     k = f - e
-    return f, [tuple(((lo << k) + a, (hi << k) + b) for (lo, hi), (a, b) in zip(box, d))
-               for box in ib]
+    return f, [tuple(((lo << k) + a, (hi << k) + b)
+                     for (lo, hi), a, b in zip(box, d[::2], d[1::2])) for box in ib]
 
 
 def _common(sets: Sequence["BoxSet"]) -> tuple[int, list[tuple], list[int]]:
@@ -178,12 +174,15 @@ class BoxSet:
 
     __slots__ = ("exp", "ints", "dim", "_boxes")
 
-    def __init__(self, boxes: Sequence[Box]):
-        dims = {len(b) for b in boxes}
-        if len(dims) > 1:
+    def __new__(cls, boxes: Sequence[Box]):
+        return BoxSet.from_ints(*_lattice(boxes))
+
+    @staticmethod
+    def from_ints(e: int, ib: Sequence[tuple]) -> "BoxSet":
+        """The set that the int boxes ``ib`` on the lattice of ``e`` cover."""
+        if len({len(b) for b in ib}) > 1:
             raise ValueError("mixed dimensions")
-        e, ib = _lattice(boxes)
-        self._store(e, _canonical(ib), dims.pop() if dims else 0)
+        return BoxSet._of(e, _canonical(ib), len(ib[0]) if ib else 0)
 
     @staticmethod
     def _of(e: int, ib: Sequence[tuple], dim: int) -> "BoxSet":
@@ -230,26 +229,25 @@ class BoxSet:
         return Fraction(sum(prod(hi - lo for lo, hi in b) for b in self.ints),
                         1 << (self.exp * self.dim))
 
-    def _int_bbox(self) -> tuple:
+    def int_bbox(self) -> tuple:
+        """The bounding box as ``(lo, hi)`` int pairs on the lattice of ``exp``."""
         ib = self.ints
         return tuple((min(b[a][0] for b in ib), max(b[a][1] for b in ib))
                      for a in range(len(ib[0])))
 
     def bbox(self) -> Box | None:
         e = self.exp
-        return (tuple((Dyadic(lo, e), Dyadic(hi, e)) for lo, hi in self._int_bbox())
+        return (tuple((Dyadic(lo, e), Dyadic(hi, e)) for lo, hi in self.int_bbox())
                 if self.ints else None)
 
     def _frame(self, margin) -> "BoxSet":
         """The bounding box inflated by ``margin``, as a set."""
         m = Dyadic.coerce(margin)
-        e, ib = _offset(self.exp, [self._int_bbox()], [(-m, m)] * self.dim)
+        e, ib = _offset(self.exp, [self.int_bbox()], [(-m, m)] * self.dim)
         return BoxSet._of(e, ib, self.dim)
 
     def contains_point(self, pt: Sequence) -> bool:
-        p = [Dyadic.coerce(x) for x in pt]
-        e = max([self.exp] + [x.exp for x in p])
-        q = [x.num << (e - x.exp) for x in p]
+        e, q = on_lattice([Dyadic.coerce(x) for x in pt], self.exp)
         return any(all(lo <= x <= hi for x, (lo, hi) in zip(q, b))
                    for b in _shift(self.ints, e - self.exp))
 
@@ -465,7 +463,7 @@ class Clearance:
         self.exp, self.lattices = region.exp, {}
         if not region.is_empty():
             comp = region._frame(1).difference(region)
-            self.lattices[self.exp] = [region._int_bbox(),
+            self.lattices[self.exp] = [region.int_bbox(),
                                        *_shift(comp.ints, self.exp - comp.exp)]
 
     def __call__(self, points: Sequence[Sequence]) -> Dyadic:

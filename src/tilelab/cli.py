@@ -156,8 +156,10 @@ def cmd_t3(cfg: RunConfig) -> int:
     }
     exports.write_file(cfg.out, "t3-report.json",
                        exports.json_report(payload, h, cfg.seed))
+    dropped = sum(("disconnected", fid) in contracted.unresolved
+                  for fid in fib.interior_fibers)
     print(f"t3: radius {cfg.radius}, {stats['n_pieces']} interior pieces, "
-          "0 tunnels realized, "
+          f"{dropped} disconnected interior fibers dropped, 0 tunnels realized, "
           f"{len(assembly['unrealized'])} unrealized, "
           f"separated={stats['separated']}")
     return EXIT_OK

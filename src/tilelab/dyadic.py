@@ -7,8 +7,8 @@ subtraction, multiplication and scaling by any power of two (``scale``,
 ``halve``); ``floor`` divides by a positive integer and rounds down, and
 ``pow2_floor`` is the largest power of two not above a positive value.
 That is all the geometry and the BS(1,2) code need; comparisons and hashing
-are exact.  ``pair`` gives the normalized JSON form of a lattice int without
-building a `Dyadic`.
+are exact.  ``on_lattice`` puts dyadics on one lattice as ints, and ``pair``
+gives the normalized JSON form of a lattice int without building a `Dyadic`.
 """
 
 from __future__ import annotations
@@ -153,6 +153,13 @@ class Dyadic:
 ZERO = Dyadic(0)
 ONE = Dyadic(1)
 HALF = Dyadic(1, 1)
+
+
+def on_lattice(xs, e: int = 0) -> tuple[int, list[int]]:
+    """``(f, ints)``: ``f``, the least exponent ``>= e`` whose lattice holds
+    every dyadic in ``xs``, and each ``x`` as the int ``x * 2**f``."""
+    f = max([e] + [x.exp for x in xs])
+    return f, [x.num << (f - x.exp) for x in xs]
 
 
 def pair(num: int, exp: int) -> list:

@@ -7,9 +7,10 @@ scale ``i`` two families of squares/rectangles with side ``2**i / 5`` sit on
 the lattice ``v_i + 2**i * Z^2``; a piece at scale ``i`` is one such set with
 the closures of the scale ``i-1`` sets removed.
 
-All geometry is done in plane coordinates scaled by 5, so every corner is an
-exact dyadic rational and the 2-D box kernel applies unchanged.  Areas are
-reported as exact fractions (scaled back by 1/25).
+All geometry is done in plane coordinates scaled by 5, as ints on one lattice
+per call: a scale-``i`` box is ``a_i + s_i * (5 * w + offset)`` and enters the
+2-D box kernel through `BoxSet.from_ints`, and the report, embedding and SVG
+read the regions' ints.  Areas are exact fractions (scaled back by 1/25).
 
 The set notation for the family offsets is ambiguous, so both readings are
 implemented behind ``interpretation``:
@@ -29,9 +30,9 @@ import random
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .boxes import Box, BoxSet, box_contains_box, inflate, set_contacts, union_all
+from .boxes import Box, BoxSet, set_contacts, union_all
 from .canon import has_cycle
-from .dyadic import Dyadic
+from .dyadic import Dyadic, on_lattice, pair
 
 # Family offsets in fifths of the scale; per interpretation, per family,
 # per axis: (lo, hi) numerators over 5.
@@ -153,37 +154,20 @@ class FractalPiece:
         return f"FractalPiece(scale={self.scale}, family={self.family}, cell={self.cell})"
 
 
-def _base_box(chain: ScaleChain, i: int, family: str, cell: Tuple[int, int],
-              interpretation: str) -> Box:
-    """The full (unpunctured) scale-i set in 5x-scaled coordinates."""
-    offs = FAMILY_OFFSETS[interpretation][family]
-    vx, vy = chain.anchor(i)
-    step = _pow2(i)
-    anchor = (vx * 5 + step * (5 * cell[0]), vy * 5 + step * (5 * cell[1]))
-    lo = tuple(anchor[ax] + step * offs[ax][0] for ax in range(2))
-    hi = tuple(anchor[ax] + step * offs[ax][1] for ax in range(2))
-    return ((lo[0], hi[0]), (lo[1], hi[1]))
+def _cells(a, s: int, offs, box) -> List[Tuple[int, int]]:
+    """Lattice cells ``w`` whose box ``a + s*(5*w + offs)`` meets the closed
+    ``box``, all in ints on one lattice: per axis, ``a + s*(5w + off_hi) >=
+    lo`` and ``a + s*(5w + off_lo) <= hi``."""
+    xs, ys = (range(-((a[ax] - lo + s * offs[ax][1]) // (5 * s)),
+                    (hi - a[ax] - s * offs[ax][0]) // (5 * s) + 1)
+              for ax, (lo, hi) in enumerate(box))
+    return [(x, y) for x in xs for y in ys]
 
 
-def _cells_meeting(chain: ScaleChain, i: int, family: str,
-                   window: Box, interpretation: str) -> List[Tuple[int, int]]:
-    """Lattice cells whose scale-i set closure meets the (scaled) window."""
-    offs = FAMILY_OFFSETS[interpretation][family]
-    ranges = []
-    for ax in range(2):
-        base = chain.anchor(i)[ax] * 5
-        wlo, whi = window[ax]
-        # need base + 5*s*w + s*offs_hi >= wlo and base + 5*s*w + s*offs_lo <= whi
-        # with s = 2**i: w >= ceil((wlo - base - s*offs_hi) / 5s) and
-        # w <= floor((whi - base - s*offs_lo) / 5s)
-        lo_i = -((base - wlo).scale(-i) + offs[ax][1]).floor(5)
-        hi_i = ((whi - base).scale(-i) - offs[ax][0]).floor(5)
-        ranges.append(range(lo_i, hi_i + 1))
-    return [(wx, wy) for wx in ranges[0] for wy in ranges[1]]
-
-
-def _scaled_window(window: Box) -> Box:
-    return tuple((lo * 5, hi * 5) for lo, hi in window)  # type: ignore[return-value]
+def _box(a, s: int, offs, cell) -> tuple:
+    """The int box ``a + s*(5*cell + offs)`` of one lattice cell."""
+    return tuple((a[ax] + s * (5 * cell[ax] + lo), a[ax] + s * (5 * cell[ax] + hi))
+                 for ax, (lo, hi) in enumerate(offs))
 
 
 def pieces_in_window(chain: ScaleChain, window: Box,
@@ -195,29 +179,32 @@ def pieces_in_window(chain: ScaleChain, window: Box,
     """
     if interpretation not in FAMILY_OFFSETS:
         raise ValueError(f"unknown interpretation {interpretation!r}")
-    swin = _scaled_window(window)
+    scales = range(chain.i_min, chain.i_max + 1)
+    # one lattice for the call, fine enough for every anchor 5 * v_i, the
+    # scaled window and the least step 2**i_min: s_i = 2**i is 1 << (i + e)
+    e, ints = on_lattice([x for i in scales for x in chain.anchor(i)]
+                         + [c for iv in window for c in iv], -chain.i_min)
+    ints = [5 * x for x in ints]
+    win = (tuple(ints[-4:-2]), tuple(ints[-2:]))
+    layers = [(i, family, (ints[2 * k], ints[2 * k + 1]), 1 << (i + e),
+               FAMILY_OFFSETS[interpretation][family])
+              for k, i in enumerate(scales) for family in ("A", "B")]
     pieces: List[FractalPiece] = []
-    for i in range(chain.i_min, chain.i_max + 1):
-        for family in ("A", "B"):
-            for cell in _cells_meeting(chain, i, family, swin, interpretation):
-                base = _base_box(chain, i, family, cell, interpretation)
-                region = BoxSet([base])
-                # subtract the closures of every lower-scale set: with a
-                # generic anchor chain a set two or more scales down need not
-                # be covered by the scale directly below, so removing only
-                # scale i-1 leaves overlapping pieces
-                removed = []
-                for j in range(chain.i_min, i):
-                    for fam2 in ("A", "B"):
-                        for c2 in _cells_meeting(chain, j, fam2, base,
-                                                 interpretation):
-                            removed.append(
-                                _base_box(chain, j, fam2, c2, interpretation))
-                if removed:
-                    region = region.difference(BoxSet(removed))
-                if region.is_empty():
-                    continue
-                pieces.append(FractalPiece(i, family, cell, region))
+    for i, family, a, s, offs in layers:
+        for cell in _cells(a, s, offs, win):
+            base = _box(a, s, offs, cell)
+            region = BoxSet.from_ints(e, [base])
+            # subtract the closures of every lower-scale set: with a
+            # generic anchor chain a set two or more scales down need not
+            # be covered by the scale directly below, so removing only
+            # scale i-1 leaves overlapping pieces
+            removed = [_box(a2, s2, offs2, c2) for j, _, a2, s2, offs2 in layers
+                       if j < i for c2 in _cells(a2, s2, offs2, base)]
+            if removed:
+                region = region.difference(BoxSet.from_ints(e, removed))
+            if region.is_empty():
+                continue
+            pieces.append(FractalPiece(i, family, cell, region))
     pieces.sort(key=lambda p: p.key)
     return pieces
 
@@ -244,14 +231,16 @@ def adjacency_report(pieces: Sequence[FractalPiece], window: Box,
     by the pieces and stays inside the window, so its full neighborhood is
     visible; degrees and the cycle check are restricted to those.
     """
-    swin = _scaled_window(window)
     regions = [p.region for p in pieces]
-    covered = union_all(regions)
-    uncovered = BoxSet([swin]).difference(covered)
-
     scales = [p.scale for p in pieces]
     i_min = min(scales) if scales else 0
     halo = Dyadic(1, max(0, 4 - i_min))  # well below the smallest feature size
+    # the 5x-scaled window and the halo on a lattice that holds every region
+    e, ints = on_lattice([c for iv in window for c in iv] + [halo],
+                         max((r.exp for r in regions), default=0))
+    win, h = ((5 * ints[0], 5 * ints[1]), (5 * ints[2], 5 * ints[3])), ints[4]
+    covered = union_all(regions)
+    uncovered = BoxSet.from_ints(e, [win]).difference(covered)
 
     edges, exposed = _halo_contacts(regions, uncovered, halo)
     degree = [0] * len(pieces)
@@ -260,7 +249,8 @@ def adjacency_report(pieces: Sequence[FractalPiece], window: Box,
         degree[b] += 1
 
     interior = [idx for idx, r in enumerate(regions) if idx not in exposed
-                and box_contains_box(swin, inflate(r.bbox(), halo))]
+                and all(wl + h <= lo << (e - r.exp) and hi << (e - r.exp) <= wh - h
+                        for (wl, wh), (lo, hi) in zip(win, r.int_bbox()))]
     interior_set = set(interior)
 
     interior_edges = [(a, b) for a, b in edges
@@ -298,20 +288,20 @@ def embed_tree(pieces: Sequence[FractalPiece], edges: Sequence[Tuple[int, int]],
     """
     rng = random.Random(f"fractal-embed:{seed!r}")
     prec = 16
-    points: List[Tuple[Dyadic, Dyadic]] = []
+    points: List[Tuple[int, int, int]] = []  # (x, y, e) for (x, y) / 2**e
     for p in pieces:
-        bb = p.region.bbox()
+        boxes = [[(lo << prec, hi << prec) for lo, hi in b] for b in p.region.ints]
         while True:
-            cand = tuple(
-                bb[ax][0] + (bb[ax][1] - bb[ax][0]) *
-                Dyadic(rng.getrandbits(prec), prec)
-                for ax in range(2))
-            if p.region.contains_point(cand):
-                points.append(cand)  # type: ignore[arg-type]
+            x, y = ((lo << prec) + (hi - lo) * rng.getrandbits(prec)
+                    for lo, hi in p.region.int_bbox())
+            if any(xl <= x <= xh and yl <= y <= yh for (xl, xh), (yl, yh) in boxes):
+                points.append((x, y, p.region.exp + prec))
                 break
 
-    segs = [(tuple(c.as_fraction() for c in points[a]),
-             tuple(c.as_fraction() for c in points[b])) for a, b in edges]
+    # orientation signs do not change when every point moves to one lattice
+    f = max((e for _, _, e in points), default=0)
+    at = [(x << (f - e), y << (f - e)) for x, y, e in points]
+    segs = [(at[a], at[b]) for a, b in edges]
 
     def orient(p, q, r):
         v = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
@@ -329,7 +319,7 @@ def embed_tree(pieces: Sequence[FractalPiece], edges: Sequence[Tuple[int, int]],
                 crossings += 1
 
     return {
-        "points": [(pt[0].as_pair(), pt[1].as_pair()) for pt in points],
+        "points": [(pair(x, e), pair(y, e)) for x, y, e in points],
         "n_vertices": len(points),
         "n_edges": len(edges),
         "crossings": crossings,
@@ -345,8 +335,7 @@ _SCALE_COLORS = ["#4e79a7", "#f28e2b", "#59a14f", "#e15759", "#b07aa1",
 def pieces_svg(pieces: Sequence[FractalPiece], window: Box,
                size: int = 640) -> str:
     """SVG drawing of the window, pieces colored by scale."""
-    swin = _scaled_window(window)
-    (x0, x1), (y0, y1) = ((float(lo), float(hi)) for lo, hi in swin)
+    (x0, x1), (y0, y1) = ((float(lo * 5), float(hi * 5)) for lo, hi in window)
     span = max(x1 - x0, y1 - y0) or 1.0
     sc = size / span
 
@@ -361,10 +350,12 @@ def pieces_svg(pieces: Sequence[FractalPiece], window: Box,
     color_of = {s: _SCALE_COLORS[k % len(_SCALE_COLORS)]
                 for k, s in enumerate(scales)}
     for p in pieces:
-        for box in p.region.boxes:
-            ax, ay = pt(float(box[0][0]), float(box[1][1]))
-            w = (float(box[0][1]) - float(box[0][0])) * sc
-            h = (float(box[1][1]) - float(box[1][0])) * sc
+        # c / d is the correctly rounded float of the corner c / 2**exp
+        d = 1 << p.region.exp
+        for (xl, xh), (yl, yh) in p.region.ints:
+            ax, ay = pt(xl / d, yh / d)
+            w = (xh / d - xl / d) * sc
+            h = (yh / d - yl / d) * sc
             parts.append(
                 f'<rect x="{ax:.3f}" y="{ay:.3f}" width="{w:.3f}" '
                 f'height="{h:.3f}" fill="{color_of[p.scale]}" '

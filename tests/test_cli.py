@@ -88,6 +88,43 @@ def test_fractal_runs(tmp_path):
         assert (tmp_path / f"fractal-{interp}-degrees.csv").exists()
 
 
+# sha256 of the artifacts of `fractal` at window 1, scales -2..2, both
+# interpretations, seed 1, as the Dyadic-corner construction wrote them
+FRACTAL_DIGESTS = {
+    "fractal-rect-degrees.csv":
+        "c2c0701587248e0b7c2baaaef40477842c788d5ad9f453315008a78de0234cce",
+    "fractal-rect.json":
+        "a96c39c0c8f645c391bd137dd8f11341ca5456408dbf33545438b20e7354657f",
+    "fractal-rect.svg":
+        "7f132891d86a609ac89be97fe39223ac58ee7fed666245e6739b7f8086dabfc8",
+    "fractal-square-degrees.csv":
+        "b1e54501979924fd089b324def9608df940dfd46c3294b3080fc29c76a289131",
+    "fractal-square.json":
+        "4437a665dcf8812e863d5b2aabe59e11c473ce7726e23936921585bd099daaaf",
+    "fractal-square.svg":
+        "2621250b6de1300195c8875a3f4eaf2723fdd720444d80a0817316a984cac799",
+}
+
+
+def test_fractal_artifacts_are_pinned(tmp_path):
+    import hashlib
+    import tilelab.cli as cli
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("window=1.0\ni_min=-2\ni_max=2\ninterpretation=both\n")
+    out = tmp_path / "out"
+    assert cli.main(["fractal", "--config", str(cfg), "--seed", "1",
+                     "--out", str(out)]) == 0
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out.iterdir()} == FRACTAL_DIGESTS
+
+
+def test_t3_reports_dropped_disconnected_fibers(tmp_path):
+    out = run_cli("t3", "--radius", "4", "--seed", "0", "--out", str(tmp_path))
+    assert out.returncode == 0, out.stderr
+    assert ("7 interior pieces, 1 disconnected interior fibers dropped,"
+            in out.stdout)
+
+
 def test_check_pass(tmp_path):
     out = run_cli("check", "--out", str(tmp_path))
     assert out.returncode == 0, out.stderr

@@ -4,14 +4,14 @@ bookkeeping, and the mirror symmetry between the two interpretations."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tilelab.boxes import BoxSet
-from tilelab.dyadic import Dyadic
-from tilelab.fractal import (FAMILY_OFFSETS, INTERPRETATIONS, _cells_meeting,
-                             _dyadic_mod, _halo_contacts, adjacency_report,
-                             build_chain, embed_tree, pieces_in_window,
-                             pieces_svg)
+from tilelab.dyadic import Dyadic, on_lattice
+from tilelab.fractal import (FAMILY_OFFSETS, INTERPRETATIONS, _cells,
+                             _dyadic_mod, _halo_contacts, _pow2,
+                             adjacency_report, build_chain, embed_tree,
+                             pieces_in_window, pieces_svg)
 
 
 def window(half):
@@ -115,6 +115,8 @@ def test_report_serializations():
     pieces = pieces_in_window(chain, win, "square")
     svg = pieces_svg(pieces, win)
     assert svg.startswith("<svg") or "<svg" in svg
+    # one rect per canonical region box, plus the frame
+    assert svg.count("<rect") == sum(len(p.region.ints) for p in pieces) + 1
 
 
 # -- lattice arithmetic against the Fraction formulas it replaced -------------
@@ -147,14 +149,6 @@ def _cells_meeting_fraction(anchor, i, offs, window):
     return [(wx, wy) for wx in ranges[0] for wy in ranges[1]]
 
 
-class _Anchors:
-    def __init__(self, i, point):
-        self.point = {i: point}
-
-    def anchor(self, i):
-        return self.point[i]
-
-
 @given(dyadics, scales)
 @example(Dyadic(-1, 3), -2)
 @example(Dyadic(-8), 2)
@@ -175,8 +169,10 @@ def test_dyadic_mod_matches_fraction(x, i):
 def test_cells_meeting_matches_fraction(anchor, i, interpretation, family,
                                         xs, ys):
     window = (tuple(xs), tuple(ys))
-    got = _cells_meeting(_Anchors(i, anchor), i, family, window, interpretation)
     offs = FAMILY_OFFSETS[interpretation][family]
+    e, ints = on_lattice([*anchor, *xs, *ys], max(0, -i))
+    got = _cells((5 * ints[0], 5 * ints[1]), 1 << (i + e), offs,
+                 ((ints[2], ints[3]), (ints[4], ints[5])))
     assert got == _cells_meeting_fraction(anchor, i, offs, window)
 
 
@@ -212,3 +208,88 @@ def test_halo_contacts_matches_per_piece_oracle(case):
     assert edges == [(a, b) for a in range(len(regions))
                      for b in range(a + 1, len(regions))
                      if regions[a].shared_face_area(regions[b]) > 0]
+
+
+# -- lattice-int pieces against the Dyadic construction they replaced ---------
+
+
+def _ref_base_box(chain, i, family, cell, interpretation):
+    """The full (unpunctured) scale-i set in 5x-scaled coordinates."""
+    offs = FAMILY_OFFSETS[interpretation][family]
+    vx, vy = chain.anchor(i)
+    step = _pow2(i)
+    anchor = (vx * 5 + step * (5 * cell[0]), vy * 5 + step * (5 * cell[1]))
+    lo = tuple(anchor[ax] + step * offs[ax][0] for ax in range(2))
+    hi = tuple(anchor[ax] + step * offs[ax][1] for ax in range(2))
+    return ((lo[0], hi[0]), (lo[1], hi[1]))
+
+
+def _ref_cells_meeting(chain, i, family, window, interpretation):
+    """Lattice cells whose scale-i set closure meets the (scaled) window."""
+    offs = FAMILY_OFFSETS[interpretation][family]
+    ranges = []
+    for ax in range(2):
+        base = chain.anchor(i)[ax] * 5
+        wlo, whi = window[ax]
+        lo_i = -((base - wlo).scale(-i) + offs[ax][1]).floor(5)
+        hi_i = ((whi - base).scale(-i) - offs[ax][0]).floor(5)
+        ranges.append(range(lo_i, hi_i + 1))
+    return [(wx, wy) for wx in ranges[0] for wy in ranges[1]]
+
+
+def _ref_pieces_in_window(chain, window, interpretation):
+    """``(key, region)`` per piece, built from `Dyadic` corners box by box."""
+    swin = tuple((lo * 5, hi * 5) for lo, hi in window)
+    pieces = []
+    for i in range(chain.i_min, chain.i_max + 1):
+        for family in ("A", "B"):
+            for cell in _ref_cells_meeting(chain, i, family, swin, interpretation):
+                base = _ref_base_box(chain, i, family, cell, interpretation)
+                region = BoxSet([base])
+                removed = [_ref_base_box(chain, j, fam2, c2, interpretation)
+                           for j in range(chain.i_min, i) for fam2 in ("A", "B")
+                           for c2 in _ref_cells_meeting(chain, j, fam2, base,
+                                                        interpretation)]
+                if removed:
+                    region = region.difference(BoxSet(removed))
+                if not region.is_empty():
+                    pieces.append(((i, family, cell), region))
+    return sorted(pieces, key=lambda p: p[0])
+
+
+def _side(e):
+    """A centre within 1 of the origin and a half-width of at most 1, both on
+    the lattice 2^-e, as the interval's two corners."""
+    n = 1 << e
+    return st.tuples(st.integers(-n, n), st.integers(0, n)).map(
+        lambda ch: (Dyadic(ch[0] - ch[1], e), Dyadic(ch[0] + ch[1], e)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 1000), st.integers(-3, 0), st.integers(0, 2),
+       st.integers(0, 4).flatmap(lambda e: st.tuples(_side(e), _side(e))),
+       st.sampled_from(INTERPRETATIONS))
+@example(1, -2, 2, ((Dyadic(-1), Dyadic(1)), (Dyadic(-1), Dyadic(1))), "square")
+def test_pieces_match_dyadic_reference(seed, i_min, i_max, win, interpretation):
+    chain = build_chain(seed, i_min, i_max)
+    got = [(p.key, p.region.exp, p.region.ints)
+           for p in pieces_in_window(chain, win, interpretation)]
+    assert got == [(key, r.exp, r.ints)
+                   for key, r in _ref_pieces_in_window(chain, win, interpretation)]
+
+
+def test_pieces_build_no_dyadic_per_box(monkeypatch):
+    # a call may build Dyadics per scale, never per cell or box
+    chain = build_chain(1, -2, 2)
+    init = Dyadic.__init__
+    built = []
+    monkeypatch.setattr(Dyadic, "__init__",
+                        lambda self, *a: built.append(a) or init(self, *a))
+    counts, sizes = [], []
+    for win in (window(1), window(2)):
+        built.clear()
+        sizes.append(len(pieces_in_window(chain, win, "square")))
+        counts.append(len(built))
+    assert sizes[0] < sizes[1]
+    n_scales = chain.i_max - chain.i_min + 1
+    assert counts[0] == counts[1] <= n_scales + 4
