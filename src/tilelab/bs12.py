@@ -57,15 +57,13 @@ GEN_B = BsElement(0, 1)
 class CayleyWindow:
     """Ball in the Cayley graph of BS(1,2) with generator-colored edges."""
 
-    def __init__(self, center: BsElement, radius: int, vertices, dist, edges):
-        self.center = center
+    def __init__(self, radius: int, vertices, dist, edges):
         self.radius = radius
         self.vertices = sorted(vertices, key=BsElement.key)
         self.index = {v: i for i, v in enumerate(self.vertices)}
-        self.dist = dist  # word distance from center
+        self.dist = dist  # word distance from the identity
         # edges: list of (src, dst, color) with dst = src * generator(color)
         self.edges = edges
-        self.interior = frozenset(v for v in self.vertices if dist[v] <= radius - 1)
         self._adj = None
 
     def adjacency(self) -> dict:
@@ -86,16 +84,16 @@ class CayleyWindow:
             [self.index[s], self.index[t], c, 1] for s, t, c in self.edges
         )
         return {"vertices": verts, "edges": edges, "radius": self.radius,
-                "center": list(self.center.key())}
+                "center": list(IDENTITY.key())}
 
 
-def bs12_ball(radius: int, center: BsElement = IDENTITY, cap: int = 500000) -> CayleyWindow:
-    """Word-metric ball by breadth-first enumeration."""
+def bs12_ball(radius: int, cap: int = 500000) -> CayleyWindow:
+    """Word-metric ball around the identity by breadth-first enumeration."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
     gens = [GEN_A, GEN_A.inverse(), GEN_B, GEN_B.inverse()]
-    dist = {center: 0}
-    frontier = [center]
+    dist = {IDENTITY: 0}
+    frontier = [IDENTITY]
     for r in range(1, radius + 1):
         nxt = []
         for v in frontier:
@@ -115,14 +113,13 @@ def bs12_ball(radius: int, center: BsElement = IDENTITY, cap: int = 500000) -> C
             if w in vset:
                 edges.append((v, w, color))
     edges.sort(key=lambda e: (e[0].key(), e[1].key(), e[2]))
-    return CayleyWindow(center, radius, vset, dist, edges)
+    return CayleyWindow(radius, vset, dist, edges)
 
 
 class FiberDecomposition:
     """Partition of a window into b-orbit segments and their contact graph."""
 
     def __init__(self, window: CayleyWindow):
-        self.window = window
         # A fiber is a b-coset: all elements (level, offset) with the same
         # level and the same offset residue modulo the b-step 2**-level.  The
         # coset is a group-theoretic object; its trace inside the window may
@@ -212,18 +209,6 @@ def _apex(window: CayleyWindow, labels: LabelSource) -> BsElement:
     return next(v for v in cands if v.key() == key)
 
 
-def _tree_from_parent(window, apex, parent_map) -> RootedTreeWindow:
-    tree = RootedTreeWindow(apex.key(), parent_map)
-    # flag vertices whose subtree touches the window boundary: their subtree
-    # sizes undercount the infinite graph
-    flagged = set()
-    for v in reversed(tree.order):
-        elem_dist = window.dist[_from_key(v)]
-        if elem_dist >= window.radius or any(c in flagged for c in tree.children[v]):
-            flagged.add(v)
-    return RootedTreeWindow(apex.key(), parent_map, flagged)
-
-
 @lru_cache(maxsize=None)
 def _from_key(key) -> BsElement:
     level, num, exp = key
@@ -236,6 +221,9 @@ def fiber_spanning_tree(window: CayleyWindow, fib: FiberDecomposition,
 
     Contracting the fibers of this tree reproduces the window's fiber contact
     graph exactly, which is what the downstream fiber-piece pipeline needs.
+    The tree carries no boundary flags: the window's truncation qualifies only
+    the boundary-adjacent pieces, which the fiber interiority criterion
+    (`FiberDecomposition.interior_fibers`) already sets apart.
     """
     apex = _apex(window, labels)
     root_seg = fib.segment_of[apex]
@@ -295,4 +283,4 @@ def fiber_spanning_tree(window: CayleyWindow, fib: FiberDecomposition,
                 order.append(w)
     if len(order) != len(window.vertices):
         raise ValueError("fiber spanning tree failed to span the window")
-    return _tree_from_parent(window, apex, parent_map)
+    return RootedTreeWindow(apex.key(), parent_map)

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification failure or internal invariant break
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import bs12 as bs12mod
@@ -26,6 +27,7 @@ EXIT_CONFIG = 2
 EXIT_RESOURCE = 3
 
 
+@functools.cache  # built on first use, not at import
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tilelab",
@@ -75,7 +77,7 @@ def _tile_tree_pipeline(cfg: RunConfig):
     tree = synthetic_tree(cfg.tree, cfg.seed)
     labels = LabelSource(cfg.seed, salt="tile-tree")
     schedule = Schedule(tuple(cfg.schedule), degree_bound=4)
-    result = tile_tree(tree, schedule, cfg.stages, labels, u_min=cfg.u_min)
+    result = tile_tree(tree, schedule, cfg.stages, labels)
     report = verify_representation(result["tiling"], tree)
     return tree, result, report
 
@@ -130,7 +132,7 @@ def cmd_bs12(cfg: RunConfig) -> int:
 def cmd_t3(cfg: RunConfig) -> int:
     window = bs12mod.bs12_ball(cfg.radius)
     assembly = tunnels.assemble_bs12(window, cfg.seed, cfg.stages,
-                                     tuple(cfg.schedule), cfg.u_min)
+                                     tuple(cfg.schedule))
     fib = assembly["fibers"]
     contracted = tunnels.contract_fibers(assembly["tiling"], fib)
     placed = tunnels.random_isometry(contracted, cfg.seed)

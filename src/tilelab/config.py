@@ -75,6 +75,12 @@ class RunConfig:
             raise ConfigError(f"interpretation must be one of {', '.join(names)}")
         if self.i_min > 0 or self.i_max < 0:
             raise ConfigError("need i_min <= 0 <= i_max")
+        # `fractal` builds the half-width int(window * 2^8) / 2^8, exact only
+        # for these values, and the config hash records the window as given
+        if (not isinstance(self.window, (int, float)) or not self.window > 0
+                or (self.window * 256) % 1):
+            raise ConfigError(
+                f"window must be a positive multiple of 2^-8, got {self.window!r}")
         if self.threads < 1:
             raise ConfigError("threads must be positive")
         if self.steps < 1:

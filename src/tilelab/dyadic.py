@@ -90,9 +90,6 @@ class Dyadic:
             raise ValueError(f"pow2_floor of non-positive {self}")
         return Dyadic(1, self.exp - self.num.bit_length() + 1)
 
-    def __abs__(self) -> "Dyadic":
-        return Dyadic(abs(self.num), self.exp)
-
     # -- comparison -----------------------------------------------------------
 
     def _cmp(self, other: Number) -> int:
@@ -151,7 +148,6 @@ class Dyadic:
 
 
 ZERO = Dyadic(0)
-ONE = Dyadic(1)
 HALF = Dyadic(1, 1)
 
 

@@ -19,8 +19,8 @@ _QUADS = (
 )
 
 
-def comment_header(config_hash: str, seed, char: str = "#") -> List[str]:
-    return [f"{char} config-hash: {config_hash}", f"{char} seed: {seed}"]
+def comment_header(config_hash: str, seed) -> List[str]:
+    return [f"# config-hash: {config_hash}", f"# seed: {seed}"]
 
 
 def _tiling_mesh(tiling, digits: int):

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .boxes import Box, BoxSet, set_contacts, union_all
 from .canon import has_cycle
@@ -58,10 +58,8 @@ class ScaleChain:
     """Anchor points ``v_i`` for scales ``i_min .. i_max``, mutually consistent."""
 
     def __init__(self, v: Dict[int, Tuple[Dyadic, Dyadic]],
-                 epsilons: Dict[int, Tuple[Dyadic, Dyadic]],
                  i_min: int, i_max: int):
         self.v = dict(v)
-        self.epsilons = dict(epsilons)
         self.i_min = i_min
         self.i_max = i_max
         self._check()
@@ -86,15 +84,6 @@ class ScaleChain:
     def anchor(self, i: int) -> Tuple[Dyadic, Dyadic]:
         return self.v[i]
 
-    def translated(self, shift: Tuple[Dyadic, Dyadic]) -> "ScaleChain":
-        """The chain with every anchor translated by ``shift``.
-
-        Valid when ``shift`` is a lattice vector of every scale involved,
-        e.g. a multiple of ``2**i_max``.
-        """
-        v = {i: (p[0] + shift[0], p[1] + shift[1]) for i, p in self.v.items()}
-        return ScaleChain(v, self.epsilons, self.i_min, self.i_max)
-
     def to_json(self) -> dict:
         return {
             "i_min": self.i_min,
@@ -104,28 +93,24 @@ class ScaleChain:
         }
 
 
-def build_chain(seed, i_min: int, i_max: int,
-                precision: Optional[int] = None) -> ScaleChain:
-    """Seeded anchor chain: v_0 uniform dyadic, upward lattice steps, downward
-    modular reductions."""
+def build_chain(seed, i_min: int, i_max: int) -> ScaleChain:
+    """Seeded anchor chain: v_0 uniform dyadic with 12 - i_min bits, upward
+    lattice steps, downward modular reductions."""
     if not (i_min <= 0 <= i_max):
         raise ValueError("need i_min <= 0 <= i_max")
-    if precision is None:
-        precision = 12 - i_min
+    precision = 12 - i_min
     rng = random.Random(f"fractal-chain:{seed!r}")
     v: Dict[int, Tuple[Dyadic, Dyadic]] = {
         0: (Dyadic(rng.getrandbits(precision), precision),
             Dyadic(rng.getrandbits(precision), precision)),
     }
-    epsilons: Dict[int, Tuple[Dyadic, Dyadic]] = {}
     for i in range(0, i_max):
         eps = (_pow2(i) * rng.getrandbits(1), _pow2(i) * rng.getrandbits(1))
-        epsilons[i] = eps
         v[i + 1] = (v[i][0] + eps[0], v[i][1] + eps[1])
     for i in range(-1, i_min - 1, -1):
         up = v[i + 1]
         v[i] = (_dyadic_mod(up[0], i), _dyadic_mod(up[1], i))
-    return ScaleChain(v, epsilons, i_min, i_max)
+    return ScaleChain(v, i_min, i_max)
 
 
 class FractalPiece:

@@ -67,12 +67,9 @@ class PartitionLevel:
 
 
 class PartitionStack:
-    def __init__(self, tree: RootedTreeWindow, schedule: Schedule):
-        self.tree = tree
+    def __init__(self, schedule: Schedule):
         self.schedule = schedule
         self.levels: list[PartitionLevel] = []
-        self.history: list[dict] = []
-        self.flagged = set()  # vertices singletonized due to window truncation
 
     def cuts(self, a: frozenset, b: frozenset) -> bool:
         """a cuts b when a meets b but does not contain it."""
@@ -121,7 +118,7 @@ def peel(tree: RootedTreeWindow, leaves) -> RootedTreeWindow:
 
 
 def grow_class(tree: RootedTreeWindow, x, target: int, stack: PartitionStack,
-               labels: LabelSource, region=None) -> set:
+               labels: LabelSource) -> set:
     """Grow a connected class of exactly ``target`` vertices inside T_x.
 
     One vertex is added at a time.  Whenever the current set cuts an earlier
@@ -129,8 +126,7 @@ def grow_class(tree: RootedTreeWindow, x, target: int, stack: PartitionStack,
     free growth takes the label-minimal frontier vertex whose commitment
     (the outermost earlier class it belongs to) still fits in the budget.
     """
-    if region is None:
-        region = set(tree.subtree(x))
+    region = set(tree.subtree(x))
     if len(region) < target:
         raise InfeasibleGrowth(f"|T_x| = {len(region)} < target {target} at {x!r}")
 
@@ -203,7 +199,6 @@ def build_stage(tree: RootedTreeWindow, schedule: Schedule, stack: PartitionStac
     n = schedule.n_values[i - 1]
     target = 1 << n
     new_classes = {}
-    flagged = set()
     current = tree
     k = 0
     while True:
@@ -212,12 +207,11 @@ def build_stage(tree: RootedTreeWindow, schedule: Schedule, stack: PartitionStac
         if not leaves:
             break
         for x in leaves:
-            region = set(current.subtree(x))
             try:
-                cx = grow_class(current, x, target, stack, labels, region)
+                cx = grow_class(current, x, target, stack, labels)
                 new_classes[("c", i, k, repr(x))] = cx
             except InfeasibleGrowth:
-                flagged.update(region)
+                pass  # x's subtree stays singletons at this stage
         if all(x == current.root for x in leaves):
             break
         current = peel(current, [x for x in leaves if x != current.root])
@@ -225,12 +219,10 @@ def build_stage(tree: RootedTreeWindow, schedule: Schedule, stack: PartitionStac
             break
 
     # refinement: singletonize earlier classes cut by any new class
-    invalidated = []
     for lvl in stack.levels:
         for cid, ms in list(lvl.nonsingleton_classes().items()):
             if any(stack.cuts(frozenset(cx), ms) for cx in new_classes.values()):
                 lvl.singletonize(cid)
-                invalidated.append((lvl.level_index, cid))
 
     covered = set()
     for cx in new_classes.values():
@@ -240,9 +232,6 @@ def build_stage(tree: RootedTreeWindow, schedule: Schedule, stack: PartitionStac
         if v not in covered:
             members[("s", i, v)] = {v}
     stack.levels.append(PartitionLevel(i, members))
-    stack.history.append({"stage": i, "classes": len(new_classes),
-                          "invalidated": invalidated, "flagged": len(flagged)})
-    stack.flagged |= flagged
     return stack
 
 
@@ -251,7 +240,7 @@ def limit_partitions(tree: RootedTreeWindow, schedule: Schedule, stages: int,
     """Run all stages; return (stack, U, per-level non-singleton report)."""
     if stages < 1 or stages > len(schedule.n_values):
         raise ScheduleError("stages out of range for the schedule")
-    stack = PartitionStack(tree, schedule)
+    stack = PartitionStack(schedule)
     for i in range(1, stages + 1):
         build_stage(tree, schedule, stack, i, labels)
     counts = {v: 0 for v in tree.order}

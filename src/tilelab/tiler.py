@@ -74,12 +74,11 @@ class BuddyAllocator:
 
 
 class TopSet:
-    def __init__(self, members, m_of, stratum, class_at, pruned):
+    def __init__(self, members, m_of, stratum, class_at):
         self.members = set(members)
         self.m_of = m_of
         self.stratum = stratum
         self.class_at = class_at
-        self.pruned = pruned
 
 
 def top_set(tree: RootedTreeWindow, stack: PartitionStack) -> TopSet:
@@ -99,15 +98,13 @@ def top_set(tree: RootedTreeWindow, stack: PartitionStack) -> TopSet:
     members = sorted(m_of, key=lambda v: tree.depth[v])
     kept = []
     kept_set = set()
-    pruned = []
     for x in members:  # ancestors first
         anc = tree.parent[x]
         while anc is not None and anc not in kept_set:
             anc = tree.parent[anc]
         if anc is not None:
             if not (m_of[x] < m_of[anc] and class_at[x] <= class_at[anc]):
-                pruned.append((x, "not nested in ancestor class"))
-                continue
+                continue  # not nested in the ancestor's class
         kept.append(x)
         kept_set.add(x)
     stratum = {}
@@ -116,19 +113,14 @@ def top_set(tree: RootedTreeWindow, stack: PartitionStack) -> TopSet:
                  if y != x and tree.is_ancestor(x, y) and y in stratum]
         stratum[x] = 1 + (max(below) if below else 0)
     return TopSet(kept_set, {x: m_of[x] for x in kept_set}, stratum,
-                  {x: class_at[x] for x in kept_set}, pruned)
+                  {x: class_at[x] for x in kept_set})
 
 
 class GridAssignment:
-    def __init__(self, tree, topset, kept, roots, block_origin, coords,
-                 vtop_children, f_children, hang, territory, demoted):
-        self.tree = tree
-        self.topset = topset
-        self.kept = kept                  # surviving top vertices
+    def __init__(self, roots, block_origin, f_children, hang, territory,
+                 demoted):
         self.roots = roots                # kept vertices with no kept ancestor
         self.block_origin = block_origin  # top vertex -> integer cell origin
-        self.coords = coords              # class vertex -> integer cell
-        self.vtop_children = vtop_children
         self.f_children = f_children      # F-tree children per resolved vertex
         self.hang = hang                  # F-vertex -> top children hanging there
         self.territory = territory        # F-vertex -> (size, origin) or None
@@ -139,9 +131,8 @@ def _ceil_log2(n: int) -> int:
     return (n - 1).bit_length() if n > 1 else 0
 
 
-def assign_grid(tree: RootedTreeWindow, topset: TopSet,
-                labels: LabelSource) -> GridAssignment:
-    """Pack blocks and assign cell coordinates; lower blocks embedded intact.
+def assign_grid(tree: RootedTreeWindow, topset: TopSet) -> GridAssignment:
+    """Pack blocks; lower blocks embedded intact.
 
     When the rounded space demands of a block's interior structure exceed its
     capacity, the smallest offending lower block is demoted (its vertices stay
@@ -151,27 +142,14 @@ def assign_grid(tree: RootedTreeWindow, topset: TopSet,
     demoted = []
 
     while True:
-        vtop_children = {x: [] for x in kept}
-        for y in kept:
-            anc = tree.parent[y]
-            while anc is not None and anc not in kept:
-                anc = tree.parent[anc]
-            if anc is not None:
-                vtop_children[anc].append(y)
-        roots = [x for x in kept if x not in
-                 {c for cs in vtop_children.values() for c in cs}]
-
         # F-structure: per kept x, the vertices below x with no kept top
         # vertex strictly between; hanging blocks attach at their tree parent
         f_children = {}
         hang = {}
-        f_nodes = {}  # kept top vertex -> list of its F-vertices
         for x in kept:
-            nodes = []
             stk = [x]
             while stk:
                 z = stk.pop()
-                nodes.append(z)
                 hang.setdefault(z, [])
                 f_children[z] = []
                 for c in tree.children[z]:
@@ -180,7 +158,6 @@ def assign_grid(tree: RootedTreeWindow, topset: TopSet,
                     else:
                         f_children[z].append(c)
                         stk.append(c)
-            f_nodes[x] = nodes
 
         # recursive space demand (in cells) of each F-subtree
         demand = {}
@@ -208,6 +185,14 @@ def assign_grid(tree: RootedTreeWindow, topset: TopSet,
             kept.discard(victim)
             demoted.append(victim)
             continue
+
+        roots = []
+        for y in kept:
+            anc = tree.parent[y]
+            while anc is not None and anc not in kept:
+                anc = tree.parent[anc]
+            if anc is None:
+                roots.append(y)
 
         # allocate: blocks and territories, outermost first
         block_origin = {}
@@ -238,30 +223,8 @@ def assign_grid(tree: RootedTreeWindow, topset: TopSet,
                     else:
                         territory[obj] = (s, absolute)
                         stk.append((obj, s, absolute))
-        break
-
-    # cell coordinates: class vertices biject onto block cells, nested blocks
-    # keeping their own assignment
-    coords = {}
-    for x in kept:
-        cells = _block_cells(block_origin[x], block_dims(topset.m_of[x]))
-        child_cells = set()
-        child_verts = set()
-        for y in vtop_children[x]:
-            child_cells.update(
-                _block_cells(block_origin[y], block_dims(topset.m_of[y])))
-            child_verts.update(topset.class_at[y])
-        free_cells = sorted(c for c in cells if c not in child_cells)
-        free_verts = sorted(
-            (v for v in topset.class_at[x] if v not in child_verts),
-            key=lambda v: (labels.bits(repr(v)), repr(v)),
-        )
-        assert len(free_cells) == len(free_verts), "grid capacity mismatch"
-        for cell, v in zip(free_cells, free_verts):
-            coords[v] = cell
-
-    return GridAssignment(tree, topset, kept, roots, block_origin, coords,
-                          vtop_children, f_children, hang, territory, demoted)
+        return GridAssignment(roots, block_origin, f_children, hang,
+                              territory, demoted)
 
 
 def _f_order(x, f_children):
@@ -272,13 +235,6 @@ def _f_order(x, f_children):
         order.append(z)
         stk.extend(f_children[z])
     return order
-
-
-def _block_cells(origin, dims):
-    return [
-        (origin[0] + i, origin[1] + j, origin[2] + k)
-        for i in range(dims[0]) for j in range(dims[1]) for k in range(dims[2])
-    ]
 
 
 def _cell_box(origin, dims) -> Box:
@@ -312,13 +268,12 @@ class Tiling:
     """Vertex -> tile map with exact face-adjacency graph."""
 
     def __init__(self, tile_of: dict, region: BoxSet, expected_roots,
-                 unresolved, demoted, meta=None):
+                 unresolved, demoted):
         self.tile_of = tile_of
         self.region = region
         self.roots = list(expected_roots)
         self.unresolved = set(unresolved)
         self.demoted = list(demoted)
-        self.meta = dict(meta or {})
         self._contacts = None
         self._adjacency = None
 
@@ -346,8 +301,7 @@ class Tiling:
             for v, s in self.tile_of.items()
         }
         region = self.region.signed_permute(perm, signs).translate(translation)
-        out = Tiling(t, region, self.roots, self.unresolved, self.demoted, self.meta)
-        return out
+        return Tiling(t, region, self.roots, self.unresolved, self.demoted)
 
     def to_json(self) -> dict:
         def boxes_json(bs: BoxSet):
@@ -372,7 +326,7 @@ def carve(tree: RootedTreeWindow, topset: TopSet, grid: GridAssignment) -> Tilin
     region_boxes = []
 
     def emit_cubes(v, cube: Box):
-        kids = grid.tree.children[v]
+        kids = tree.children[v]
         killed = []
         if kids:
             inner = deflate(cube, (cube[0][1] - cube[0][0]).scale(-3))
@@ -428,8 +382,7 @@ def carve(tree: RootedTreeWindow, topset: TopSet, grid: GridAssignment) -> Tilin
     resolved = set(tile_of)
     unresolved = [v for v in tree.order if v not in resolved]
     region = BoxSet(region_boxes)
-    return Tiling(tile_of, region, roots, unresolved, grid.demoted,
-                  meta={"strata": max(topset.stratum.values(), default=0)})
+    return Tiling(tile_of, region, roots, unresolved, grid.demoted)
 
 
 def verify_representation(tiling: Tiling, tree: RootedTreeWindow) -> dict:
@@ -503,11 +456,11 @@ def verify_representation(tiling: Tiling, tree: RootedTreeWindow) -> dict:
 
 
 def tile_tree(tree: RootedTreeWindow, schedule, stages: int,
-              labels: LabelSource, u_min: int = 2):
+              labels: LabelSource):
     """Full pipeline: partitions -> top set -> grid -> carve."""
-    stack, _u, _report = limit_partitions(tree, schedule, stages, labels, u_min)
+    stack, _u, _report = limit_partitions(tree, schedule, stages, labels)
     ts = top_set(tree, stack)
     if not ts.members:
         raise ValueError("window too small: empty top set")
-    grid = assign_grid(tree, ts, labels)
+    grid = assign_grid(tree, ts)
     return {"tiling": carve(tree, ts, grid), "topset": ts, "grid": grid}

@@ -154,7 +154,6 @@ def synthetic_tree(descriptor: str, seed: int = 0) -> RootedTreeWindow:
         parent = {}
         degree = {0: 0}
         for v in range(1, n):
-            choices = [u for u in degree if degree[u] < maxdeg - (u != 0)]
             # root may use all maxdeg slots for children; others keep one for parent
             choices = [u for u in degree
                        if degree[u] < (maxdeg if u == 0 else maxdeg - 1)]

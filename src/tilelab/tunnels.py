@@ -197,13 +197,12 @@ def add_edge(tiling: Tiling, plan: TunnelPlan) -> Tiling:
     tiles = dict(tiling.tile_of)
     tiles[u] = new_d1
     tiles[mid] = new_d2
-    out = Tiling(tiles, tiling.region, tiling.roots, tiling.unresolved,
-                 tiling.demoted, tiling.meta)
-    return out
+    return Tiling(tiles, tiling.region, tiling.roots, tiling.unresolved,
+                  tiling.demoted)
 
 
 def assemble_bs12(window: CayleyWindow, seed: int, stages: int = 2,
-                  schedule_n=(1, 6), u_min: int = 2) -> dict:
+                  schedule_n=(1, 6)) -> dict:
     """Window pipeline: fiber spanning tree, partitions, carving.
 
     Returns a dict with the tiling, the fiber decomposition, the spanning
@@ -221,13 +220,9 @@ def assemble_bs12(window: CayleyWindow, seed: int, stages: int = 2,
     """
     labels = LabelSource(seed)
     fib = fibers(window)
-    flagged_tree = fiber_spanning_tree(window, fib, labels)
-    # the carve tiles the window tree as a finite tree; truncation flags only
-    # qualify the statistics of boundary-adjacent pieces, handled by the
-    # fiber interiority criterion downstream
-    tree = RootedTreeWindow(flagged_tree.root, flagged_tree.parent)
+    tree = fiber_spanning_tree(window, fib, labels)
     sched = Schedule(schedule_n[:stages], 4)
-    tiling = tile_tree(tree, sched, stages, labels, u_min)["tiling"]
+    tiling = tile_tree(tree, sched, stages, labels)["tiling"]
 
     tree_edges = {frozenset((tree.parent[v], v)) for v in tree.order
                   if tree.parent[v] is not None}
@@ -265,8 +260,7 @@ def contract_fibers(tiling: Tiling, fib: FiberDecomposition) -> Tiling:
         pieces[fid] = acc
         if len(tiles) != len(members):
             unresolved.add(("partial", fid))
-    return Tiling(pieces, tiling.region, [], unresolved, [],
-                  meta={"contracted": True})
+    return Tiling(pieces, tiling.region, [], unresolved, [])
 
 
 _CUBE_SYMMETRIES = None
@@ -283,14 +277,15 @@ def cube_symmetries():
     return _CUBE_SYMMETRIES
 
 
-def random_isometry(tiling: Tiling, seed: int, precision: int = 10) -> Tiling:
-    """Uniform dyadic translation composed with a uniform cube symmetry."""
+def random_isometry(tiling: Tiling, seed: int) -> Tiling:
+    """Uniform translation on the 2^-10 grid of [0, 1)^3 composed with a
+    uniform cube symmetry."""
     labels = LabelSource(seed, salt="isometry")
     syms = cube_symmetries()
     idx = labels.bits("symmetry") % len(syms)
     perm, signs = syms[idx]
     tr = tuple(
-        Dyadic(labels.bits(("shift", a)) % (1 << precision), precision)
+        Dyadic(labels.bits(("shift", a)) % (1 << 10), 10)
         for a in range(3)
     )
     return tiling.transform(perm, signs, tr)

@@ -20,6 +20,19 @@ def test_cli_import_does_not_load_numpy():
     assert out.stdout.strip() == "False"
 
 
+def test_parser_is_built_on_first_use_and_reused(tmp_path):
+    lines = ["import tilelab.cli as cli",
+             "assert cli._build_parser.cache_info().misses == 0, 'import'"]
+    for k in range(2):
+        argv = ["bs12", "--radius", "1", "--out", str(tmp_path / str(k))]
+        lines.append(f"assert cli.main({argv!r}) == 0")
+    lines.append("info = cli._build_parser.cache_info()")
+    lines.append("assert (info.misses, info.hits) == (1, 1), info")
+    out = subprocess.run([sys.executable, "-c", "\n".join(lines)],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+
+
 def test_commands_other_than_check_do_not_load_networkx(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("i_min = -1\ni_max = 1\nwindow = 1.0\n")
@@ -162,6 +175,12 @@ def test_config_error_exit_code(tmp_path):
                   "--out", str(tmp_path))
     assert out.returncode == 2
     assert "config error: interpretation must be one of" in out.stderr
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("window = 0.3\n")
+    out = run_cli("fractal", "--config", str(cfg), "--out", str(tmp_path))
+    assert out.returncode == 2
+    assert "config error: window must be a positive multiple" in out.stderr
+    assert not list(tmp_path.glob("fractal-*"))
 
 
 def test_radius_one_window_is_vacuously_ok(tmp_path):

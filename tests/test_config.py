@@ -24,6 +24,18 @@ def test_schedule_validation():
         RunConfig({"i_min": 1, "i_max": 2})
 
 
+@pytest.mark.parametrize("window", [0.3, 1e-9, 0, 0.0, -1, -0.5,
+                                    float("nan"), float("inf"), "1.0"])
+def test_window_must_be_positive_multiple_of_2_to_minus_8(window):
+    with pytest.raises(ConfigError, match="window must be a positive multiple"):
+        RunConfig({"window": window})
+
+
+def test_window_on_the_2_to_minus_8_lattice_is_kept_as_given():
+    for window in (1 / 256, 0.375, 0.5, 0.625, 0.75, 1.0, 2, 3.5):
+        assert RunConfig({"window": window}).window == window
+
+
 def test_hash_ignores_out_dir():
     a = RunConfig({"seed": 4, "out": "/tmp/a"})
     b = RunConfig({"seed": 4, "out": "/tmp/b"})

@@ -82,6 +82,33 @@ def test_verifier_four_conditions(descriptor):
     assert report["pass"]
 
 
+@pytest.mark.parametrize("descriptor", [
+    "path(24)", "binary-canopy(6)", "canopy(3,3)", "canopy(3,4)",
+    "spine(6,2)", "random(100,4)", "random(150,3)", "random(200,3)",
+    "random(300,4)",
+])
+def test_blocks_nest_along_the_tree_and_are_otherwise_disjoint(descriptor):
+    """A kept top vertex's block holds the blocks of its kept descendants
+    and meets no other block in more than a face."""
+    for seed in range(4):
+        tree = synthetic_tree(descriptor, seed=seed)
+        built = tile_tree(tree, Schedule([1, 6], 4), 2,
+                          LabelSource(seed, salt="tiler-test"))
+        blocks = {x: [(o, o + d) for o, d in zip(
+                      origin, block_dims(built["topset"].m_of[x]))]
+                  for x, origin in built["grid"].block_origin.items()}
+        for x, bx in blocks.items():
+            for y, by in blocks.items():
+                if x == y:
+                    continue
+                if tree.is_ancestor(x, y):
+                    assert all(xl <= yl and yh <= xh
+                               for (xl, xh), (yl, yh) in zip(bx, by)), (x, y)
+                elif not tree.is_ancestor(y, x):
+                    assert any(yh <= xl or xh <= yl
+                               for (xl, xh), (yl, yh) in zip(bx, by)), (x, y)
+
+
 def test_verifier_reports_first_overlapping_pair():
     tree, tiling = run("path(16)")
     verts = sorted(tiling.tile_of, key=repr)
