@@ -221,9 +221,9 @@ def fiber_spanning_tree(window: CayleyWindow, fib: FiberDecomposition,
 
     Contracting the fibers of this tree reproduces the window's fiber contact
     graph exactly, which is what the downstream fiber-piece pipeline needs.
-    The tree carries no boundary flags: the window's truncation qualifies only
-    the boundary-adjacent pieces, which the fiber interiority criterion
-    (`FiberDecomposition.interior_fibers`) already sets apart.
+    The tree does not record where the window truncates the group: that
+    qualifies only the boundary-adjacent pieces, which the fiber interiority
+    criterion (`FiberDecomposition.interior_fibers`) already sets apart.
     """
     apex = _apex(window, labels)
     root_seg = fib.segment_of[apex]

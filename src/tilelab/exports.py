@@ -1,14 +1,17 @@
 """File export: JSON, OFF/OBJ meshes, SVG and CSV, all with run headers.
 
 Every file starts with (or embeds) the config hash and seed so that a rerun
-with the same configuration is byte-identical and traceable.
+with the same configuration is byte-identical and traceable.  JSON is
+written by `dumps_indented`: the same bytes as `json.dumps` with an indent
+of 2, ``sort_keys=True`` and ``default=repr``.
 """
 
 from __future__ import annotations
 
-import json
+import math
 import os
 from decimal import Decimal
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Dict, List, Sequence
 
 # Corner i of a box is (x[i & 1], y[i >> 1 & 1], z[i >> 2]); its six quads:
@@ -74,10 +77,103 @@ def tiling_obj(tiling, config_hash: str, seed, digits: int = 9,
     return "\n".join(lines) + "\n"
 
 
+def _scalar_text(o):
+    """JSON text of None, a bool, an int or a float, as `json.dumps` writes
+    it; None for a value of any other type."""
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if math.isinf(o):
+            return "Infinity" if o > 0 else "-Infinity"
+        return float.__repr__(o)
+    return None
+
+
+def dumps_indented(obj) -> str:
+    """The text `json.dumps` gives ``obj`` with an indent of 2,
+    ``sort_keys=True`` and ``default=repr``, without the pure-Python encoder
+    that an indent forces.
+
+    A list of plain ints (a ``[num, exp]`` pair, say) is rendered once per
+    value and depth and reused.  Unlike ``json.dumps``, a circular
+    container is not detected: it recurses until `RecursionError`.
+    """
+    parts: List[str] = []
+    put = parts.append
+    int_lists: Dict[tuple, str] = {}
+
+    def value(o, depth: int) -> None:
+        if isinstance(o, (list, tuple)):
+            seq(o, depth)
+        elif isinstance(o, dict):
+            mapping(o, depth)
+        elif isinstance(o, str):
+            put(_quote(o))
+        else:
+            text = _scalar_text(o)
+            put(_quote(repr(o)) if text is None else text)
+
+    def seq(o, depth: int) -> None:
+        if not o:
+            put("[]")
+            return
+        for v in o:
+            if type(v) is not int:
+                break
+        else:
+            key = (tuple(o), depth)
+            text = int_lists.get(key)
+            if text is None:
+                pad = "\n" + "  " * (depth + 1)
+                text = int_lists[key] = (
+                    "[" + pad + ("," + pad).join(map(int.__repr__, o))
+                    + pad[:-2] + "]")
+            put(text)
+            return
+        pad = "\n" + "  " * (depth + 1)  # pad[:-2] closes at depth
+        put("[")
+        sep = pad
+        for v in o:
+            put(sep)
+            sep = "," + pad
+            value(v, depth + 1)
+        put(pad[:-2] + "]")
+
+    def mapping(o, depth: int) -> None:
+        if not o:
+            put("{}")
+            return
+        pad = "\n" + "  " * (depth + 1)
+        put("{")
+        sep = pad
+        for k, v in sorted(o.items()):
+            if not isinstance(k, str):
+                text = _scalar_text(k)
+                if text is None:
+                    raise TypeError(f"keys must be str, int, float, bool or "
+                                    f"None, not {type(k).__name__}")
+                k = text
+            put(sep + _quote(k) + ": ")
+            sep = "," + pad
+            value(v, depth + 1)
+        put(pad[:-2] + "}")
+
+    value(obj, 0)
+    return "".join(parts)
+
+
 def json_report(payload: Dict, config_hash: str, seed) -> str:
     body = {"config_hash": config_hash, "seed": seed}
     body.update(payload)
-    return json.dumps(body, indent=2, sort_keys=True, default=repr) + "\n"
+    return dumps_indented(body) + "\n"
 
 
 def csv_table(rows: Sequence[Sequence], header: Sequence[str],

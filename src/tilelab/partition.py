@@ -82,14 +82,14 @@ def core_set(tree: RootedTreeWindow, k: int) -> set:
 
 
 def leaf_set(tree: RootedTreeWindow, schedule: Schedule, i: int) -> list:
-    """Degree-1 vertices of the induced subgraph on S_{n_i}, root and
-    truncation-flagged vertices excluded; size bounds asserted."""
+    """Degree-1 vertices of the induced subgraph on S_{n_i}, root excluded;
+    size bounds asserted."""
     n = schedule.n_values[i - 1]
     s = core_set(tree, n)
     out = []
     d = schedule.degree_bound
     for v in s:
-        if v == tree.root or v in tree.boundary:
+        if v == tree.root:
             continue
         deg_in_s = (1 if tree.parent[v] in s else 0) + sum(
             1 for c in tree.children[v] if c in s
@@ -112,9 +112,7 @@ def peel(tree: RootedTreeWindow, leaves) -> RootedTreeWindow:
     for x in leaves:
         drop.update(tree.subtree(x))
     keep = [v for v in tree.order if v not in drop]
-    parent = {v: tree.parent[v] for v in keep}
-    bnd = {v for v in keep if v in tree.boundary}
-    return RootedTreeWindow(tree.root, parent, bnd)
+    return RootedTreeWindow(tree.root, {v: tree.parent[v] for v in keep})
 
 
 def grow_class(tree: RootedTreeWindow, x, target: int, stack: PartitionStack,
@@ -244,6 +242,7 @@ def limit_partitions(tree: RootedTreeWindow, schedule: Schedule, stages: int,
     for i in range(1, stages + 1):
         build_stage(tree, schedule, stack, i, labels)
     counts = {v: 0 for v in tree.order}
+    n = max(len(counts), 1)
     report = {}
     for lvl in stack.levels:
         nons = set()
@@ -251,9 +250,6 @@ def limit_partitions(tree: RootedTreeWindow, schedule: Schedule, stages: int,
             nons |= ms
         for v in nons:
             counts[v] += 1
-        interior = [v for v in tree.order if v not in tree.boundary]
-        report[lvl.level_index] = (
-            sum(1 for v in interior if v in nons) / max(len(interior), 1)
-        )
+        report[lvl.level_index] = len(nons) / n
     u = {v for v, c in counts.items() if c >= u_min}
     return stack, u, report

@@ -1,9 +1,4 @@
-"""Finite windows of rooted trees, with subtree bookkeeping.
-
-A window is a finite rooted tree together with boundary flags: a flagged
-vertex is one whose subtree was truncated by the window, so size-based
-quantities at flagged vertices are not trusted by downstream consumers.
-"""
+"""Finite windows of rooted trees, with subtree bookkeeping."""
 
 from __future__ import annotations
 
@@ -14,7 +9,7 @@ import re
 class RootedTreeWindow:
     """Immutable rooted tree window over hashable vertex ids."""
 
-    def __init__(self, root, parent: dict, boundary=()):
+    def __init__(self, root, parent: dict):
         self.root = root
         self.parent = dict(parent)
         self.parent[root] = None
@@ -26,7 +21,6 @@ class RootedTreeWindow:
                 self.children[p].append(v)
         for c in self.children.values():
             c.sort(key=repr)
-        self.boundary = frozenset(boundary)
 
         # iterative DFS: preorder, entry/exit times, subtree sizes, depths
         self.order: list = []
@@ -109,9 +103,7 @@ class RootedTreeWindow:
         for v, p in parent.items():
             if p is not None and p not in keep:
                 raise ValueError("restriction is not connected to the root")
-        bnd = {v for v in keep if v in self.boundary}
-        bnd |= {v for v in keep if any(c not in keep for c in self.children[v])}
-        return RootedTreeWindow(self.root, parent, bnd)
+        return RootedTreeWindow(self.root, parent)
 
 
 def synthetic_tree(descriptor: str, seed: int = 0) -> RootedTreeWindow:

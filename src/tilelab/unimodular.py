@@ -9,11 +9,12 @@ where the statement is exact, and with 3-sigma bands where it is statistical.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+
+from .exports import dumps_indented
 
 # networkx takes about half of a cold start; only the graph suites behind
 # `check` call it, so each function that does imports it on first use.
@@ -60,70 +61,100 @@ def _ball(graph: nx.Graph, root, r: int) -> nx.Graph:
     return ball
 
 
-def _rooted_ball_isomorphic(g1: nx.Graph, o1, g2: nx.Graph, o2, r: int) -> bool:
+def _balls_isomorphic(b1: nx.Graph, b2: nx.Graph) -> bool:
+    """Rooted isomorphism of two `_ball`s: distances to the root, marks and
+    edge colors are preserved."""
     import networkx as nx
 
-    b1, b2 = _ball(g1, o1, r), _ball(g2, o2, r)
     nm = nx.algorithms.isomorphism.categorical_node_match(
         ["_dist", "mark"], [None, None])
     em = nx.algorithms.isomorphism.categorical_edge_match("color", None)
     return nx.is_isomorphic(b1, b2, node_match=nm, edge_match=em)
 
 
+def _rooted_ball_isomorphic(g1: nx.Graph, o1, g2: nx.Graph, o2, r: int) -> bool:
+    return _balls_isomorphic(_ball(g1, o1, r), _ball(g2, o2, r))
+
+
 # -- transport function battery ------------------------------------------------
 
 F_BATTERY_VERSION = "1.0"
 
-TransportFn = Callable[["nx.Graph", object, object], Fraction]
+# A transport function takes a graph ``g``, reads once what it needs of it,
+# and returns the function ``(x, y) -> mass sent from x to y`` on ``g``.
+TransportFn = Callable[["nx.Graph"], Callable[[object, object], Fraction]]
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
-def _f_unit_neighbors(g, x, y):
-    return Fraction(int(g.has_edge(x, y)))
+def _f_unit_neighbors(g):
+    return lambda x, y: _ONE if g.has_edge(x, y) else _ZERO
 
 
-def _f_inverse_degree(g, x, y):
-    if g.has_edge(x, y):
-        return Fraction(1, g.degree(x))
-    return Fraction(0)
+def _f_inverse_degree(g):
+    return lambda x, y: Fraction(1, g.degree(x)) if g.has_edge(x, y) else _ZERO
 
 
-def _f_unit_self(g, x, y):
-    return Fraction(int(x == y))
+def _f_unit_self(g):
+    return lambda x, y: _ONE if x == y else _ZERO
 
 
-def _f_neighbor_degree(g, x, y):
-    if g.has_edge(x, y):
-        return Fraction(g.degree(y))
-    return Fraction(0)
+def _f_neighbor_degree(g):
+    return lambda x, y: Fraction(g.degree(y)) if g.has_edge(x, y) else _ZERO
 
 
-def _f_mark_match(g, x, y):
-    if g.has_edge(x, y) and g.nodes[x].get("mark") == g.nodes[y].get("mark"):
-        return Fraction(1)
-    return Fraction(0)
+def _f_mark_match(g):
+    nodes = g.nodes
+
+    def f(x, y):
+        if g.has_edge(x, y) and nodes[x].get("mark") == nodes[y].get("mark"):
+            return _ONE
+        return _ZERO
+    return f
 
 
-def _f_color_weight(g, x, y):
-    if g.has_edge(x, y):
-        color = g.edges[x, y].get("color")
-        colors = sorted({repr(g.edges[e].get("color")) for e in g.edges}) or [repr(None)]
-        return Fraction(1 + colors.index(repr(color)))
-    return Fraction(0)
+def _f_color_weight(g):
+    colors = sorted({repr(c) for _, _, c in g.edges(data="color")})
+    rank = {c: Fraction(i + 1) for i, c in enumerate(colors)}
+
+    def f(x, y):
+        if g.has_edge(x, y):
+            return rank[repr(g.edges[x, y].get("color"))]
+        return _ZERO
+    return f
 
 
-def _f_ball_iso(g, x, y):
-    if g.has_edge(x, y) and _rooted_ball_isomorphic(g, x, g, y, 1):
-        return Fraction(1)
-    return Fraction(0)
+def _f_ball_iso(g):
+    balls: Dict = {}  # vertex -> its rooted 1-ball
+    same: Dict = {}  # unordered edge -> are its endpoints' 1-balls isomorphic
+
+    def ball(v):
+        b = balls.get(v)
+        if b is None:
+            b = balls[v] = _ball(g, v, 1)
+        return b
+
+    def f(x, y):
+        if not g.has_edge(x, y):
+            return _ZERO
+        edge = frozenset((x, y))
+        hit = same.get(edge)
+        if hit is None:
+            hit = same[edge] = _balls_isomorphic(ball(x), ball(y))
+        return _ONE if hit else _ZERO
+    return f
 
 
-def _f_distance_two(g, x, y):
-    if x == y or g.has_edge(x, y):
-        return Fraction(0)
-    for z in g.neighbors(x):
-        if g.has_edge(z, y):
-            return Fraction(1)
-    return Fraction(0)
+def _f_distance_two(g):
+    def f(x, y):
+        if x == y or g.has_edge(x, y):
+            return _ZERO
+        for z in g.neighbors(x):
+            if g.has_edge(z, y):
+                return _ONE
+        return _ZERO
+    return f
 
 
 F_BATTERY: Dict[str, TransportFn] = {
@@ -150,17 +181,13 @@ _F_DESCRIPTIONS = {
 
 
 def battery_manifest() -> str:
-    return json.dumps(
-        {
-            "version": F_BATTERY_VERSION,
-            "functions": [
-                {"name": name, "description": _F_DESCRIPTIONS[name]}
-                for name in F_BATTERY
-            ],
-        },
-        indent=2,
-        sort_keys=True,
-    )
+    return dumps_indented({
+        "version": F_BATTERY_VERSION,
+        "functions": [
+            {"name": name, "description": _F_DESCRIPTIONS[name]}
+            for name in F_BATTERY
+        ],
+    })
 
 
 # -- mass transport ------------------------------------------------------------
@@ -168,17 +195,40 @@ def battery_manifest() -> str:
 
 def mtp_check(samples: Sequence[RootedSample],
               f: TransportFn) -> Tuple[Fraction, Fraction, bool]:
-    """Exact expected mass out of the root vs into the root."""
+    """Exact expected mass out of the root vs into the root.
+
+    ``f(g)(x, y)`` must be a pure function of ``(g, x, y)``: ``f(g)`` is
+    called once per distinct graph of the samples, and each value once per
+    distinct ``(graph, x, y)``.  Both sides sum, over every sample and every
+    vertex ``y`` of its graph, the values at ``(root, y)`` and at
+    ``(y, root)``.
+    """
     lhs = Fraction(0)
     rhs = Fraction(0)
+    on_graph: Dict = {}  # graph, by identity -> (f(graph), {(x, y): value})
     for s in samples:
-        for y in s.graph:
-            lhs += s.weight * f(s.graph, s.root, y)
-            rhs += s.weight * f(s.graph, y, s.root)
+        g, root = s.graph, s.root
+        if g not in on_graph:
+            on_graph[g] = (f(g), {})
+        fg, values = on_graph[g]
+
+        def value(x, y):
+            v = values.get((x, y))
+            if v is None:
+                v = values[x, y] = fg(x, y)
+            return v
+
+        # zero values are evaluated like the others but add nothing
+        lhs += s.weight * sum(filter(None, [value(root, y) for y in g]), _ZERO)
+        rhs += s.weight * sum(filter(None, [value(y, root) for y in g]), _ZERO)
     return lhs, rhs, lhs == rhs
 
 
 def mtp_battery(samples: Sequence[RootedSample]) -> Dict[str, dict]:
+    """`mtp_check` of every function of `F_BATTERY`, each a pure function of
+    ``(g, x, y)``: each value is evaluated once per distinct
+    ``(graph, x, y)``, each rooted 1-ball is built once per
+    ``(graph, vertex)`` and 1-ball isomorphism is decided once per edge."""
     out = {}
     for name, f in F_BATTERY.items():
         lhs, rhs, ok = mtp_check(samples, f)

@@ -131,6 +131,44 @@ def test_fractal_artifacts_are_pinned(tmp_path):
             for p in out.iterdir()} == FRACTAL_DIGESTS
 
 
+# SHA-256 of the JSON artifacts of `check`, `tile-tree --tree
+# "binary-canopy(4)" --seed 0`, `t3 --radius 3 --seed 0` and `bs12 --radius
+# 3 --seed 0`, recorded before `exports.dumps_indented` replaced
+# `json.dumps(indent=2)`.
+JSON_DIGESTS = {
+    "check.json":
+        "1541036cb18a04a12c91c9053e5dfc128d73afaf61346862b44bd6de22b306a3",
+    "f-battery.json":
+        "f53072ec155864e270c8ab7336259a7d428def33a17bfcb79ab71dd044bdaf0a",
+    "tiling.json":
+        "58ecaf946680c8a500a4f2a29c2279741ab57366c29819c9be472734c95ebee9",
+    "verifier.json":
+        "7c6856a975b8aaf69954214030cde7628624827b36d7a5a0a5a0389cfdafcaa3",
+    "t3-report.json":
+        "cb28a5e7d2bf5fc3918d0b7a995919846818fb7b3ee0038769d0a2ba2cc0e087",
+    "window.json":
+        "0c3794b84458a047e7b7dc8e17ae2cd5d038d490cca03a7ae2afc133bd128687",
+    "fibers.json":
+        "a1da587f66dda5911309ac8ecf0a8380056211116ca8cc8345b75882feea723b",
+}
+
+
+def test_json_artifacts_are_pinned(tmp_path):
+    import hashlib
+    import tilelab.cli as cli
+    runs = [["check"],
+            ["tile-tree", "--tree", "binary-canopy(4)", "--seed", "0"],
+            ["t3", "--radius", "3", "--seed", "0"],
+            ["bs12", "--radius", "3", "--seed", "0"]]
+    digests = {}
+    for k, argv in enumerate(runs):
+        out = tmp_path / str(k)
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        digests.update((p.name, hashlib.sha256(p.read_bytes()).hexdigest())
+                       for p in out.glob("*.json"))
+    assert digests == JSON_DIGESTS
+
+
 def test_t3_reports_dropped_disconnected_fibers(tmp_path):
     out = run_cli("t3", "--radius", "4", "--seed", "0", "--out", str(tmp_path))
     assert out.returncode == 0, out.stderr

@@ -1,16 +1,17 @@
 """Export formats: OFF/OBJ mesh integrity, JSON/CSV headers, determinism."""
 
 import json
+import math
 from decimal import Decimal
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tilelab.boxes import BoxSet, union_all
 from tilelab.dyadic import Dyadic
-from tilelab.exports import (_tiling_mesh, csv_table, json_report,
-                             svg_with_header, tiling_obj, tiling_off,
-                             write_file)
+from tilelab.exports import (_tiling_mesh, csv_table, dumps_indented,
+                             json_report, svg_with_header, tiling_obj,
+                             tiling_off, write_file)
 from tilelab.labels import LabelSource
 from tilelab.partition import Schedule
 from tilelab.tiler import Tiling, tile_tree
@@ -58,6 +59,38 @@ def test_json_report_embeds_provenance():
     assert doc["config_hash"] == "abcd"
     assert doc["seed"] == 7
     assert doc["x"] == 1
+
+
+# Scalars of every kind `json.dumps` encodes, and the `Fraction` and
+# `Dyadic` values it renders through ``default=repr``.
+_SCALARS = (st.none() | st.booleans()
+            | st.integers() | st.integers(-(1 << 80), 1 << 80)
+            | st.floats()
+            | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e-05, 1e16])
+            | st.text() | st.text(st.characters(max_codepoint=0x1f))
+            | st.fractions()
+            | st.builds(Dyadic, st.integers(-99, 99), st.integers(0, 8))
+            # short int lists repeat, so one rendering serves several depths
+            | st.lists(st.integers(-2, 2), max_size=3))
+# One kind of key per dict: `sort_keys` cannot order str against int keys.
+_KEYS = [st.text(), st.integers() | st.floats() | st.booleans(), st.none()]
+
+
+def _json_values(children):
+    return (st.lists(children, max_size=4)
+            | st.lists(children, max_size=4).map(tuple)
+            | st.one_of([st.dictionaries(k, children, max_size=4)
+                         for k in _KEYS]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(_SCALARS, _json_values, max_leaves=30))
+@example([[1, 1], [1, True], [[1, 1], (1, 1)], {"a": [1, 1]}, [1.0, 1]])
+@example({math.nan: [], 1e16: {}, -0.0: "\x00\u00e9\u2028\U0001f600"})
+@example({True: 1, 2: False, 0.5: None})
+def test_dumps_indented_matches_json_dumps(obj):
+    assert dumps_indented(obj) + "\n" == (
+        json.dumps(obj, indent=2, sort_keys=True, default=repr) + "\n")
 
 
 def test_csv_and_svg_headers():

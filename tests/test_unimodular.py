@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import battery_reference as ref
 import tilelab.unimodular as um
 
 
@@ -37,6 +39,81 @@ def test_mtp_detects_biased_rooting():
     fam = [um.RootedSample(g, 0, Fraction(1))]
     res = um.mtp_battery(fam)
     assert not res["neighbor_degree"]["equal"]
+
+
+def dual_samples(g):
+    return um.bigraph_samples(um.dual_family(um.reroot_to_H(um.bigraph_fixture(g))))
+
+
+def test_battery_matches_per_call_reference_on_fixtures():
+    for name, g in um.bundled_fixtures().items():
+        for fam in (um.uniform_family(g), dual_samples(g)):
+            assert um.mtp_battery(fam) == ref.mtp_battery(fam), name
+
+
+def test_battery_matches_per_call_reference_on_biased_path():
+    g = nx.path_graph(3)
+    for v in g:
+        g.nodes[v]["mark"] = 0
+    for e in g.edges:
+        g.edges[e]["color"] = "a"
+    for root in g:
+        fam = [um.RootedSample(g, root, Fraction(1))]
+        assert um.mtp_battery(fam) == ref.mtp_battery(fam)
+
+
+@st.composite
+def decorated_graphs(draw):
+    n = draw(st.integers(1, 7))
+    g = nx.Graph()
+    g.add_nodes_from(range(n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for u, v in (draw(st.lists(st.sampled_from(pairs), max_size=12))
+                 if pairs else []):
+        color = draw(st.sampled_from(["a", "b", "c", 0, None]))
+        if color is None:
+            g.add_edge(u, v)  # no color attribute at all
+        else:
+            g.add_edge(u, v, color=color)
+    for v in g:
+        mark = draw(st.sampled_from([0, 1, None]))
+        if mark is not None:
+            g.nodes[v]["mark"] = mark
+    return g
+
+
+@st.composite
+def weighted_families(draw):
+    graphs = draw(st.lists(decorated_graphs(), min_size=1, max_size=3))
+    samples = []
+    for _ in range(draw(st.integers(1, 6))):
+        g = draw(st.sampled_from(graphs))
+        root = draw(st.sampled_from(sorted(g)))
+        weight = draw(st.fractions(min_value=0, max_value=3, max_denominator=9))
+        samples.append(um.RootedSample(g, root, weight))
+    return samples
+
+
+@settings(max_examples=80, deadline=None)
+@given(weighted_families())
+def test_battery_matches_per_call_reference_on_random_graphs(samples):
+    assert um.mtp_battery(samples) == ref.mtp_battery(samples)
+
+
+def test_battery_builds_each_ball_once_per_graph_and_vertex(monkeypatch):
+    built = []
+    ball = um._ball
+
+    def counting_ball(graph, root, r):
+        built.append((id(graph), root))
+        return ball(graph, root, r)
+
+    monkeypatch.setattr(um, "_ball", counting_ball)
+    for g in um.bundled_fixtures().values():
+        for fam in (um.uniform_family(g), dual_samples(g)):
+            built.clear()
+            um.mtp_battery(fam)
+            assert built and len(built) == len(set(built))
 
 
 def test_battery_manifest():
