@@ -45,25 +45,18 @@ class Schedule:
 
 
 class PartitionLevel:
-    """One partition: class ids -> member sets, plus the inverse map."""
+    """One partition: class ids -> member sets."""
 
     def __init__(self, level_index: int, class_members: dict):
         self.level_index = level_index
         self.class_members = {cid: frozenset(m) for cid, m in class_members.items()}
-        self.class_of = {}
-        for cid, ms in self.class_members.items():
-            for v in ms:
-                self.class_of[v] = cid
 
     def nonsingleton_classes(self):
         return {c: m for c, m in self.class_members.items() if len(m) > 1}
 
     def singletonize(self, cid):
-        members = self.class_members.pop(cid)
-        for v in members:
-            scid = ("s", self.level_index, v)
-            self.class_members[scid] = frozenset([v])
-            self.class_of[v] = scid
+        for v in self.class_members.pop(cid):
+            self.class_members[("s", self.level_index, v)] = frozenset([v])
 
 
 class PartitionStack:
@@ -76,58 +69,40 @@ class PartitionStack:
         return not a.isdisjoint(b) and not b.issubset(a)
 
 
-def core_set(tree: RootedTreeWindow, k: int) -> set:
-    """S_k: vertices whose window subtree has at least 2^k elements."""
-    return {v for v in tree.order if tree.subtree_size[v] >= (1 << k)}
+def leaf_set(tree: RootedTreeWindow, size: dict, schedule: Schedule,
+             i: int) -> list:
+    """Degree-1 vertices of the induced subgraph on S_{n_i}, the vertices
+    whose live subtree has at least 2^{n_i} elements, root excluded; size
+    bounds asserted.
 
-
-def leaf_set(tree: RootedTreeWindow, schedule: Schedule, i: int) -> list:
-    """Degree-1 vertices of the induced subgraph on S_{n_i}, root excluded;
-    size bounds asserted."""
+    S is closed under ancestors, so a non-root member of S has its parent
+    in S, and it is a leaf of S when none of its children is in S.
+    """
     n = schedule.n_values[i - 1]
-    s = core_set(tree, n)
-    out = []
     d = schedule.degree_bound
-    for v in s:
-        if v == tree.root:
-            continue
-        deg_in_s = (1 if tree.parent[v] in s else 0) + sum(
-            1 for c in tree.children[v] if c in s
-        )
-        if deg_in_s == 1:
-            size = tree.subtree_size[v]
-            assert (1 << n) <= size <= 1 + (d - 1) * (1 << n), (
-                f"leaf-set size bound violated at {v!r}: {size}"
+    out = []
+    for v in tree.order[1:]:  # order[0] is the root
+        if size[v] >= (1 << n) and all(size[c] < (1 << n)
+                                       for c in tree.children[v]):
+            assert (1 << n) <= size[v] <= 1 + (d - 1) * (1 << n), (
+                f"leaf-set size bound violated at {v!r}: {size[v]}"
             )
             out.append(v)
     out.sort(key=repr)
     return out
 
 
-def peel(tree: RootedTreeWindow, leaves) -> RootedTreeWindow:
-    """Remove the subtrees hanging at the given vertices; keep the root side."""
-    if tree.root in leaves:
-        raise ValueError("cannot peel the root")
-    drop = set()
-    for x in leaves:
-        drop.update(tree.subtree(x))
-    keep = [v for v in tree.order if v not in drop]
-    return RootedTreeWindow(tree.root, {v: tree.parent[v] for v in keep})
-
-
-def grow_class(tree: RootedTreeWindow, x, target: int, stack: PartitionStack,
-               labels: LabelSource) -> set:
-    """Grow a connected class of exactly ``target`` vertices inside T_x.
+def grow_class(tree: RootedTreeWindow, region: set, x, target: int,
+               stack: PartitionStack, labels: LabelSource) -> set:
+    """Grow a connected class of exactly ``target`` vertices inside
+    ``region``, the at least ``target`` vertices of T_x that earlier rounds
+    left unpeeled.
 
     One vertex is added at a time.  Whenever the current set cuts an earlier
     class, the smallest cut class is completed before free growth resumes;
     free growth takes the label-minimal frontier vertex whose commitment
     (the outermost earlier class it belongs to) still fits in the budget.
     """
-    region = set(tree.subtree(x))
-    if len(region) < target:
-        raise InfeasibleGrowth(f"|T_x| = {len(region)} < target {target} at {x!r}")
-
     # earlier non-singleton classes, outermost-first lookup per vertex
     classes = []
     for lvl in stack.levels:
@@ -193,28 +168,34 @@ def grow_class(tree: RootedTreeWindow, x, target: int, stack: PartitionStack,
 
 def build_stage(tree: RootedTreeWindow, schedule: Schedule, stack: PartitionStack,
                 i: int, labels: LabelSource) -> PartitionStack:
-    """Run stage i: peel leaf sets repeatedly, growing one class per leaf."""
+    """Run stage i: peel leaf sets repeatedly, growing one class per leaf.
+
+    Every round works on ``tree`` itself: a peeled vertex keeps its place
+    and gets live subtree size 0.
+    """
     n = schedule.n_values[i - 1]
     target = 1 << n
     new_classes = {}
-    current = tree
+    size = dict(tree.subtree_size)  # live subtree sizes; peeled vertices 0
     k = 0
-    while True:
+    while size[tree.root] > 1:
         k += 1
-        leaves = leaf_set(current, schedule, i)
+        leaves = leaf_set(tree, size, schedule, i)
         if not leaves:
             break
         for x in leaves:
+            region = {v for v in tree.subtree(x) if size[v]}
             try:
-                cx = grow_class(current, x, target, stack, labels)
+                cx = grow_class(tree, region, x, target, stack, labels)
                 new_classes[("c", i, k, repr(x))] = cx
             except InfeasibleGrowth:
                 pass  # x's subtree stays singletons at this stage
-        if all(x == current.root for x in leaves):
-            break
-        current = peel(current, [x for x in leaves if x != current.root])
-        if len(current) <= 1:
-            break
+            # peel T_x now: no other leaf of this round is in T_x or above
+            # x, so the sizes the later leaves read do not change
+            for v in region:
+                size[v] = 0
+            for a in tree.path_to_root(tree.parent[x]):
+                size[a] -= len(region)
 
     # refinement: singletonize earlier classes cut by any new class
     for lvl in stack.levels:

@@ -432,12 +432,12 @@ def verify_representation(tiling: Tiling, tree: RootedTreeWindow) -> dict:
     iso = expected == got
     hashes = None
     if iso:
+        # equal edge sets give one forest: it must still be rooted at the
+        # expected roots, and its hash stands for both sides
         try:
-            ch_got = rooted_forest_from_edges(resolved, got, tiling.roots)
-            ch_exp = rooted_forest_from_edges(resolved, expected, tiling.roots)
-            hashes = (forest_hash(ch_got, tiling.roots),
-                      forest_hash(ch_exp, tiling.roots))
-            iso = hashes[0] == hashes[1]
+            h = forest_hash(rooted_forest_from_edges(resolved, got, tiling.roots),
+                            tiling.roots)
+            hashes = (h, h)
         except ValueError:
             iso = False
     report["adjacency_isomorphic"] = {

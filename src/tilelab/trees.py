@@ -22,25 +22,20 @@ class RootedTreeWindow:
         for c in self.children.values():
             c.sort(key=repr)
 
-        # iterative DFS: preorder, entry/exit times, subtree sizes, depths
+        # one iterative preorder walk: a vertex's subtree is the run of
+        # vertices appended between its entry and its exit, so it is the
+        # slice order[pos[v] : pos[v] + subtree_size[v]]
         self.order: list = []
-        self.tin: dict = {}
-        self.tout: dict = {}
+        self.pos: dict = {}
         self.depth: dict = {}
         self.subtree_size: dict = {}
-        t = 0
         stack = [(self.root, 0, False)]
         while stack:
             v, d, done = stack.pop()
             if done:
-                self.tout[v] = t
-                t += 1
-                self.subtree_size[v] = 1 + sum(
-                    self.subtree_size[c] for c in self.children[v]
-                )
+                self.subtree_size[v] = len(self.order) - self.pos[v]
                 continue
-            self.tin[v] = t
-            t += 1
+            self.pos[v] = len(self.order)
             self.depth[v] = d
             self.order.append(v)
             stack.append((v, d, True))
@@ -60,7 +55,7 @@ class RootedTreeWindow:
 
     def is_ancestor(self, u, v) -> bool:
         """True when u is an ancestor of v (inclusive)."""
-        return self.tin[u] <= self.tin[v] and self.tout[v] <= self.tout[u]
+        return 0 <= self.pos[v] - self.pos[u] < self.subtree_size[u]
 
     def degree(self, v) -> int:
         return len(self.children[v]) + (0 if v == self.root else 1)
@@ -76,8 +71,8 @@ class RootedTreeWindow:
 
     def subtree(self, x):
         """Vertices of the subtree rooted at x, in preorder."""
-        i, j = self.tin[x], self.tout[x]
-        return [v for v in self.order if i <= self.tin[v] and self.tout[v] <= j]
+        i = self.pos[x]
+        return self.order[i:i + self.subtree_size[x]]
 
     def path_to_root(self, v):
         out = [v]
@@ -93,17 +88,6 @@ class RootedTreeWindow:
         a = up[: up.index(meet) + 1]
         b = vp[: vp.index(meet)]
         return a + b[::-1]
-
-    def restricted(self, keep):
-        """Window restricted to a subtree-closed vertex set containing root."""
-        keep = set(keep)
-        if self.root not in keep:
-            raise ValueError("restriction must contain the root")
-        parent = {v: self.parent[v] for v in keep}
-        for v, p in parent.items():
-            if p is not None and p not in keep:
-                raise ValueError("restriction is not connected to the root")
-        return RootedTreeWindow(self.root, parent)
 
 
 def synthetic_tree(descriptor: str, seed: int = 0) -> RootedTreeWindow:

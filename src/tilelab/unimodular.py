@@ -9,6 +9,7 @@ where the statement is exact, and with 3-sigma bands where it is statistical.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -70,10 +71,6 @@ def _balls_isomorphic(b1: nx.Graph, b2: nx.Graph) -> bool:
         ["_dist", "mark"], [None, None])
     em = nx.algorithms.isomorphism.categorical_edge_match("color", None)
     return nx.is_isomorphic(b1, b2, node_match=nm, edge_match=em)
-
-
-def _rooted_ball_isomorphic(g1: nx.Graph, o1, g2: nx.Graph, o2, r: int) -> bool:
-    return _balls_isomorphic(_ball(g1, o1, r), _ball(g2, o2, r))
 
 
 # -- transport function battery ------------------------------------------------
@@ -366,13 +363,16 @@ class CylinderEvent:
     def label_holds(self, value: Fraction) -> bool:
         return any(a <= value < b for a, b in self.label_intervals)
 
+    @functools.cached_property
+    def _pattern_ball(self) -> nx.Graph:
+        return _ball(self.pattern, self.pattern_root, self.radius)
+
     def pattern_holds(self, omega: nx.Graph, x) -> bool:
         if self.pattern is None:
             return True
         if x not in omega:
             return self.pattern.number_of_nodes() == 0
-        return _rooted_ball_isomorphic(omega, x, self.pattern,
-                                       self.pattern_root, self.radius)
+        return _balls_isomorphic(_ball(omega, x, self.radius), self._pattern_ball)
 
     def holds(self, omega: nx.Graph, x, labels: Dict) -> bool:
         return self.pattern_holds(omega, x) and self.label_holds(labels[x])

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 
 def run_cli(*args, cwd=None):
     return subprocess.run(
@@ -167,6 +169,35 @@ def test_json_artifacts_are_pinned(tmp_path):
         digests.update((p.name, hashlib.sha256(p.read_bytes()).hexdigest())
                        for p in out.glob("*.json"))
     assert digests == JSON_DIGESTS
+
+
+# SHA-256 of `tile-tree --seed 0` on trees whose partition stages peel many
+# rounds, recorded before the stages peeled one window in place.
+DEEP_TREE_DIGESTS = {
+    "path(100)": {
+        "tiling.json":
+            "7f7f180010f300045a42fc57d33665559c3fd11319e5e1e7a64731e6f840c054",
+        "verifier.json":
+            "853ce38c830f0ca970705628eff7513039db233991dd8ff0e4d178d32361c734",
+    },
+    "random(300,4)": {
+        "tiling.json":
+            "f50bacd89c3c4932606b635af5ec91d099cb83e11ac9ebb19df0279c75bed967",
+        "verifier.json":
+            "f3f7f0b798153a1dbdb1fe7cfb5a328a0e3f74ec4edbf411c2a7498951e7d623",
+    },
+}
+
+
+@pytest.mark.parametrize("tree", sorted(DEEP_TREE_DIGESTS))
+def test_deep_tree_artifacts_are_pinned(tmp_path, tree):
+    import hashlib
+    import tilelab.cli as cli
+    argv = ["tile-tree", "--tree", tree, "--seed", "0", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in DEEP_TREE_DIGESTS[tree]}
+    assert digests == DEEP_TREE_DIGESTS[tree]
 
 
 def test_t3_reports_dropped_disconnected_fibers(tmp_path):

@@ -1,7 +1,10 @@
 """Partition stages: exact class sizes, connectivity, refinement audit."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from partition_reference import reference_levels
+from tilelab.bs12 import bs12_ball, fiber_spanning_tree, fibers
 from tilelab.labels import LabelSource
 from tilelab.partition import (InfeasibleGrowth, Schedule, ScheduleError,
                                limit_partitions)
@@ -89,3 +92,39 @@ def test_determinism():
     b, _, _ = limit_partitions(tree, schedule, 2, LabelSource(5))
     for la, lb in zip(a.levels, b.levels):
         assert la.class_members == lb.class_members
+
+
+def assert_matches_reference(tree, labels):
+    schedule = Schedule([1, 6], 4)
+    stack, _, _ = limit_partitions(tree, schedule, 2, labels)
+    got = [lvl.class_members for lvl in stack.levels]
+    assert got == reference_levels(tree, schedule, 2, labels)
+
+
+@pytest.mark.parametrize("descriptor", [
+    "path(40)", "spine(25,1)", "binary-canopy(6)", "random(120,3)",
+    "canopy(4,3)", "binary-canopy(4)",
+])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_stages_match_rebuilding_reference(descriptor, seed):
+    tree = synthetic_tree(descriptor, seed=seed)
+    assert_matches_reference(tree, LabelSource(seed, salt="tile-tree"))
+
+
+def test_deep_path_matches_rebuilding_reference():
+    assert_matches_reference(synthetic_tree("path(300)"), LabelSource(0))
+
+
+@pytest.mark.parametrize("radius", [4, 5, 6, 7])
+def test_fiber_tree_matches_rebuilding_reference(radius):
+    window = bs12_ball(radius)
+    labels = LabelSource(0)
+    tree = fiber_spanning_tree(window, fibers(window), labels)
+    assert_matches_reference(tree, labels)
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=1, max_value=300), st.integers(0, 1000))
+def test_random_trees_match_rebuilding_reference(n, seed):
+    tree = synthetic_tree(f"random({n},4)", seed=seed)
+    assert_matches_reference(tree, LabelSource(seed))

@@ -125,6 +125,19 @@ def test_verifier_reports_first_overlapping_pair():
         repr(verts[1]), repr(verts[6]))
     assert not report["pass"]
 
+    # the right tiles under a second root in the same tree: the face graph
+    # equals the tree's edges, but it is not a forest rooted at the roots
+    extra = next(v for v in verts if v not in tiling.roots)
+    rerooted = Tiling(dict(tiling.tile_of), tiling.region,
+                      tiling.roots + [extra], tiling.unresolved, tiling.demoted)
+    report = verify_representation(rerooted, tree)
+    assert report["disjoint_and_cover"]["pass"]
+    assert not report["adjacency_isomorphic"]["missing"]
+    assert not report["adjacency_isomorphic"]["extra"]
+    assert not report["adjacency_isomorphic"]["pass"]
+    assert report["adjacency_isomorphic"]["hashes"] is None
+    assert not report["pass"]
+
 
 def test_cover_is_exact_fraction_identity():
     tree, tiling = run("binary-canopy(4)")

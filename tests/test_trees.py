@@ -1,7 +1,7 @@
 """Rooted tree windows and the synthetic generators."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tilelab.trees import RootedTreeWindow, synthetic_tree
 
@@ -45,14 +45,21 @@ def test_random_tree_seeded():
     assert a.parent != synthetic_tree("random(60,3)", seed=6).parent
 
 
-def test_euler_intervals_encode_ancestry():
-    t = synthetic_tree("random(80,4)", seed=1)
+@settings(deadline=None)
+@given(st.integers(min_value=1, max_value=120), st.integers(0, 1000))
+@example(80, 1)
+def test_euler_intervals_encode_ancestry(n, seed):
+    """Preorder positions and subtree sizes encode ancestry, and each
+    subtree is the run of its descendants in preorder."""
+    t = synthetic_tree(f"random({n},4)", seed=seed)
     for v in t.vertices():
         for u in t.path_to_root(v):
             assert t.is_ancestor(u, v)
         anc = set(t.path_to_root(v))
         for u in t.vertices():
             assert t.is_ancestor(u, v) == (u in anc)
+    for x in t.vertices():
+        assert t.subtree(x) == [v for v in t.order if x in t.path_to_root(v)]
 
 
 def test_tree_path_endpoints():
@@ -66,21 +73,11 @@ def test_tree_path_endpoints():
         assert t.parent.get(a) == b or t.parent.get(b) == a
 
 
-def test_subtree_and_restriction():
+def test_subtree_holds_the_descendants():
     t = synthetic_tree("canopy(2,2)")
     child = t.children[t.root][0]
     sub = set(t.subtree(child))
     assert all(t.is_ancestor(child, v) for v in sub)
-    keep = set(t.path_to_root(child)) | sub
-    r = t.restricted(keep)
-    assert set(r.vertices()) == keep
-    assert r.root == t.root
-
-
-def test_restriction_must_be_connected():
-    t = synthetic_tree("path(5)")
-    with pytest.raises(ValueError):
-        t.restricted({0, 2})
 
 
 def test_bad_descriptor():
