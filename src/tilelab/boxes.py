@@ -15,10 +15,13 @@ lattice of ``exp``, the least exponent >= 0 at which every corner ``c / 2**exp``
 has an int ``c``; equal sets have equal ``(exp, ints)``.  Int boxes enter through
 `BoxSet.from_ints`, `Dyadic` corners through the constructor and a `Clearance`
 query (`_lattice`); they leave through ``boxes``, ``bbox`` and ``contact_faces``.
-Operations move the coarser operand to the finer lattice with ``<<``; every
-boolean and canonicalization is one section-by-section merge of slab trees
-(`_merge`, after the Extreme Vertices Model of Aguilera and Ayala), and no
-grid of the distinct coordinates is built.
+Operations move the coarser operand to the finer lattice with ``<<``.  A
+binary boolean is one section-by-section merge of the operands' slab trees
+(`_merge`, after the Extreme Vertices Model of Aguilera and Ayala), which
+reuses their canonical subtrees.  A raw box list, and `union_all` of many
+sets, is canonicalized by one sweep per axis over a segment tree of that
+axis's cuts (`_sweep`, after Bentley's union of rectangles).  Neither builds
+a grid of the distinct coordinates.
 
 `Clearance` is a region prepared for many polyline queries: its complement
 near the region is built once, on the lattice, and each query only lattices
@@ -27,6 +30,7 @@ its own segments.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from functools import reduce
 from itertools import groupby
@@ -57,9 +61,11 @@ def deflate(box: Box, eps) -> Box:
     return tuple((lo + e, hi - e) for lo, hi in box)
 
 
-# Slabs one merge of two slab trees may append over all axes, sections later
-# absorbed into a touching equal one included: about 200 MB of trees.  The
-# largest merge of `tilelab t3 --radius 9` appends 78,161 (a fiber's union).
+# Slabs one `_merge` of two slab trees may append over all axes, or one
+# `_sweep` may emit over all axes but the last, sections later absorbed into a
+# touching equal one included: about 200 MB of trees.  At `tilelab t3
+# --radius 10` the largest sweep emits 1,941 (a fiber's union) and the
+# largest merge appends 29, a margin of over 500 times.
 MAX_SLABS = 1 << 20
 
 
@@ -108,9 +114,9 @@ def _parse(ib: Sequence[tuple], depth: int = 0):
                  for (lo, hi), group in groupby(ib, key=itemgetter(depth)))
 
 
-def _merge(name: str, op: str, trees: list):
-    """Slab tree of ``trees[0] op trees[1] op ...`` (``()`` for none) by balanced
-    pairwise merges; one appending over ``MAX_SLABS`` slabs raises `ResourceLimit`."""
+def _merge(name: str, op: str, a, b):
+    """Slab tree of ``a op b``; one merge appending over ``MAX_SLABS`` slabs
+    raises `ResourceLimit`."""
 
     def merge(a, b, budget):
         if not a or not b:
@@ -138,10 +144,7 @@ def _merge(name: str, op: str, trees: list):
                 out.append((lo, hi, sec))
         return tuple(out)
 
-    while len(trees) > 1:
-        trees = [merge(*trees[k:k + 2], [MAX_SLABS]) if k + 1 < len(trees) else trees[k]
-                 for k in range(0, len(trees), 2)]
-    return trees[0] if trees else ()
+    return merge(a, b, [MAX_SLABS])
 
 
 def _int_boxes(tree) -> list[tuple]:
@@ -151,22 +154,127 @@ def _int_boxes(tree) -> list[tuple]:
     return [((lo, hi),) + rest for lo, hi, sec in tree for rest in _int_boxes(sec)]
 
 
-def _combine(op: str, sets: Sequence["BoxSet"]) -> "BoxSet":
-    """``sets[0] op sets[1] op ...`` by one `_merge` of their slab trees."""
-    e = max((s.exp for s in sets), default=0)
-    tree = _merge(op, op, [_parse(_shift(s.ints, e - s.exp)) for s in sets])
-    return BoxSet._of(e, _int_boxes(tree), max((s.dim for s in sets), default=0))
+def _combine(op: str, a: "BoxSet", b: "BoxSet") -> "BoxSet":
+    """``a op b`` by one `_merge` of their slab trees."""
+    e = max(a.exp, b.exp)
+    tree = _merge(op, op, _parse(_shift(a.ints, e - a.exp)), _parse(_shift(b.ints, e - b.exp)))
+    return BoxSet._of(e, _int_boxes(tree), max(a.dim, b.dim))
+
+
+def _sweep(name: str, ib: Sequence[tuple], d: int, budget: list):
+    """Slab tree on axes ``d, d+1, ...`` of the union of the nonempty int boxes
+    ``ib`` (at least one), by one sweep along axis ``d`` over a segment tree of
+    its cuts (after Bentley's union of rectangles).  Each box sits in the
+    O(log n) nodes whose leaf ranges its interval covers, and each node's
+    section is the sweep of its boxes on the next axis; a walk from the root
+    merges every section into the union of its ancestors' and emits one slab
+    per run of leaves, so no section is recomputed from the boxes spanning a
+    leaf.  Slabs emitted on every axis but the last count against ``budget``."""
+    if len(ib) == 1:
+        tree = True
+        for lo, hi in reversed(ib[0][d:]):
+            tree = ((lo, hi, tree),)
+        return tree
+    if d == len(ib[0]) - 1:
+        return _runs(sorted(b[d] for b in ib))
+    cuts = sorted({x for b in ib for x in b[d]})
+    index = {x: k for k, x in enumerate(cuts)}
+    size = 1 << (len(cuts) - 2).bit_length()  # leaf k is node size + k
+    own: dict[int, list] = {}
+    for b in ib:
+        lo, hi = b[d]
+        lo, hi = index[lo] + size, index[hi] + size
+        while lo < hi:
+            if lo & 1:
+                own.setdefault(lo, []).append(b)
+                lo += 1
+            if hi & 1:
+                hi -= 1
+                own.setdefault(hi, []).append(b)
+            lo >>= 1
+            hi >>= 1
+    below = set()  # nodes with boxes in a proper descendant
+    for k in own:
+        k >>= 1
+        while k and k not in below:
+            below.add(k)
+            k >>= 1
+    out = []
+    flat = d + 2 == len(ib[0])  # sections are runs on the last axis
+
+    def walk(k, lo, hi, acc):
+        mine = own.get(k)
+        if mine and acc:  # a box in the ancestors' union adds nothing
+            mine = [b for b in mine if not _covers(acc, b, d + 1)]
+        if mine:
+            sec = _sweep(name, mine, d + 1, budget)
+            acc = sec if not acc else (_runs_union(acc, sec) if flat else
+                                       _merge(name, "union", acc, sec))
+        if k in below:
+            mid = (lo + hi) >> 1
+            for c, clo, chi in ((2 * k, lo, mid), (2 * k + 1, mid, hi)):
+                if acc or c in own or c in below:
+                    walk(c, clo, chi, acc)
+        elif acc:
+            if out and out[-1][1] == cuts[lo] and out[-1][2] == acc:
+                out[-1] = (out[-1][0], cuts[hi], acc)
+            else:
+                budget[0] -= 1
+                if budget[0] < 0:
+                    raise ResourceLimit(f"{name}: one merge over {MAX_SLABS} slabs")
+                out.append((cuts[lo], cuts[hi], acc))
+
+    walk(1, 0, size, ())
+    return tuple(out)
+
+
+def _covers(tree, box: tuple, d: int) -> bool:
+    """Whether the slab tree ``tree`` of axes ``d, d+1, ...`` contains the
+    int box ``box`` on those axes."""
+    while tree is not True:
+        at, hi = box[d]
+        k = bisect_right(tree, at, key=itemgetter(0)) - 1  # the slab holding at
+        if k < 0 or tree[k][1] <= at:
+            return False
+        d += 1
+        while tree[k][1] < hi:  # the box goes on into the next slab
+            if (k + 1 == len(tree) or tree[k + 1][0] != tree[k][1]
+                    or not _covers(tree[k][2], box, d)):
+                return False
+            k += 1
+        tree = tree[k][2]
+    return True
+
+
+def _runs(intervals: list) -> tuple:
+    """Slab tree of the union of sorted ``(lo, hi)`` intervals on one axis."""
+    out = []
+    for lo, hi in intervals:
+        if out and lo <= out[-1][1]:
+            if hi > out[-1][1]:
+                out[-1] = (out[-1][0], hi, True)
+        else:
+            out.append((lo, hi, True))
+    return tuple(out)
+
+
+def _runs_union(a: tuple, b: tuple) -> tuple:
+    """Union of two slab trees of the last axis."""
+    return _runs(sorted([(lo, hi) for lo, hi, _ in a + b]))
+
+
+def _canonical(ib: Sequence[tuple], name: str = "canonicalize") -> list[tuple]:
+    """Canonical int boxes of the set ``ib`` covers, empty boxes dropped."""
+    ib = [b for b in ib if all(lo < hi for lo, hi in b)]
+    if len(ib) < 2 or not ib[0]:
+        return ib[:1]
+    return _int_boxes(_sweep(name, ib, 0, [MAX_SLABS]))
 
 
 def union_all(sets: Sequence["BoxSet"]) -> "BoxSet":
-    """The union of ``sets``, by one balanced merge of their slab trees."""
-    return _combine("union", sets)
-
-
-def _canonical(ib: Sequence[tuple]) -> list[tuple]:
-    """Canonical int boxes of the set ``ib`` covers, empty boxes dropped."""
-    trees = [_parse([b]) for b in ib if all(lo < hi for lo, hi in b)]
-    return _int_boxes(_merge("canonicalize", "union", trees))
+    """The union of ``sets``, by one sweep over all their boxes."""
+    e, ib, _ = _common(sets)
+    return BoxSet._of(e, _canonical(ib, "union"), max((s.dim for s in sets), default=0))
 
 
 class BoxSet:
@@ -265,14 +373,14 @@ class BoxSet:
     # -- booleans ---------------------------------------------------------------
 
     def union(self, other: "BoxSet") -> "BoxSet":
-        return _combine("union", [self, other])
+        return _combine("union", self, other)
 
     def intersection(self, other: "BoxSet") -> "BoxSet":
-        return _combine("intersection", [self, other])
+        return _combine("intersection", self, other)
 
     def difference(self, other: "BoxSet") -> "BoxSet":
         """Regularized difference: closure of (self minus other)."""
-        return _combine("difference", [self, other])
+        return _combine("difference", self, other)
 
     def interior_intersects(self, other: "BoxSet") -> bool:
         """Whether the interiors meet; stops at the first overlapping pair."""

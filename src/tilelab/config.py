@@ -8,6 +8,7 @@ from typing import Dict, Optional
 
 from .fractal import INTERPRETATIONS
 from .partition import Schedule, ScheduleError
+from .trees import parse_descriptor
 
 
 class ConfigError(Exception):
@@ -81,6 +82,10 @@ class RunConfig:
                 or (self.window * 256) % 1):
             raise ConfigError(
                 f"window must be a positive multiple of 2^-8, got {self.window!r}")
+        try:
+            parse_descriptor(self.tree)
+        except ValueError as exc:
+            raise ConfigError(f"tree: {exc}") from None
         if self.threads < 1:
             raise ConfigError("threads must be positive")
         if self.steps < 1:

@@ -90,23 +90,53 @@ class RootedTreeWindow:
         return a + b[::-1]
 
 
+# kind -> (least, most) number of int arguments
+_ARITY = {"path": (1, 1), "binary-canopy": (1, 1), "canopy": (1, 2),
+          "random": (2, 2), "spine": (2, 2)}
+
+
+def parse_descriptor(descriptor: str) -> tuple[str, list[int]]:
+    """``(kind, args)`` of a synthetic tree descriptor; raises ValueError
+    saying what is wrong when `synthetic_tree` could not build it."""
+    m = (re.fullmatch(r"\s*([a-z-]+)\s*\(([^)]*)\)\s*", descriptor)
+         if isinstance(descriptor, str) else None)
+    if not m:
+        raise ValueError(f"bad tree descriptor: {descriptor!r}")
+    name = m.group(1)
+    if name not in _ARITY:
+        raise ValueError(f"unknown tree kind: {name!r}")
+    try:
+        args = [int(x) for x in m.group(2).split(",") if x.strip()]
+    except ValueError:
+        raise ValueError(f"tree arguments must be integers: {descriptor!r}") from None
+    least, most = _ARITY[name]
+    if not least <= len(args) <= most:
+        raise ValueError(f"{descriptor!r}: wrong number of arguments for {name}")
+    if name == "path" and args[0] < 1:
+        raise ValueError(f"{descriptor!r}: path(n) needs n >= 1")
+    if name in ("binary-canopy", "canopy") and (args[0] < 0 or min(args[1:], default=1) < 1):
+        raise ValueError(f"{descriptor!r}: {name} needs depth >= 0 and arity >= 1")
+    # a random tree's root has maxdeg child slots, every other vertex maxdeg - 1
+    if name == "random" and (args[0] < 1 or (args[1] < 2 and args[0] > args[1] + 1)):
+        raise ValueError(f"{descriptor!r}: random(n,maxdeg) needs n >= 1, "
+                         "and n <= maxdeg + 1 when maxdeg < 2")
+    if name == "spine" and (args[0] < 1 or args[1] < 0):
+        raise ValueError(f"{descriptor!r}: spine(length,arms) needs length >= 1 "
+                         "and arms >= 0")
+    return name, args
+
+
 def synthetic_tree(descriptor: str, seed: int = 0) -> RootedTreeWindow:
     """Build a named synthetic window.
 
     Descriptors: ``path(n)``, ``binary-canopy(depth)``, ``canopy(depth,arity)``,
-    ``random(n,maxdeg)`` (seeded), ``spine(length,arms)``.
+    ``random(n,maxdeg)`` (seeded), ``spine(length,arms)``; `parse_descriptor`
+    says which are malformed.
     """
-    m = re.fullmatch(r"\s*([a-z-]+)\s*\(([^)]*)\)\s*", descriptor)
-    if not m:
-        raise ValueError(f"bad tree descriptor: {descriptor!r}")
-    name = m.group(1)
-    args = [int(x) for x in m.group(2).split(",") if x.strip()]
+    name, args = parse_descriptor(descriptor)
 
     if name == "path":
-        (n,) = args
-        if n < 1:
-            raise ValueError("path needs n >= 1")
-        return RootedTreeWindow(0, {i: i - 1 for i in range(1, n)})
+        return RootedTreeWindow(0, {i: i - 1 for i in range(1, args[0])})
 
     if name in ("binary-canopy", "canopy"):
         depth = args[0]
@@ -128,25 +158,24 @@ def synthetic_tree(descriptor: str, seed: int = 0) -> RootedTreeWindow:
         n, maxdeg = args
         rng = random.Random(seed)
         parent = {}
-        degree = {0: 0}
+        degree = [0] * n
+        # the vertices with a free child slot, in vertex order
+        open_ = [0] if maxdeg > 0 else []
         for v in range(1, n):
-            # root may use all maxdeg slots for children; others keep one for parent
-            choices = [u for u in degree
-                       if degree[u] < (maxdeg if u == 0 else maxdeg - 1)]
-            p = rng.choice(choices)
+            p = rng.choice(open_)
             parent[v] = p
             degree[p] += 1
-            degree[v] = 0
+            if degree[p] == (maxdeg if p == 0 else maxdeg - 1):
+                open_.remove(p)
+            if maxdeg > 1:
+                open_.append(v)
         return RootedTreeWindow(0, parent)
 
-    if name == "spine":
-        length, arms = args
-        parent = {}
-        for i in range(1, length):
-            parent[("s", i)] = ("s", i - 1)
-        for i in range(length):
-            for j in range(arms):
-                parent[("a", i, j)] = ("s", i)
-        return RootedTreeWindow(("s", 0), parent)
-
-    raise ValueError(f"unknown tree kind: {name!r}")
+    length, arms = args
+    parent = {}
+    for i in range(1, length):
+        parent[("s", i)] = ("s", i - 1)
+    for i in range(length):
+        for j in range(arms):
+            parent[("a", i, j)] = ("s", i)
+    return RootedTreeWindow(("s", 0), parent)

@@ -3,6 +3,7 @@ reference kernel and a voxel erosion oracle from scipy.ndimage."""
 
 import random
 from bisect import bisect_left
+from functools import reduce
 from itertools import product
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from scipy import ndimage
 from tilelab import boxes as boxes_mod
 from tilelab.boxes import (BoxSet, Clearance, ResourceLimit, _contacts, _lattice,
                            box_of, clearance, contact_faces, polyline_neighborhood,
-                           set_contacts)
+                           set_contacts, union_all)
 from tilelab.dyadic import Dyadic
 from voxels import voxelize
 
@@ -503,20 +504,20 @@ def raw_box_lists(draw):
     dyadic translation of both."""
     dim = draw(st.sampled_from([2, 3]))
     shift = draw(st.sampled_from([0, Dyadic(-(1 << 80) - 3, 41)]))
+    return _raw_boxes(draw, dim, shift), _raw_boxes(draw, dim, shift)
 
-    def box_list():
-        out = []
-        for _ in range(draw(st.integers(0, 6))):
-            box = []
-            for _ in range(dim):
-                exp = draw(st.integers(0, 3))
-                lo = draw(st.integers(-6 << exp, 6 << exp))
-                hi = lo + draw(st.integers(1, 5 << exp))
-                box.append((Dyadic(lo, exp) + shift, Dyadic(hi, exp) + shift))
-            out.append(tuple(box))
-        return out
 
-    return box_list(), box_list()
+def _raw_boxes(draw, dim, shift):
+    out = []
+    for _ in range(draw(st.integers(0, 6))):
+        box = []
+        for _ in range(dim):
+            exp = draw(st.integers(0, 3))
+            lo = draw(st.integers(-6 << exp, 6 << exp))
+            hi = lo + draw(st.integers(1, 5 << exp))
+            box.append((Dyadic(lo, exp) + shift, Dyadic(hi, exp) + shift))
+        out.append(tuple(box))
+    return out
 
 
 def _int_box(*intervals):
@@ -535,6 +536,20 @@ _OVERLAPPING = [_int_box((0, 3), (0, 2), (0, 1)), _int_box((1, 4), (1, 3), (0, 2
 # a - b leaves two touching slabs with equal sections, which merge
 @example(([_int_box((0, 2), (0, 2)), _int_box((2, 4), (0, 1))],
           [_int_box((0, 2), (1, 2))]))
+# nested corner blocks: each box lies in the union of the larger ones
+@example(([_int_box(*[(0, k)] * 3) for k in (3, 1, 4, 2)],
+          [_int_box(*[(0, k)] * 3) for k in (2, 5)]))
+# a shifted, overlapping staircase and a crossing one
+@example(([_int_box((k, k + 3), (k, k + 3)) for k in range(4)],
+          [_int_box((k, k + 2), (3 - k, 5 - k)) for k in range(3)]))
+# several boxes sharing one axis-0 interval, so one segment-tree node
+@example(([_int_box((0, 4), (0, 1), (0, 2)), _int_box((0, 4), (2, 3), (1, 3)),
+           _int_box((0, 4), (0, 3), (1, 2))],
+          [_int_box((1, 2), (0, 3), (0, 3))]))
+# touching slabs with equal sections from different nodes, absorbed into one
+@example(([_int_box((0, 1), (0, 2)), _int_box((1, 3), (0, 2)),
+           _int_box((3, 4), (0, 2)), _int_box((5, 6), (0, 2))],
+          [_int_box((4, 5), (0, 2)), _int_box((2, 5), (0, 1))]))
 def test_kernel_matches_fraction_grid_reference(case):
     raw_a, raw_b = case
     a, b = BoxSet(raw_a), BoxSet(raw_b)
@@ -546,9 +561,44 @@ def test_kernel_matches_fraction_grid_reference(case):
         assert exact(got.boxes) == exact(reference_boolean(op, a.boxes, b.boxes))
 
 
+@st.composite
+def box_families(draw):
+    """3 to 5 box lists of one dimension: raw ones, or the canonical boxes
+    of one raw list dealt out to the lists, so interior-disjoint sets."""
+    dim = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(3, 5))
+    if draw(st.booleans()):
+        return [_raw_boxes(draw, dim, 0) for _ in range(n)]
+    raws = [[] for _ in range(n)]
+    for box in BoxSet(_raw_boxes(draw, dim, 0)).boxes:
+        raws[draw(st.integers(0, n - 1))].append(box)
+    return raws
+
+
+@settings(deadline=None)
+@given(box_families())
+def test_union_all_matches_union_fold_and_reference(raws):
+    sets = [BoxSet(r) for r in raws]
+    got = union_all(sets)
+    assert got == reduce(BoxSet.union, sets)
+    every = [b for r in raws for b in r]
+    assert exact(got.boxes) == exact(reference_boolean(lambda x, y: x, every))
+
+
+def test_deep_overlap_canonicalizes_in_one_sweep():
+    # every box overlaps most others: a sweep that recomputed each section
+    # from the boxes spanning it would take seconds here
+    n = 400
+    nested = BoxSet.from_ints(0, [((0, k),) * 3 for k in range(n, 0, -1)])
+    assert nested.ints == (((0, n),) * 3,)
+    shifted = BoxSet.from_ints(0, [((k, k + n),) * 2 for k in range(n)])
+    assert shifted.ints == tuple(((i, i + 1), (max(0, i - n + 1), min(i, n - 1) + n))
+                                 for i in range(2 * n - 1))
+
+
 def test_diagonal_cubes_canonicalize_without_a_grid():
     # 2n distinct coordinates per axis: a dense grid would have (2n - 1)^3
-    # cells, the slab merge holds only the n cubes
+    # cells, the sweep holds only the n cubes
     n = 200
     boxes = [((Dyadic(k), Dyadic(2 * k + 1, 1)),) * 3 for k in range(n)]
     assert BoxSet(boxes[::-1]).boxes == tuple(boxes)

@@ -252,6 +252,30 @@ def test_config_error_exit_code(tmp_path):
     assert not list(tmp_path.glob("fractal-*"))
 
 
+@pytest.mark.parametrize("tree, why", [
+    ("foo(3)", "unknown tree kind: 'foo'"),
+    ("random(50,1)", "random(n,maxdeg) needs n >= 1, and n <= maxdeg + 1"),
+    ("random(5)", "wrong number of arguments for random"),
+    ("path(0)", "path(n) needs n >= 1"),
+])
+def test_malformed_tree_descriptor_is_a_config_error(tmp_path, capsys, tree, why):
+    import tilelab.cli as cli
+
+    code = cli.main(["tile-tree", "--tree", tree, "--out", str(tmp_path)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: tree: ") and why in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_smallest_random_tree_is_a_valid_descriptor():
+    from tilelab.config import RunConfig
+    from tilelab.trees import synthetic_tree
+
+    cfg = RunConfig({"tree": "random(2,1)"})
+    assert synthetic_tree(cfg.tree).parent == {0: None, 1: 0}
+
+
 def test_radius_one_window_is_vacuously_ok(tmp_path):
     # no fiber is certifiable at radius 1; the report says so and passes
     out = run_cli("bs12", "--radius", "1", "--out", str(tmp_path))

@@ -1,9 +1,11 @@
 """Rooted tree windows and the synthetic generators."""
 
+import random
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tilelab.trees import RootedTreeWindow, synthetic_tree
+from tilelab.trees import RootedTreeWindow, parse_descriptor, synthetic_tree
 
 
 def test_path_shape():
@@ -80,8 +82,38 @@ def test_subtree_holds_the_descendants():
     assert all(t.is_ancestor(child, v) for v in sub)
 
 
+def random_tree_reference(n, maxdeg, seed):
+    """Parent map of ``random(n,maxdeg)`` with the open vertices listed anew
+    for every vertex, as the generator once did (quadratic in n)."""
+    rng = random.Random(seed)
+    parent, degree = {}, {0: 0}
+    for v in range(1, n):
+        choices = [u for u in degree
+                   if degree[u] < (maxdeg if u == 0 else maxdeg - 1)]
+        p = rng.choice(choices)
+        parent[v] = p
+        degree[p] += 1
+        degree[v] = 0
+    return parent
+
+
+@settings(deadline=None)
+@given(st.integers(1, 300), st.integers(1, 6), st.integers(0, 1000))
+@example(2, 1, 0)
+@example(2000, 3, 0)
+def test_random_tree_matches_the_reference_generator(n, maxdeg, seed):
+    if maxdeg < 2:
+        n = min(n, maxdeg + 1)
+    t = synthetic_tree(f"random({n},{maxdeg})", seed=seed)
+    assert t.parent == {0: None, **random_tree_reference(n, maxdeg, seed)}
+
+
 def test_bad_descriptor():
-    with pytest.raises(ValueError):
-        synthetic_tree("mystery(3)")
-    with pytest.raises(ValueError):
-        synthetic_tree("path")
+    for descriptor in ["mystery(3)", "path", "path(0)", "path(x)", "random(5)",
+                       "random(50,1)", "random(3,0)", "random(0,3)",
+                       "binary-canopy(3,2)", "canopy(-1)", "canopy(2,0)",
+                       "spine(0,1)", "spine(2,-1)"]:
+        with pytest.raises(ValueError):
+            parse_descriptor(descriptor)
+        with pytest.raises(ValueError):
+            synthetic_tree(descriptor)
