@@ -200,7 +200,6 @@ def _sweep(name: str, ib: Sequence[tuple], d: int, budget: list):
             below.add(k)
             k >>= 1
     out = []
-    flat = d + 2 == len(ib[0])  # sections are runs on the last axis
 
     def walk(k, lo, hi, acc):
         mine = own.get(k)
@@ -208,8 +207,7 @@ def _sweep(name: str, ib: Sequence[tuple], d: int, budget: list):
             mine = [b for b in mine if not _covers(acc, b, d + 1)]
         if mine:
             sec = _sweep(name, mine, d + 1, budget)
-            acc = sec if not acc else (_runs_union(acc, sec) if flat else
-                                       _merge(name, "union", acc, sec))
+            acc = sec if not acc else _merge(name, "union", acc, sec)
         if k in below:
             mid = (lo + hi) >> 1
             for c, clo, chi in ((2 * k, lo, mid), (2 * k + 1, mid, hi)):
@@ -256,11 +254,6 @@ def _runs(intervals: list) -> tuple:
         else:
             out.append((lo, hi, True))
     return tuple(out)
-
-
-def _runs_union(a: tuple, b: tuple) -> tuple:
-    """Union of two slab trees of the last axis."""
-    return _runs(sorted([(lo, hi) for lo, hi, _ in a + b]))
 
 
 def _canonical(ib: Sequence[tuple], name: str = "canonicalize") -> list[tuple]:
