@@ -1,7 +1,8 @@
 """Command-line entry point: build, verify and export the tiling pipelines.
 
 Exit codes: 0 success, 1 verification failure or internal invariant break
-(a failed buddy allocation), 2 configuration error, 3 resource cap exceeded.
+(a failed buddy allocation), 2 configuration error (including a tree window
+too small to carry a block), 3 resource cap exceeded.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from .config import ConfigError, RunConfig, load_config
 from .dyadic import Dyadic
 from .labels import LabelSource
 from .partition import Schedule
-from .tiler import AllocationError, tile_tree, verify_representation
+from .tiler import (AllocationError, WindowTooSmall, tile_tree,
+                    verify_representation)
 from .trees import synthetic_tree
 
 EXIT_OK = 0
@@ -277,7 +279,7 @@ def main(argv=None) -> int:
     except AllocationError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except ConfigError as exc:
+    except (ConfigError, WindowTooSmall) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -64,39 +64,12 @@ class PartitionStack:
         self.schedule = schedule
         self.levels: list[PartitionLevel] = []
 
-    def cuts(self, a: frozenset, b: frozenset) -> bool:
-        """a cuts b when a meets b but does not contain it."""
-        return not a.isdisjoint(b) and not b.issubset(a)
-
-
-def leaf_set(tree: RootedTreeWindow, size: dict, schedule: Schedule,
-             i: int) -> list:
-    """Degree-1 vertices of the induced subgraph on S_{n_i}, the vertices
-    whose live subtree has at least 2^{n_i} elements, root excluded; size
-    bounds asserted.
-
-    S is closed under ancestors, so a non-root member of S has its parent
-    in S, and it is a leaf of S when none of its children is in S.
-    """
-    n = schedule.n_values[i - 1]
-    d = schedule.degree_bound
-    out = []
-    for v in tree.order[1:]:  # order[0] is the root
-        if size[v] >= (1 << n) and all(size[c] < (1 << n)
-                                       for c in tree.children[v]):
-            assert (1 << n) <= size[v] <= 1 + (d - 1) * (1 << n), (
-                f"leaf-set size bound violated at {v!r}: {size[v]}"
-            )
-            out.append(v)
-    out.sort(key=repr)
-    return out
-
 
 def grow_class(tree: RootedTreeWindow, region: set, x, target: int,
                stack: PartitionStack, labels: LabelSource) -> set:
     """Grow a connected class of exactly ``target`` vertices inside
-    ``region``, the at least ``target`` vertices of T_x that earlier rounds
-    left unpeeled.
+    ``region``, the at least ``target`` vertices of T_x that this stage has
+    not yet peeled.
 
     One vertex is added at a time.  Whenever the current set cuts an earlier
     class, the smallest cut class is completed before free growth resumes;
@@ -168,69 +141,80 @@ def grow_class(tree: RootedTreeWindow, region: set, x, target: int,
 
 def build_stage(tree: RootedTreeWindow, schedule: Schedule, stack: PartitionStack,
                 i: int, labels: LabelSource) -> PartitionStack:
-    """Run stage i: peel leaf sets repeatedly, growing one class per leaf.
+    """Run stage i: one sweep up the tree grows one class under every leaf
+    of S_{n_i}, the vertices whose live subtree has at least 2^{n_i}
+    elements, and peels its subtree.
 
-    Every round works on ``tree`` itself: a peeled vertex keeps its place
-    and gets live subtree size 0.
+    Children come before parents, so a vertex's live size is final when the
+    sweep reaches it, and if that size reaches 2^{n_i} the vertex is a leaf
+    of S in the round after the last peel below it (round 1 when there is
+    none), because until that peel some child keeps a live size of at least
+    2^{n_i}.  The class id records that round, as a loop peeling the whole
+    leaf set of S round by round would.
     """
     n = schedule.n_values[i - 1]
     target = 1 << n
-    new_classes = {}
-    size = dict(tree.subtree_size)  # live subtree sizes; peeled vertices 0
-    k = 0
-    while size[tree.root] > 1:
-        k += 1
-        leaves = leaf_set(tree, size, schedule, i)
-        if not leaves:
-            break
-        for x in leaves:
-            region = {v for v in tree.subtree(x) if size[v]}
+    d = schedule.degree_bound
+    size = dict.fromkeys(tree.order, 1)  # live subtree sizes; peeled 0
+    last = dict.fromkeys(tree.order, 0)  # latest peel round in the subtree
+    grown = []
+    for x in reversed(tree.order):
+        p = tree.parent[x]
+        if p is None:
+            break  # the root comes first in preorder, so last here
+        if size[x] >= target:
+            assert target <= size[x] <= 1 + (d - 1) * target, (
+                f"leaf-set size bound violated at {x!r}: {size[x]}"
+            )
+            last[x] += 1  # x's round, now the latest in its subtree
+            region = set()
+            stk = [x]
+            while stk:
+                v = stk.pop()
+                region.add(v)
+                stk.extend(c for c in tree.children[v] if size[c])
             try:
-                cx = grow_class(tree, region, x, target, stack, labels)
-                new_classes[("c", i, k, repr(x))] = cx
+                grown.append((last[x], repr(x),
+                               grow_class(tree, region, x, target, stack, labels)))
             except InfeasibleGrowth:
                 pass  # x's subtree stays singletons at this stage
-            # peel T_x now: no other leaf of this round is in T_x or above
-            # x, so the sizes the later leaves read do not change
-            for v in region:
-                size[v] = 0
-            for a in tree.path_to_root(tree.parent[x]):
-                size[a] -= len(region)
+            size[x] = 0
+        size[p] += size[x]
+        last[p] = max(last[p], last[x])
+    # grow_class reads only earlier stages, so the sweep may grow the classes
+    # in any order; the next stage reads their order (min(cut, key=len) takes
+    # the first of equal sizes), so they go in by round, then by repr
+    grown.sort(key=lambda g: g[:2])
+    new_classes = {("c", i, k, rx): cx for k, rx, cx in grown}
 
-    # refinement: singletonize earlier classes cut by any new class
+    # refinement: singletonize earlier classes cut by a new class; the new
+    # classes are disjoint, so a class is cut exactly when its members have
+    # more than one owner, counting "no new class" as one
+    owner = {v: cid for cid, cx in new_classes.items() for v in cx}
     for lvl in stack.levels:
         for cid, ms in list(lvl.nonsingleton_classes().items()):
-            if any(stack.cuts(frozenset(cx), ms) for cx in new_classes.values()):
+            if len({owner.get(v) for v in ms}) > 1:
                 lvl.singletonize(cid)
 
-    covered = set()
-    for cx in new_classes.values():
-        covered |= cx
     members = dict(new_classes)
     for v in tree.order:
-        if v not in covered:
+        if v not in owner:
             members[("s", i, v)] = {v}
     stack.levels.append(PartitionLevel(i, members))
     return stack
 
 
 def limit_partitions(tree: RootedTreeWindow, schedule: Schedule, stages: int,
-                     labels: LabelSource, u_min: int = 2):
-    """Run all stages; return (stack, U, per-level non-singleton report)."""
+                     labels: LabelSource):
+    """Run all stages; return (stack, per-level non-singleton fraction)."""
     if stages < 1 or stages > len(schedule.n_values):
         raise ScheduleError("stages out of range for the schedule")
     stack = PartitionStack(schedule)
     for i in range(1, stages + 1):
         build_stage(tree, schedule, stack, i, labels)
-    counts = {v: 0 for v in tree.order}
-    n = max(len(counts), 1)
+    n = max(len(tree.order), 1)
     report = {}
     for lvl in stack.levels:
-        nons = set()
-        for ms in lvl.nonsingleton_classes().values():
-            nons |= ms
-        for v in nons:
-            counts[v] += 1
-        report[lvl.level_index] = len(nons) / n
-    u = {v for v, c in counts.items() if c >= u_min}
-    return stack, u, report
+        nons = sum(len(ms) for ms in lvl.nonsingleton_classes().values())
+        report[lvl.level_index] = nons / n
+    return stack, report

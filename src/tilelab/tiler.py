@@ -73,17 +73,27 @@ class BuddyAllocator:
         return origin
 
 
+class WindowTooSmall(ValueError):
+    """No class of the partitions hangs below a vertex, so there is no top
+    vertex to carry a block (CLI exit code 2)."""
+
+
 class TopSet:
-    def __init__(self, members, m_of, stratum, class_at):
+    def __init__(self, members, m_of, stratum):
         self.members = set(members)
         self.m_of = m_of
         self.stratum = stratum
-        self.class_at = class_at
 
 
 def top_set(tree: RootedTreeWindow, stack: PartitionStack) -> TopSet:
     """Vertices carrying a class that lies entirely in their subtree, with the
-    maximal such level; pruned to a laminar family along ancestor chains."""
+    maximal such level; pruned to a laminar family along ancestor chains.
+
+    A vertex is kept when it has no kept ancestor, or when its class nests
+    in the class of its nearest kept ancestor at a smaller level.  Its
+    stratum is its height in the forest of kept vertices (1 for a kept
+    vertex with no kept descendant).
+    """
     m_of = {}
     class_at = {}
     for lvl in stack.levels:
@@ -95,25 +105,20 @@ def top_set(tree: RootedTreeWindow, stack: PartitionStack) -> TopSet:
                 if n_i > m_of.get(x, 0):
                     m_of[x] = n_i
                     class_at[x] = frozenset(ms)
-    members = sorted(m_of, key=lambda v: tree.depth[v])
-    kept = []
-    kept_set = set()
-    for x in members:  # ancestors first
-        anc = tree.parent[x]
-        while anc is not None and anc not in kept_set:
-            anc = tree.parent[anc]
-        if anc is not None:
-            if not (m_of[x] < m_of[anc] and class_at[x] <= class_at[anc]):
-                continue  # not nested in the ancestor's class
-        kept.append(x)
-        kept_set.add(x)
+    up = {}  # nearest kept proper ancestor, None when there is none
     stratum = {}
-    for x in sorted(kept, key=lambda v: -tree.depth[v]):  # deepest first
-        below = [stratum[y] for y in kept_set
-                 if y != x and tree.is_ancestor(x, y) and y in stratum]
-        stratum[x] = 1 + (max(below) if below else 0)
-    return TopSet(kept_set, {x: m_of[x] for x in kept_set}, stratum,
-                  {x: class_at[x] for x in kept_set})
+    for x in tree.order:  # parents first
+        p = tree.parent[x]
+        up[x] = None if p is None else (p if p in stratum else up[p])
+        a = up[x]
+        if x in m_of and (a is None or (m_of[x] < m_of[a]
+                                         and class_at[x] <= class_at[a])):
+            stratum[x] = 1
+    for x in reversed(tree.order):  # children first
+        a = up[x]
+        if x in stratum and a is not None:
+            stratum[a] = max(stratum[a], stratum[x] + 1)
+    return TopSet(stratum, {x: m_of[x] for x in stratum}, stratum)
 
 
 class GridAssignment:
@@ -173,9 +178,7 @@ def assign_grid(tree: RootedTreeWindow, topset: TopSet) -> GridAssignment:
         failure = None
         for x in sorted(kept, key=repr):
             compute_demand(x)
-            need = sum(1 << topset.m_of[y] for y in hang[x])
-            need += sum(1 << tsize[c] for c in f_children[x] if demand[c] > 0)
-            if need > (1 << topset.m_of[x]):
+            if demand[x] > (1 << topset.m_of[x]):
                 failure = x
                 break
         if failure is not None:
@@ -458,9 +461,9 @@ def verify_representation(tiling: Tiling, tree: RootedTreeWindow) -> dict:
 def tile_tree(tree: RootedTreeWindow, schedule, stages: int,
               labels: LabelSource):
     """Full pipeline: partitions -> top set -> grid -> carve."""
-    stack, _u, _report = limit_partitions(tree, schedule, stages, labels)
+    stack, _report = limit_partitions(tree, schedule, stages, labels)
     ts = top_set(tree, stack)
     if not ts.members:
-        raise ValueError("window too small: empty top set")
+        raise WindowTooSmall("window too small: empty top set")
     grid = assign_grid(tree, ts)
     return {"tiling": carve(tree, ts, grid), "topset": ts, "grid": grid}

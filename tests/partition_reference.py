@@ -11,6 +11,11 @@ from tilelab.partition import (InfeasibleGrowth, PartitionLevel,
 from tilelab.trees import RootedTreeWindow
 
 
+def cuts(a, b):
+    """a cuts b when a meets b but does not contain it."""
+    return not a.isdisjoint(b) and not b.issubset(a)
+
+
 def core_set(tree, k):
     """S_k: vertices whose window subtree has at least 2^k elements."""
     return {v for v in tree.order if tree.subtree_size[v] >= (1 << k)}
@@ -76,7 +81,7 @@ def build_stage(tree, schedule, stack, i, labels):
 
     for lvl in stack.levels:
         for cid, ms in list(lvl.nonsingleton_classes().items()):
-            if any(stack.cuts(frozenset(cx), ms) for cx in new_classes.values()):
+            if any(cuts(frozenset(cx), ms) for cx in new_classes.values()):
                 lvl.singletonize(cid)
 
     covered = set()

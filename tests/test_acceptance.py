@@ -191,8 +191,8 @@ def test_a05_partition_statistics():
     schedule = Schedule([1], 3)
     freqs = []
     for seed in range(100):
-        stack, _, report = limit_partitions(tree, schedule, 1,
-                                            LabelSource(seed, salt="part-acc"))
+        stack, report = limit_partitions(tree, schedule, 1,
+                                         LabelSource(seed, salt="part-acc"))
         freqs.append(report[1])
         level = stack.levels[0]
         for members in level.nonsingleton_classes().values():

@@ -268,6 +268,21 @@ def test_malformed_tree_descriptor_is_a_config_error(tmp_path, capsys, tree, why
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command, tree", [
+    ("tile-tree", "path(1)"), ("tile-tree", "path(2)"),
+    ("tile-tree", "binary-canopy(0)"), ("tile-tree", "random(2,1)"),
+    ("export", "path(2)"),
+])
+def test_window_too_small_is_a_config_error(tmp_path, capsys, command, tree):
+    import tilelab.cli as cli
+
+    code = cli.main([command, "--tree", tree, "--out", str(tmp_path)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "config error: window too small: empty top set\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_smallest_random_tree_is_a_valid_descriptor():
     from tilelab.config import RunConfig
     from tilelab.trees import synthetic_tree

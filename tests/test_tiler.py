@@ -1,15 +1,18 @@
 """Tree tiling: block geometry, end-to-end verification, determinism."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from tiler_reference import reference_top_set
+from tilelab.bs12 import bs12_ball, fiber_spanning_tree, fibers
 from tilelab.dyadic import Dyadic
 from tilelab.labels import LabelSource
-from tilelab.partition import Schedule
-from tilelab.tiler import Tiling, block_dims, margin, nest_margin, tile_tree, \
-    verify_representation
+from tilelab.partition import Schedule, limit_partitions
+from tilelab.tiler import Tiling, WindowTooSmall, block_dims, margin, \
+    nest_margin, tile_tree, top_set, verify_representation
 from tilelab.trees import synthetic_tree
 
 
@@ -170,3 +173,69 @@ def test_transform_preserves_structure():
     assert moved.region.volume() == tiling.region.volume()
     assert {frozenset(e) for e in moved.adjacency()} == \
         {frozenset(e) for e in tiling.adjacency()}
+
+
+def test_tiny_window_raises_window_too_small():
+    with pytest.raises(WindowTooSmall, match="empty top set") as err:
+        run("path(2)")
+    # callers that skip windows too small to tile catch a ValueError
+    assert isinstance(err.value, ValueError)
+
+
+def assert_top_set_matches_reference(tree, labels):
+    stack, _ = limit_partitions(tree, Schedule([1, 6], 4), 2, labels)
+    ts = top_set(tree, stack)
+    assert (ts.members, ts.m_of, ts.stratum) == reference_top_set(tree, stack)
+
+
+@pytest.mark.parametrize("descriptor", [
+    "path(40)", "spine(25,1)", "binary-canopy(6)", "random(120,3)",
+    "canopy(4,3)", "binary-canopy(4)",
+])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_top_set_matches_walking_reference(descriptor, seed):
+    tree = synthetic_tree(descriptor, seed=seed)
+    assert_top_set_matches_reference(tree, LabelSource(seed, salt="tile-tree"))
+
+
+@pytest.mark.parametrize("descriptor", ["path(300)", "spine(60,2)"])
+def test_deep_top_set_matches_walking_reference(descriptor):
+    assert_top_set_matches_reference(synthetic_tree(descriptor),
+                                     LabelSource(0))
+
+
+@pytest.mark.parametrize("radius", [4, 5, 6, 7])
+def test_fiber_tree_top_set_matches_walking_reference(radius):
+    window = bs12_ball(radius)
+    labels = LabelSource(0)
+    tree = fiber_spanning_tree(window, fibers(window), labels)
+    assert_top_set_matches_reference(tree, labels)
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=1, max_value=300), st.integers(0, 1000))
+def test_random_tree_top_sets_match_walking_reference(n, seed):
+    tree = synthetic_tree(f"random({n},4)", seed=seed)
+    assert_top_set_matches_reference(tree, LabelSource(seed))
+
+
+# SHA-256 of the sorted (vertex, exponent, integer boxes) of every tile of
+# `tile_tree` at seed 0, schedule (1, 6), two stages, recorded while the
+# partition stages still peeled the leaf set of S round by round.  The
+# contact sweep is not run, so deep windows stay cheap.
+DEEP_WINDOW_TILES = {
+    "path(1024)":
+        "98445cac34546da802c622d53cc5e8cd2928e540591e8864fd8552ccc9d3c486",
+    "spine(500,2)":
+        "ae6c3c1edfde3b609c6fe207e79516ee596060b9fa6affc6efbaf4ec5d5ecc86",
+}
+
+
+@pytest.mark.parametrize("descriptor", sorted(DEEP_WINDOW_TILES))
+def test_deep_window_tiles_are_pinned(descriptor):
+    tiling = tile_tree(synthetic_tree(descriptor, 0), Schedule([1, 6], 4), 2,
+                       LabelSource(0, salt="tile-tree"))["tiling"]
+    key = repr(sorted((repr(v), s.exp, s.ints)
+                      for v, s in tiling.tile_of.items()))
+    assert hashlib.sha256(key.encode()).hexdigest() == \
+        DEEP_WINDOW_TILES[descriptor]

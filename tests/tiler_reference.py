@@ -1,0 +1,40 @@
+"""Reference top set: depth sort, ancestor walks and an all-pairs stratum.
+
+This is `tilelab.tiler.top_set` as it was before it found each vertex's
+nearest kept ancestor in one preorder pass: the candidates are visited
+ancestors first, each walks up the tree to its nearest kept ancestor, and
+a kept vertex's stratum is one more than the largest stratum among all
+kept vertices below it.  Tests compare `top_set` to it.
+"""
+
+
+def reference_top_set(tree, stack):
+    """``(members, m_of, stratum)`` as the walking top set computes them."""
+    m_of = {}
+    class_at = {}
+    for lvl in stack.levels:
+        n_i = stack.schedule.n_values[lvl.level_index - 1]
+        for ms in lvl.nonsingleton_classes().values():
+            x = min(ms, key=lambda v: tree.depth[v])
+            if all(tree.is_ancestor(x, v) for v in ms):
+                if n_i > m_of.get(x, 0):
+                    m_of[x] = n_i
+                    class_at[x] = frozenset(ms)
+    members = sorted(m_of, key=lambda v: tree.depth[v])
+    kept = []
+    kept_set = set()
+    for x in members:  # ancestors first
+        anc = tree.parent[x]
+        while anc is not None and anc not in kept_set:
+            anc = tree.parent[anc]
+        if anc is not None:
+            if not (m_of[x] < m_of[anc] and class_at[x] <= class_at[anc]):
+                continue  # not nested in the ancestor's class
+        kept.append(x)
+        kept_set.add(x)
+    stratum = {}
+    for x in sorted(kept, key=lambda v: -tree.depth[v]):  # deepest first
+        below = [stratum[y] for y in kept_set
+                 if y != x and tree.is_ancestor(x, y) and y in stratum]
+        stratum[x] = 1 + (max(below) if below else 0)
+    return kept_set, {x: m_of[x] for x in kept_set}, stratum
