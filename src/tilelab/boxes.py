@@ -23,6 +23,14 @@ sets, is canonicalized by one sweep per axis over a segment tree of that
 axis's cuts (`_sweep`, after Bentley's union of rectangles).  Neither builds
 a grid of the distinct coordinates.
 
+Every pairwise contact (`set_contacts`, `contact_faces`, `components`,
+`interior_intersects`) comes from one contact sweep, `_contacts`.  From
+`INDEX_MIN` boxes on it reads candidates off an index of int bitsets over all
+axes (`_indexed`), so its work follows the pairs whose closures meet rather
+than the pairs that overlap on one axis, which on nested corner blocks are
+almost all of them.  `set_contacts` can also count each set's face-connected
+components in the same sweep.
+
 `Clearance` is a region prepared for many polyline queries: its complement
 near the region is built once, on the lattice, and each query only lattices
 its own segments.
@@ -30,13 +38,13 @@ its own segments.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import reduce
 from itertools import groupby
 from math import prod
 from operator import itemgetter, or_
-from typing import Sequence
+from typing import Container, Sequence
 
 from .dyadic import Dyadic, ZERO, on_lattice
 
@@ -421,40 +429,108 @@ class BoxSet:
         """Face-connected components (edge/corner contact does not connect)."""
         n = len(self.ints)
         parent = list(range(n))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
         for i, j, area in _contacts(self.ints, range(n)):
             if area is not None:
-                pi, pj = find(i), find(j)
-                if pi != pj:
-                    parent[pi] = pj
+                _join(parent, i, j)
         groups: dict[int, list[tuple]] = {}
         for i in range(n):
-            groups.setdefault(find(i), []).append(self.ints[i])
+            groups.setdefault(_find(parent, i), []).append(self.ints[i])
         # a component's boxes need not be its canonical list
         return ([self] if len(groups) == 1 else
                 [BoxSet._of(self.exp, _canonical(g), self.dim) for g in groups.values()])
 
 
-def _contacts(ib: Sequence[tuple], owner: Sequence):
-    """Exact contact sweep over int boxes on one lattice: yield ``(i, j,
-    area)`` for every pair ``i < j`` of boxes with different owners that
-    touch along a codim-1 face (``area`` is the positive int contact area,
-    in units of ``2**-(e * (dim - 1))``) or whose interiors overlap (``area``
-    is None).  Pairs meeting only along an edge or a corner are not reported.
+# Below `INDEX_MIN` boxes `_contacts` keeps the axis-0 active list: building
+# the index costs 3-4 times as much at 2-10 boxes, the size of most calls.
+# The index builds its masks for at most `BLOCK` sweep positions at a time,
+# so they hold at most BLOCK**2 / 8 bytes per axis end however many boxes
+# come (unblocked, `tile-tree` on `binary-canopy(10)` peaks 93 MB higher).
+INDEX_MIN = 64
+BLOCK = 2048
 
-    A sort-and-sweep along axis 0 skips pairs whose closures are apart on
-    that axis."""
+
+def _end_masks(ib: Sequence[tuple], block: Sequence[int], a: int, side: int):
+    """The ``side`` ends (0 for lo, 1 for hi) on axis ``a`` of the boxes
+    ``block``, sorted, and per sorted index t the int bitset of the block
+    positions whose end comes before t (lo ends) or at or after t (hi ends)."""
+    ends = [ib[k][a][side] for k in block]
+    order = sorted(range(len(ends)), key=ends.__getitem__, reverse=side == 1)
+    masks, acc = [0], 0
+    for i in order:
+        acc |= 1 << i
+        masks.append(acc)
+    if side:
+        order.reverse()
+        masks.reverse()
+    return [ends[i] for i in order], masks
+
+
+def _indexed(ib: Sequence[tuple], owner: Sequence):
+    """Rows ``(k, near)`` of the contact index: ``near`` lists boxes of
+    other owners before ``k`` in axis-0 sweep order, within one block of
+    sweep positions, whose closures meet box ``k`` on every axis.
+
+    A block numbers its boxes by sweep position and keeps, per axis, the
+    sorted ``lo`` ends with prefix masks and the sorted ``hi`` ends with
+    suffix masks, as int bitsets: the boxes with ``lo <= x`` and those with
+    ``hi >= x`` are one bisect and one mask each.  A box's candidates are the
+    AND of those masks with the positions before its own, minus its owner's,
+    so the work follows the pairs that meet."""
+    order = sorted(range(len(ib)), key=lambda k: ib[k][0][0])
+    for b0 in range(0, len(order), BLOCK):
+        block = order[b0:b0 + BLOCK]
+        # sweep order puts every lo0 of the block at or below lo0 of a later
+        # box, so axis 0 needs only the hi ends
+        his0, suf0 = _end_masks(ib, block, 0, 1)
+        rest = [(*_end_masks(ib, block, a, 0), *_end_masks(ib, block, a, 1))
+                for a in range(1, len(ib[0]))]
+        own: dict = {}
+        for i, k in enumerate(block):
+            own[owner[k]] = own.get(owner[k], 0) | 1 << i
+        for p in range(b0, len(order)):
+            k = order[p]
+            q = ib[k]
+            if q[0][0] > his0[-1]:
+                break  # no later box reaches back into the block
+            m = suf0[bisect_left(his0, q[0][0])] & ~own.get(owner[k], 0)
+            if p - b0 < len(block):
+                m &= (1 << (p - b0)) - 1
+            for (lo, hi), (los, pre, his, suf) in zip(q[1:], rest):
+                if not m:
+                    break
+                m &= pre[bisect_right(los, hi)] & suf[bisect_left(his, lo)]
+            if m:
+                near = []
+                while m:
+                    low = m & -m
+                    near.append(block[low.bit_length() - 1])
+                    m ^= low
+                yield k, near
+
+
+def _contacts(ib: Sequence[tuple], owner: Sequence):
+    """Exact contacts among int boxes on one lattice: yield ``(i, j, area)``
+    for every pair ``i < j`` of boxes with different owners that touch along
+    a codim-1 face (``area`` is the positive int contact area, in units of
+    ``2**-(e * (dim - 1))``) or whose interiors overlap (``area`` is None).
+    Pairs meeting only along an edge or a corner are not reported.
+
+    From `INDEX_MIN` boxes on, the candidates of a box come from the contact
+    index (`_indexed`), which offers only pairs whose closures meet on every
+    axis.  Below it they are the active list of a sort-and-sweep along axis
+    0: the earlier boxes not apart from it on that axis.  Either way each
+    candidate is classified on ints, and pairs come in no fixed order."""
+    small = len(ib) < INDEX_MIN
     active: list[int] = []
-    for k in sorted(range(len(ib)), key=lambda k: ib[k][0][0]):
+    for row in sorted(range(len(ib)), key=lambda k: ib[k][0][0]) if small else _indexed(ib, owner):
+        if small:
+            k = row
+            lo = ib[k][0][0]
+            near = active = [j for j in active if ib[j][0][1] >= lo]
+        else:
+            k, near = row
         q = ib[k]
-        active = [j for j in active if ib[j][0][1] >= q[0][0]]
-        for j in active:
+        for j in near:
             if owner[j] == owner[k]:
                 continue
             touch = False
@@ -472,7 +548,23 @@ def _contacts(ib: Sequence[tuple], owner: Sequence):
                     area *= hi - lo
             else:
                 yield min(j, k), max(j, k), area if touch else None
-        active.append(k)
+        if small:
+            active.append(k)
+
+
+def _find(parent: list, i: int) -> int:
+    """The root of ``i`` in the union-find forest ``parent``."""
+    while parent[i] != i:
+        parent[i] = parent[parent[i]]
+        i = parent[i]
+    return i
+
+
+def _join(parent: list, i: int, j: int) -> None:
+    """Merge the union-find classes of ``i`` and ``j``."""
+    pi, pj = _find(parent, i), _find(parent, j)
+    if pi != pj:
+        parent[pi] = pj
 
 
 def _face_unit(e: int, ib: Sequence[tuple]) -> int:
@@ -480,21 +572,38 @@ def _face_unit(e: int, ib: Sequence[tuple]) -> int:
     return 1 << (e * (len(ib[0]) - 1)) if ib else 1
 
 
-def set_contacts(sets: Sequence[BoxSet]) -> tuple[dict, set]:
-    """Pairwise contact of box sets: ``(areas, overlaps)`` where ``areas``
-    maps each set pair ``(a, b)``, ``a < b``, with positive shared face area
-    to that area, and ``overlaps`` holds the set pairs whose interiors meet."""
+def set_contacts(sets: Sequence[BoxSet], components: Container[int] = ()) -> tuple:
+    """Pairwise contact of box sets: ``(areas, overlaps, counts)`` where
+    ``areas`` maps each set pair ``(a, b)``, ``a < b``, with positive shared
+    face area to that area, and ``overlaps`` holds the set pairs whose
+    interiors meet.  For each index ``a`` in ``components``, ``counts[a]`` is
+    the number of face-connected components of ``sets[a]``: the same sweep
+    also meets that set's own boxes and joins those sharing a face.  The own
+    boxes of every other set are skipped, and its count is None."""
     e, ib, owner = _common(sets)
+    counts = [0 if a in components else None for a in range(len(sets))]
+    keys, parent = owner, None
+    if components:
+        # a box of a counted set is its own owner in the sweep
+        keys = [len(sets) + i if counts[a] is not None else a for i, a in enumerate(owner)]
+        parent = list(range(len(ib)))
     areas: dict = {}
     overlaps = set()
-    for i, j, area in _contacts(ib, owner):
-        key = (owner[i], owner[j])
-        if area is None:
-            overlaps.add(key)
+    for i, j, area in _contacts(ib, keys):
+        a, b = owner[i], owner[j]
+        if a == b:
+            if area is not None:
+                _join(parent, i, j)
+        elif area is None:
+            overlaps.add((a, b))
         else:
-            areas[key] = areas.get(key, 0) + area
+            areas[a, b] = areas.get((a, b), 0) + area
+    if parent is not None:
+        for i, a in enumerate(owner):
+            if counts[a] is not None and _find(parent, i) == i:
+                counts[a] += 1
     unit = _face_unit(e, ib)
-    return {key: Fraction(a, unit) for key, a in areas.items()}, overlaps
+    return {key: Fraction(a, unit) for key, a in areas.items()}, overlaps, counts
 
 
 def contact_faces(a: BoxSet, b: BoxSet) -> list[tuple[Box, Fraction]]:

@@ -132,9 +132,6 @@ class FractalPiece:
         # geometry is in 5x-scaled coordinates
         return self.region.volume() / 25
 
-    def is_connected(self) -> bool:
-        return len(self.region.components()) == 1
-
     def __repr__(self):
         return f"FractalPiece(scale={self.scale}, family={self.family}, cell={self.cell})"
 
@@ -195,17 +192,19 @@ def pieces_in_window(chain: ScaleChain, window: Box,
 
 
 def _halo_contacts(regions: Sequence[BoxSet], uncovered: BoxSet,
-                   halo: Dyadic) -> Tuple[List[Tuple[int, int]], set]:
-    """``(edges, exposed)``: the sorted index pairs of regions with positive
-    shared boundary, and the indices of the regions whose closed
-    ``halo``-neighborhood has interior meeting the interior of ``uncovered``.
+                   halo: Dyadic) -> Tuple[List[Tuple[int, int]], set, List[int]]:
+    """``(edges, exposed, counts)``: the sorted index pairs of regions with
+    positive shared boundary, the indices of the regions whose closed
+    ``halo``-neighborhood has interior meeting the interior of ``uncovered``,
+    and the number of face-connected components of each region.
 
     For regular closed P and U, int(P + B_h) meets int U exactly when int P
     meets int(U + B_h), so one contact sweep of ``uncovered`` grown by the
     halo (index 0) against the regions answers every region at once."""
-    areas, overlaps = set_contacts([uncovered.inflate_all(halo), *regions])
+    areas, overlaps, counts = set_contacts([uncovered.inflate_all(halo), *regions],
+                                           components=range(1, len(regions) + 1))
     return ([(a - 1, b - 1) for a, b in sorted(areas) if a],
-            {b - 1 for a, b in overlaps if a == 0})
+            {b - 1 for a, b in overlaps if a == 0}, counts[1:])
 
 
 def adjacency_report(pieces: Sequence[FractalPiece], window: Box,
@@ -227,7 +226,7 @@ def adjacency_report(pieces: Sequence[FractalPiece], window: Box,
     covered = union_all(regions)
     uncovered = BoxSet.from_ints(e, [win]).difference(covered)
 
-    edges, exposed = _halo_contacts(regions, uncovered, halo)
+    edges, exposed, counts = _halo_contacts(regions, uncovered, halo)
     degree = [0] * len(pieces)
     for a, b in edges:
         degree[a] += 1
@@ -258,8 +257,7 @@ def adjacency_report(pieces: Sequence[FractalPiece], window: Box,
         "acyclic_interior": acyclic,
         "uncovered_area": str(uncovered.volume() / 25),
         "covered_area": str(covered.volume() / 25),
-        "disconnected_pieces": [pieces[i].key for i in range(len(pieces))
-                                if not pieces[i].is_connected()],
+        "disconnected_pieces": [p.key for p, c in zip(pieces, counts) if c != 1],
     }
 
 

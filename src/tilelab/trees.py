@@ -69,11 +69,6 @@ class RootedTreeWindow:
     def edges(self):
         return [(self.parent[v], v) for v in self.order if v != self.root]
 
-    def subtree(self, x):
-        """Vertices of the subtree rooted at x, in preorder."""
-        i = self.pos[x]
-        return self.order[i:i + self.subtree_size[x]]
-
     def path_to_root(self, v):
         out = [v]
         while self.parent[out[-1]] is not None:

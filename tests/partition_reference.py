@@ -16,6 +16,13 @@ def cuts(a, b):
     return not a.isdisjoint(b) and not b.issubset(a)
 
 
+def subtree(tree, x):
+    """Vertices of the subtree rooted at x, in preorder: the run of them
+    that starts at x."""
+    i = tree.pos[x]
+    return tree.order[i:i + tree.subtree_size[x]]
+
+
 def core_set(tree, k):
     """S_k: vertices whose window subtree has at least 2^k elements."""
     return {v for v in tree.order if tree.subtree_size[v] >= (1 << k)}
@@ -50,7 +57,7 @@ def peel(tree, leaves):
         raise ValueError("cannot peel the root")
     drop = set()
     for x in leaves:
-        drop.update(tree.subtree(x))
+        drop.update(subtree(tree, x))
     keep = [v for v in tree.order if v not in drop]
     return RootedTreeWindow(tree.root, {v: tree.parent[v] for v in keep})
 
@@ -68,7 +75,7 @@ def build_stage(tree, schedule, stack, i, labels):
             break
         for x in leaves:
             try:
-                cx = grow_class(current, set(current.subtree(x)), x, target,
+                cx = grow_class(current, set(subtree(current, x)), x, target,
                                 stack, labels)
                 new_classes[("c", i, k, repr(x))] = cx
             except InfeasibleGrowth:

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import ndimage
 
 from tilelab import boxes as boxes_mod
-from tilelab.boxes import (BoxSet, Clearance, ResourceLimit, _contacts, _lattice,
+from tilelab.boxes import (BoxSet, Clearance, ResourceLimit, _contacts, _indexed, _lattice,
                            box_of, clearance, contact_faces, polyline_neighborhood,
                            set_contacts, union_all)
 from tilelab.dyadic import Dyadic
@@ -124,18 +124,18 @@ def face_contact_oracle(p, q):
 
 
 @st.composite
-def owned_boxes(draw):
+def owned_boxes(draw, min_n=0, max_n=8, span=6):
     """Boxes on a coarse mixed-exponent grid (so faces, edges and corners
     touch often), an owner per box, and a translation vector that is either
     zero or a large, finely dyadic one."""
     dim = draw(st.sampled_from([2, 3]))
-    n = draw(st.integers(0, 8))
+    n = draw(st.integers(min_n, max_n))
     boxes = []
     for _ in range(n):
         box = []
         for _ in range(dim):
             exp = draw(st.integers(0, 2))
-            lo = draw(st.integers(0, 6 << exp))
+            lo = draw(st.integers(0, span << exp))
             box.append((Dyadic(lo, exp), Dyadic(lo + draw(st.integers(1, 4)), exp)))
         boxes.append(tuple(box))
     owner = [draw(st.integers(0, 2)) for _ in boxes]
@@ -167,6 +167,68 @@ def test_contact_sweep_matches_all_pairs_oracle(case):
                 expected.add((i, j, kind))
     assert len(got) == len(set(got))
     assert set(got) == expected
+
+
+def nested_corner_shells(depth, owner_of, shift=0):
+    """The shells between nested corner cubes [0, 2^-k]^3, three boxes each,
+    as an `owned_boxes` case: shell k touches shells k - 1 and k + 1 along
+    faces and is apart from the rest, while on every single axis almost all
+    pairs overlap."""
+    boxes, owner = [], []
+    for k in range(depth):
+        shell = BoxSet([box_of(*[(0, Dyadic(1, k))] * 3)]).difference(
+            BoxSet([box_of(*[(0, Dyadic(1, k + 1))] * 3)]))
+        boxes += shell.boxes
+        owner += [owner_of(k)] * len(shell.boxes)
+    return boxes, owner, [shift] * 3
+
+
+def nested_corner_cubes(depth, owner_of):
+    """The cubes [0, 2^-k]^3 themselves: every pair overlaps."""
+    return ([box_of(*[(0, Dyadic(1, k))] * 3) for k in range(depth)],
+            [owner_of(k) for k in range(depth)], [0] * 3)
+
+
+# enough shells or cubes to take the contact index, not the axis-0 sweep
+_DEPTH = boxes_mod.INDEX_MIN // 3 + 2
+
+
+@pytest.mark.parametrize("block", [boxes_mod.BLOCK, 4])
+@settings(max_examples=25, deadline=None)
+@given(owned_boxes(min_n=boxes_mod.INDEX_MIN, max_n=boxes_mod.INDEX_MIN + 40, span=24))
+@example(nested_corner_shells(_DEPTH, lambda k: k))
+@example(nested_corner_shells(_DEPTH, lambda k: k % 2, Dyadic((1 << 80) + 3, 41)))
+@example(nested_corner_shells(_DEPTH, lambda k: 0))  # one owner: no pair
+@example(nested_corner_cubes(3 * _DEPTH, lambda k: k % 3))
+def test_contact_index_matches_all_pairs_oracle(block, case):
+    """The contact index, on one block or on many blocks of 4 sweep
+    positions, against the same brute-force classification."""
+    boxes, owner, shift = case
+    assert len(boxes) >= boxes_mod.INDEX_MIN
+    boxes = [tuple((lo + s, hi + s) for (lo, hi), s in zip(b, shift))
+             for b in boxes]
+    e, ib = _lattice(boxes)
+    unit = 1 << (e * (len(ib[0]) - 1))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(boxes_mod, "BLOCK", block)
+        got = [(i, j, None if area is None else Fraction(area, unit))
+               for i, j, area in _contacts(ib, owner)]
+        offered = [tuple(sorted((j, k))) for k, near in _indexed(ib, owner) for j in near]
+    expected = set()
+    meeting = set()
+    for i in range(len(boxes)):
+        for j in range(i + 1, len(boxes)):
+            kind = face_contact_oracle(boxes[i], boxes[j])
+            if owner[i] != owner[j] and kind != "apart":
+                expected.add((i, j, kind))
+            if owner[i] != owner[j] and all(max(pl, ql) <= min(ph, qh) for (pl, ph), (ql, qh)
+                                            in zip(boxes[i], boxes[j])):
+                meeting.add((i, j))
+    assert len(got) == len(set(got))
+    assert set(got) == expected
+    # the index offers exactly the pairs whose closures meet, each once
+    assert len(offered) == len(set(offered))
+    assert set(offered) == meeting
 
 
 @st.composite

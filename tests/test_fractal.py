@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tilelab.boxes import BoxSet
+from tilelab.boxes import BoxSet, set_contacts
 from tilelab.dyadic import Dyadic, on_lattice
-from tilelab.fractal import (FAMILY_OFFSETS, INTERPRETATIONS, _cells,
+from tilelab.fractal import (FAMILY_OFFSETS, INTERPRETATIONS, FractalPiece, _cells,
                              _dyadic_mod, _halo_contacts, _pow2,
                              adjacency_report, build_chain, embed_tree,
                              pieces_in_window, pieces_svg)
@@ -82,6 +82,27 @@ def test_deep_window_has_interior_cycle():
     pieces = pieces_in_window(chain, win, "square")
     rep = adjacency_report(pieces, win, "square")
     assert not rep["acyclic_interior"]
+
+
+@pytest.mark.parametrize("seed,i_max,win", [
+    (2, 1, window(1)),
+    (1, 2, ((Dyadic(-1), Dyadic(0)), (Dyadic(0), Dyadic(1)))),
+])
+def test_contact_sweep_counts_piece_components(seed, i_max, win):
+    regions = [p.region for p in pieces_in_window(build_chain(seed, -2, i_max), win, "square")]
+    assert set_contacts(regions, components=range(len(regions)))[2] == \
+        [len(r.components()) for r in regions]
+
+
+def test_split_piece_is_reported_disconnected():
+    win = window(1)
+    pieces = pieces_in_window(build_chain(1, -1, 1), win, "square")
+    assert adjacency_report(pieces, win, "square")["disconnected_pieces"] == []
+    p = pieces[2]
+    # the piece plus a far copy of it, outside the window
+    pieces[2] = FractalPiece(p.scale, p.family, p.cell,
+                             p.region.union(p.region.translate((Dyadic(100), 0))))
+    assert adjacency_report(pieces, win, "square")["disconnected_pieces"] == [p.key]
 
 
 def test_adjacency_requires_positive_contact():
@@ -202,12 +223,13 @@ _halo_cases = st.sampled_from((2, 3)).flatmap(lambda dim: st.tuples(
 @given(_halo_cases)
 def test_halo_contacts_matches_per_piece_oracle(case):
     regions, uncovered, halo = case
-    edges, exposed = _halo_contacts(regions, uncovered, halo)
+    edges, exposed, counts = _halo_contacts(regions, uncovered, halo)
     assert exposed == {k for k, r in enumerate(regions)
                        if r.inflate_all(halo).interior_intersects(uncovered)}
     assert edges == [(a, b) for a in range(len(regions))
                      for b in range(a + 1, len(regions))
                      if regions[a].shared_face_area(regions[b]) > 0]
+    assert counts == [len(r.components()) for r in regions]
 
 
 # -- lattice-int pieces against the Dyadic construction they replaced ---------

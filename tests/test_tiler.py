@@ -142,6 +142,43 @@ def test_verifier_reports_first_overlapping_pair():
     assert not report["pass"]
 
 
+@pytest.mark.parametrize("descriptor", [
+    "path(40)", "spine(25,1)", "binary-canopy(6)", "random(120,3)",
+    "canopy(4,3)", "binary-canopy(4)",
+])
+def test_contact_sweep_counts_tile_components(descriptor):
+    _, tiling = run(descriptor)
+    verts, _, _, counts = tiling.contacts()
+    assert counts == [len(tiling.tile_of[v].components()) for v in verts]
+
+
+def test_verifier_reports_split_tile():
+    tree, tiling = run("path(16)")
+    v = sorted(tiling.tile_of, key=repr)[3]
+    tiles = dict(tiling.tile_of)
+    # the tile plus a far copy of it: two apart pieces under one vertex
+    tiles[v] = tiles[v].union(tiles[v].translate((Dyadic(100), 0, 0)))
+    split = Tiling(tiles, tiling.region, tiling.roots, tiling.unresolved,
+                   tiling.demoted)
+    assert split.contacts()[3][3] == 2
+    report = verify_representation(split, tree)
+    assert report["tiles_open_connected"] == {"pass": False, "witnesses": [repr(v)]}
+    assert not report["pass"]
+
+
+def test_deep_path_window_verifies():
+    # 3,055 boxes nested at one corner: the contact index runs on two blocks
+    tree = synthetic_tree("path(512)", 0)
+    tiling = tile_tree(tree, Schedule([1, 6], 4), 2,
+                       LabelSource(0, salt="tile-tree"))["tiling"]
+    report = verify_representation(tiling, tree)
+    assert report["pass"], report
+    resolved = set(tiling.tile_of)
+    assert len(resolved) == 510
+    assert {frozenset(e) for e in tiling.adjacency()} == \
+        {frozenset(e) for e in tree.edges() if set(e) <= resolved}
+
+
 def test_cover_is_exact_fraction_identity():
     tree, tiling = run("binary-canopy(4)")
     total = sum((tiling.tile_of[v].volume() for v in tiling.vertices()),

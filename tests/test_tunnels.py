@@ -135,7 +135,7 @@ def test_assemble_contract_isometry():
     # the pieces have disjoint interiors, and the resolved interior ones
     # touch exactly along the fiber contact graph, which is a forest there
     fids = sorted(pieces.tile_of, key=repr)
-    areas, overlaps = set_contacts([pieces.tile_of[f] for f in fids])
+    areas, overlaps, _ = set_contacts([pieces.tile_of[f] for f in fids])
     assert not overlaps
     inner = set(fids) & fib.interior_fibers
     faces = {frozenset((fids[a], fids[b])) for a, b in areas
