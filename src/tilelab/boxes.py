@@ -12,9 +12,10 @@ so lower-dimensional slivers never survive.  The kernel is dimension-generic
 
 A set keeps its canonical boxes as ``(lo, hi)`` int pairs, ``ints``, on the
 lattice of ``exp``, the least exponent >= 0 at which every corner ``c / 2**exp``
-has an int ``c``; equal sets have equal ``(exp, ints)``.  Int boxes enter through
-`BoxSet.from_ints`, `Dyadic` corners through the constructor and a `Clearance`
-query (`_lattice`); they leave through ``boxes``, ``bbox`` and ``contact_faces``.
+has an int ``c``; equal sets have equal ``(exp, ints)``.  The pipelines build
+their sets from int boxes, through `BoxSet.from_ints`.  `Dyadic` corners enter
+only through the constructor and a `Clearance` query (`_lattice`), and leave
+only through ``boxes``, ``bbox`` and ``contact_faces``.
 Operations move the coarser operand to the finer lattice with ``<<``.  A
 binary boolean is one section-by-section merge of the operands' slab trees
 (`_merge`, after the Extreme Vertices Model of Aguilera and Ayala), which
@@ -46,6 +47,7 @@ from math import prod
 from operator import itemgetter, or_
 from typing import Container, Sequence
 
+from .canon import find, join
 from .dyadic import Dyadic, ZERO, on_lattice
 
 Box = tuple  # tuple of (lo, hi) Dyadic pairs, one per axis
@@ -55,18 +57,9 @@ def box_of(*intervals) -> Box:
     return tuple((Dyadic.coerce(lo), Dyadic.coerce(hi)) for lo, hi in intervals)
 
 
-def box_is_empty(box: Box) -> bool:
-    return any(lo >= hi for lo, hi in box)
-
-
 def inflate(box: Box, eps) -> Box:
     e = Dyadic.coerce(eps)
     return tuple((lo - e, hi + e) for lo, hi in box)
-
-
-def deflate(box: Box, eps) -> Box:
-    e = Dyadic.coerce(eps)
-    return tuple((lo + e, hi - e) for lo, hi in box)
 
 
 # Slabs one `_merge` of two slab trees may append over all axes, or one
@@ -431,10 +424,10 @@ class BoxSet:
         parent = list(range(n))
         for i, j, area in _contacts(self.ints, range(n)):
             if area is not None:
-                _join(parent, i, j)
+                join(parent, i, j)
         groups: dict[int, list[tuple]] = {}
         for i in range(n):
-            groups.setdefault(_find(parent, i), []).append(self.ints[i])
+            groups.setdefault(find(parent, i), []).append(self.ints[i])
         # a component's boxes need not be its canonical list
         return ([self] if len(groups) == 1 else
                 [BoxSet._of(self.exp, _canonical(g), self.dim) for g in groups.values()])
@@ -552,21 +545,6 @@ def _contacts(ib: Sequence[tuple], owner: Sequence):
             active.append(k)
 
 
-def _find(parent: list, i: int) -> int:
-    """The root of ``i`` in the union-find forest ``parent``."""
-    while parent[i] != i:
-        parent[i] = parent[parent[i]]
-        i = parent[i]
-    return i
-
-
-def _join(parent: list, i: int, j: int) -> None:
-    """Merge the union-find classes of ``i`` and ``j``."""
-    pi, pj = _find(parent, i), _find(parent, j)
-    if pi != pj:
-        parent[pi] = pj
-
-
 def _face_unit(e: int, ib: Sequence[tuple]) -> int:
     """Denominator of the int face areas `_contacts` yields for ``ib``."""
     return 1 << (e * (len(ib[0]) - 1)) if ib else 1
@@ -593,14 +571,14 @@ def set_contacts(sets: Sequence[BoxSet], components: Container[int] = ()) -> tup
         a, b = owner[i], owner[j]
         if a == b:
             if area is not None:
-                _join(parent, i, j)
+                join(parent, i, j)
         elif area is None:
             overlaps.add((a, b))
         else:
             areas[a, b] = areas.get((a, b), 0) + area
     if parent is not None:
         for i, a in enumerate(owner):
-            if counts[a] is not None and _find(parent, i) == i:
+            if counts[a] is not None and find(parent, i) == i:
                 counts[a] += 1
     unit = _face_unit(e, ib)
     return {key: Fraction(a, unit) for key, a in areas.items()}, overlaps, counts

@@ -11,6 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .boxes import ResourceLimit
+from .canon import find, join
 from .dyadic import Dyadic, ZERO
 from .labels import LabelSource
 from .trees import RootedTreeWindow
@@ -139,26 +140,17 @@ class FiberDecomposition:
 
         # window b-segments (maximal b-paths actually present)
         parent = {v: v for v in window.vertices}
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
         b_deg = {v: 0 for v in window.vertices}
         for s, t, c in window.edges:
             if c == "b":
                 b_deg[s] += 1
                 b_deg[t] += 1
-                rs, rt = find(s), find(t)
-                if rs != rt:
-                    parent[rs] = rt
+                join(parent, s, t)
         if any(d > 2 for d in b_deg.values()):
             raise ValueError("a vertex has more than two b-edges; corrupted window")
         seg_members: dict = {}
         for v in window.vertices:
-            seg_members.setdefault(find(v), []).append(v)
+            seg_members.setdefault(find(parent, v), []).append(v)
         self.segments: dict = {}
         self.segment_of = {}
         for group in seg_members.values():

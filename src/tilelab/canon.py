@@ -1,4 +1,5 @@
-"""Canonical forms for rooted trees and forests, and a cycle check."""
+"""Canonical forms for rooted trees and forests, a cycle check, and the
+union-find that the cycle check, box components and b-segments share."""
 
 from __future__ import annotations
 
@@ -55,21 +56,31 @@ def rooted_forest_from_edges(vertices, edges, roots) -> dict:
     return children
 
 
+def find(parent, x):
+    """The root of ``x`` in the union-find forest ``parent``, a list or a
+    dict that maps each element to its parent, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def join(parent, x, y) -> bool:
+    """Merge the union-find classes of ``x`` and ``y``; whether they were
+    apart."""
+    rx, ry = find(parent, x), find(parent, y)
+    if rx != ry:
+        parent[rx] = ry
+    return rx != ry
+
+
 def has_cycle(edges) -> bool:
     """Whether an undirected edge list over hashable vertices has a cycle."""
     parent: dict = {}
-
-    def find(x):
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra == rb:
+        parent.setdefault(a, a)
+        parent.setdefault(b, b)
+        if not join(parent, a, b):
             return True
-        parent[ra] = rb
     return False
 

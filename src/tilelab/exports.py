@@ -77,6 +77,16 @@ def tiling_obj(tiling, config_hash: str, seed, digits: int = 9,
     return "\n".join(lines) + "\n"
 
 
+def _int_text(n: int) -> str:
+    """``repr(n)``, also past the interpreter's limit on the digits of an
+    int-to-text conversion: a `Decimal` holds an int exactly and prints it
+    without that limit, which stays in force for parsing outside input."""
+    try:
+        return int.__repr__(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
 def _scalar_text(o):
     """JSON text of None, a bool, an int or a float, as `json.dumps` writes
     it; None for a value of any other type."""
@@ -87,7 +97,7 @@ def _scalar_text(o):
     if o is False:
         return "false"
     if isinstance(o, int):
-        return int.__repr__(o)
+        return _int_text(o)
     if isinstance(o, float):
         if o != o:
             return "NaN"
@@ -103,8 +113,10 @@ def dumps_indented(obj) -> str:
     that an indent forces.
 
     A list of plain ints (a ``[num, exp]`` pair, say) is rendered once per
-    value and depth and reused.  Unlike ``json.dumps``, a circular
-    container is not detected: it recurses until `RecursionError`.
+    value and depth and reused.  Unlike ``json.dumps``, an int past the
+    interpreter's digit limit for int-to-text conversion is written in full,
+    and a circular container is not detected: it recurses until
+    `RecursionError`.
     """
     parts: List[str] = []
     put = parts.append
@@ -134,7 +146,7 @@ def dumps_indented(obj) -> str:
             if text is None:
                 pad = "\n" + "  " * (depth + 1)
                 text = int_lists[key] = (
-                    "[" + pad + ("," + pad).join(map(int.__repr__, o))
+                    "[" + pad + ("," + pad).join(map(_int_text, o))
                     + pad[:-2] + "]")
             put(text)
             return

@@ -5,16 +5,21 @@ entirely below them; each top vertex gets a grid block of unit cells sized
 2^floor(m/3) x 2^floor((m+1)/3) x 2^floor((m+2)/3); blocks of lower strata
 are packed inside via a binary buddy allocator; tiles are margin-eroded
 bricks nested along the tree so that the face-adjacency graph of the tiles
-reproduces the tree edges exactly on the resolved vertex set.
+reproduces the tree edges exactly on the resolved vertex set; the vertices
+below the deepest blocks get nested cubes.
+
+`carve` works on ``(lo, hi)`` int boxes on a lattice, as `boxes.BoxSet`
+keeps them: a block's cells are on the lattice of 1, a margin moves a box to
+the margin's lattice, and each brick, cube and tile is built through
+`BoxSet.from_ints`, which keeps the lattice minimal.  Only the margins are
+`Dyadic`s.
 """
 
 from __future__ import annotations
 
-import sys
-
-from .boxes import Box, BoxSet, box_is_empty, deflate, set_contacts
+from .boxes import BoxSet, set_contacts, union_all
 from .canon import forest_hash, rooted_forest_from_edges
-from .dyadic import Dyadic, pair
+from .dyadic import Dyadic, on_lattice, pair
 from .labels import LabelSource
 from .partition import PartitionStack, limit_partitions
 from .trees import RootedTreeWindow
@@ -240,31 +245,39 @@ def _f_order(x, f_children):
     return order
 
 
-def _cell_box(origin, dims) -> Box:
-    """Geometry of a block: cells are unit cubes centered at integer coords."""
-    return tuple(
-        (Dyadic(2 * o - 1, 1), Dyadic(2 * (o + d) - 1, 1))
-        for o, d in zip(origin, dims)
-    )
+def _cell_box(origin, dims) -> tuple:
+    """Int box of a block on the lattice of 1: cells are unit cubes centered
+    at integer coords."""
+    return tuple((2 * o - 1, 2 * (o + d) - 1) for o, d in zip(origin, dims))
 
 
-def place_cubes(box: Box, k: int) -> list:
-    """k disjoint closed cubes strictly inside a box, dyadic coordinates."""
+def _deflate(e: int, box: tuple, m: Dyadic) -> BoxSet:
+    """The int box ``box`` on the lattice of ``e`` shrunk by ``m`` on every
+    side, as a set (empty when nothing is left)."""
+    f, (d,) = on_lattice([m], e)
+    k = f - e
+    return BoxSet.from_ints(f, [tuple(((lo << k) + d, (hi << k) - d) for lo, hi in box)])
+
+
+def place_cubes(e: int, box: tuple, k: int) -> tuple:
+    """``(f, cubes)``: k disjoint closed cubes strictly inside the int box
+    ``box`` on the lattice of ``e``, as int boxes on the lattice of ``f``.
+
+    The longest side is cut into 2**(c + 1) slots, c = ceil(log2 k), and cube
+    i is centered at the end of slot 2i, mid-box on the other axes.  Its side
+    is the largest power of two at most a quarter of the shortest side and
+    half a slot."""
+    c = _ceil_log2(k)
     sides = [hi - lo for lo, hi in box]
     ax = sides.index(max(sides))
-    # the longest side holds k2 = 2**ceil(log2 k) slots of width 2 * slot
-    slot = sides[ax].scale(-1 - _ceil_log2(max(k, 1)))
-    g = min(min(sides).scale(-2), slot.halve()).pow2_floor()
-    half = g.halve()
-    out = []
-    lo_ax = box[ax][0]
+    half = 1 << (min(min(sides) << c, sides[ax]).bit_length() - 1)
+    center = [(lo + hi) << (c + 2) for lo, hi in box]
+    lo_ax, slot = box[ax][0] << (c + 3), sides[ax] << 2
+    cubes = []
     for i in range(k):
-        center = [
-            (lo + hi).halve() if a != ax else lo_ax + slot * (2 * i + 1)
-            for a, (lo, hi) in enumerate(box)
-        ]
-        out.append(tuple((c - half, c + half) for c in center))
-    return out
+        center[ax] = lo_ax + slot * (2 * i + 1)
+        cubes.append(tuple((x - half, x + half) for x in center))
+    return e + c + 3, cubes
 
 
 class Tiling:
@@ -325,69 +338,57 @@ class Tiling:
 
 
 def carve(tree: RootedTreeWindow, topset: TopSet, grid: GridAssignment) -> Tiling:
-    """Erode blocks into nested bricks, one tile per resolved vertex."""
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 10000))
-    tile_of = {}
-    region_boxes = []
+    """Erode blocks into nested bricks, one tile per resolved vertex.
 
-    def emit_cubes(v, cube: Box):
-        kids = tree.children[v]
-        killed = []
-        if kids:
-            inner = deflate(cube, (cube[0][1] - cube[0][0]).scale(-3))
-            killed = place_cubes(inner, len(kids))
-            for c, sub in zip(kids, killed):
-                emit_cubes(c, sub)
-        tile_of[v] = BoxSet([cube]).difference(BoxSet(killed))
+    A tile is its brick minus the bricks and cubes of the tiles nested in
+    it.  A parent makes each nested brick or cube once, as a one-box set,
+    and removes it from its own brick; a worklist then carves the child from
+    it, so deep windows need no deep recursion."""
+    def block_brick(y) -> BoxSet:
+        box = _cell_box(grid.block_origin[y], block_dims(topset.m_of[y]))
+        return _deflate(1, box, margin(topset.stratum[y]))
 
-    def emit_block(x):
-        s = topset.stratum[x]
-        blockbox = _cell_box(grid.block_origin[x], block_dims(topset.m_of[x]))
-
-        def emit_node(z, tbox: Box, depth: int):
-            brick = deflate(tbox, nest_margin(s, depth))
-            assert not box_is_empty(brick), "degenerate brick margin"
-            removed = []
-            for y in grid.hang[z]:
-                ybox = _cell_box(grid.block_origin[y],
-                                 block_dims(topset.m_of[y]))
-                removed.append(deflate(ybox, margin(topset.stratum[y])))
-                emit_block(y)
+    roots = sorted(grid.roots, key=repr)
+    bricks = [block_brick(x) for x in roots]
+    # (vertex, brick, (stratum, depth) of a block or territory node, or None
+    # for a cube)
+    work = [(x, b, (topset.stratum[x], 0)) for x, b in zip(roots, bricks)]
+    done = []
+    while work:
+        z, brick, at = work.pop()
+        assert not brick.is_empty(), "degenerate brick margin"
+        e, box = brick.exp, brick.ints[0]
+        kids = []
+        if at is None:  # a cube: the cubes of its children go in its middle
+            cube_kids = tree.children[z]
+            side = box[0][1] - box[0][0]
+            e, host = e + 3, tuple(((lo << 3) + side, (hi << 3) - side) for lo, hi in box)
+        else:  # a brick: its cubes go in a band along its boundary
+            s, depth = at
+            kids = [(y, block_brick(y), (topset.stratum[y], 0)) for y in grid.hang[z]]
             cube_kids = []
             for c in grid.f_children[z]:
                 terr = grid.territory[c]
-                if terr is not None:
+                if terr is None:
+                    cube_kids.append(c)
+                else:
                     size_c, org_c = terr
                     cbox = _cell_box(org_c, block_dims(size_c))
-                    removed.append(deflate(cbox, nest_margin(s, depth + 1)))
-                    emit_node(c, cbox, depth + 1)
-                else:
-                    cube_kids.append(c)
+                    kids.append((c, _deflate(1, cbox, nest_margin(s, depth + 1)),
+                                 (s, depth + 1)))
             if cube_kids:
-                outer = deflate(tbox, nest_margin(s, depth))
-                inner = deflate(tbox, nest_margin(s, depth) + Dyadic(1, s + 4 + depth))
-                band = BoxSet([outer]).difference(BoxSet([inner]))
-                e = band.exp
-                host = tuple((Dyadic(lo, e), Dyadic(hi, e)) for lo, hi in min(band.ints))
-                cubes = place_cubes(host, len(cube_kids))
-                removed.extend(cubes)
-                for c, cu in zip(cube_kids, cubes):
-                    emit_cubes(c, cu)
-            tile_of[z] = BoxSet([brick]).difference(BoxSet(removed))
+                band = brick.difference(_deflate(e, box, Dyadic(1, s + 4 + depth)))
+                e, host = band.exp, min(band.ints)
+        if cube_kids:
+            f, cubes = place_cubes(e, host, len(cube_kids))
+            kids += [(c, BoxSet.from_ints(f, [cu]), None) for c, cu in zip(cube_kids, cubes)]
+        done.append((z, brick.difference(union_all([b for _, b, _ in kids])) if kids else brick))
+        work += kids
 
-        emit_node(x, blockbox, 0)
-
-    roots = grid.roots
-    for x in sorted(roots, key=repr):
-        emit_block(x)
-        region_boxes.append(
-            deflate(_cell_box(grid.block_origin[x], block_dims(topset.m_of[x])),
-                    margin(topset.stratum[x])))
-
-    resolved = set(tile_of)
-    unresolved = [v for v in tree.order if v not in resolved]
-    region = BoxSet(region_boxes)
-    return Tiling(tile_of, region, roots, unresolved, grid.demoted)
+    # post-order: children before their parents, siblings in the order made
+    tile_of = dict(reversed(done))
+    unresolved = [v for v in tree.order if v not in tile_of]
+    return Tiling(tile_of, union_all(bricks), grid.roots, unresolved, grid.demoted)
 
 
 def verify_representation(tiling: Tiling, tree: RootedTreeWindow) -> dict:

@@ -93,6 +93,16 @@ def test_dumps_indented_matches_json_dumps(obj):
         json.dumps(obj, indent=2, sort_keys=True, default=repr) + "\n")
 
 
+def test_dumps_indented_writes_ints_past_the_digit_limit():
+    # 5,000 digits: past the interpreter's default limit of 4,300 on
+    # int-to-text conversion, which a `[num, exp]` pair of a deep tile reaches
+    n = 10 ** 4999 + 7
+    digits = "1" + "0" * 4998 + "7"
+    assert dumps_indented({"pair": [n, 3], "num": -n}) == (
+        '{\n  "num": -' + digits + ',\n  "pair": [\n    ' + digits
+        + ',\n    3\n  ]\n}')
+
+
 def test_csv_and_svg_headers():
     text = csv_table([[1, 2], [3, 4]], ["a", "b"], "ffff", 3)
     lines = text.strip().split("\n")

@@ -1,18 +1,21 @@
 """Tree tiling: block geometry, end-to-end verification, determinism."""
 
 import hashlib
+import sys
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tiler_reference import reference_top_set
+from tiler_reference import reference_place_cubes, reference_top_set
+from tilelab.boxes import _lattice
 from tilelab.bs12 import bs12_ball, fiber_spanning_tree, fibers
 from tilelab.dyadic import Dyadic
 from tilelab.labels import LabelSource
 from tilelab.partition import Schedule, limit_partitions
 from tilelab.tiler import Tiling, WindowTooSmall, block_dims, margin, \
-    nest_margin, tile_tree, top_set, verify_representation
+    nest_margin, place_cubes, tile_tree, top_set, verify_representation
 from tilelab.trees import synthetic_tree
 
 
@@ -62,6 +65,49 @@ def test_margins():
             assert margin(s).as_fraction() <= nm < 2 * margin(s).as_fraction()
             assert nm > prev
             prev = nm
+
+
+@st.composite
+def dyadic_boxes(draw):
+    """3D boxes whose corners each have their own exponent."""
+    box = []
+    for _ in range(3):
+        lo = Dyadic(draw(st.integers(-(1 << 12), 1 << 12)), draw(st.integers(0, 12)))
+        width = Dyadic(draw(st.integers(1, 1 << 12)), draw(st.integers(0, 12)))
+        box.append((lo, lo + width))
+    return tuple(box)
+
+
+@settings(deadline=None)
+@given(dyadic_boxes(), st.integers(1, 9))
+@example(((Dyadic(0), Dyadic(1)),) * 3, 1)
+@example(((Dyadic(-1, 3), Dyadic(5, 1)), (Dyadic(0), Dyadic(1, 9)),
+          (Dyadic(7, 2), Dyadic(3))), 9)
+def test_place_cubes_matches_dyadic_reference(box, k):
+    e, (ib,) = _lattice([box])
+    f, cubes = place_cubes(e, ib, k)
+    assert [tuple((Dyadic(lo, f), Dyadic(hi, f)) for lo, hi in c)
+            for c in cubes] == reference_place_cubes(box, k)
+    for c in cubes:
+        assert len({hi - lo for lo, hi in c}) == 1  # a cube
+        assert all(bl << (f - e) < lo and hi < bh << (f - e)
+                   for (lo, hi), (bl, bh) in zip(c, ib))  # strictly inside
+    for a, b in combinations(cubes, 2):  # interiors apart
+        assert any(ah <= bl or bh <= al for (al, ah), (bl, bh) in zip(a, b))
+
+
+def test_deep_path_tiles_at_a_low_recursion_limit():
+    # one cube nests in the next along the path, so a recursive carve needs
+    # a stack as deep as the path; the carve must not raise the limit either
+    limit = sys.getrecursionlimit()
+    try:
+        sys.setrecursionlimit(300)
+        tiling = tile_tree(synthetic_tree("path(1200)", 0), Schedule([1, 6], 4),
+                           2, LabelSource(0, salt="tile-tree"))["tiling"]
+        assert sys.getrecursionlimit() == 300
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(tiling.tile_of) == 1198
 
 
 def run(descriptor, seed=0, schedule=(1, 6), stages=2):
