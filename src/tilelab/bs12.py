@@ -1,58 +1,24 @@
 """Finite windows of the Baumslag-Solitar group BS(1,2) = <a, b | a^-1 b a = b^2>.
 
-Group elements are stored as the affine maps t -> 2^-k t + q they induce on
-the real line (k any integer, q dyadic), which makes multiplication exact and
-the word problem trivial.  The generator a is t -> t/2, b is t -> t + 1.
-Orbits of b ("fibers") are the level sets {k = const, q in q0 + 2^-k Z}.
+An element is the affine map t -> 2^-k t + x it induces on the real line
+(k any integer, x dyadic), which makes multiplication exact and the word
+problem trivial.  The generator a is t -> t/2, b is t -> t + 1: right
+multiplication by a^+-1 moves k by +-1, and by b^+-1 moves x by +-2^-k.
+A window vertex is its key ``(k, num, exp)`` with ``x = num * 2^-exp``
+normalized; keys are what labels hash and what the artifacts hold.  Every
+offset within word distance r of the identity is a multiple of 2^-r, so a
+ball of radius r is searched on ``(k, q)`` ints with ``x = q * 2^-r``, and
+each vertex's key is made once.  A b-hull of the ball stays on that lattice.
+Orbits of b ("fibers") are the level sets {k = const, x in x0 + 2^-k Z}.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .boxes import ResourceLimit
 from .canon import find, join
-from .dyadic import Dyadic, ZERO
+from .dyadic import pair
 from .labels import LabelSource
 from .trees import RootedTreeWindow
-
-
-class BsElement:
-    """The affine map t -> 2^-level * t + offset, offset dyadic."""
-
-    __slots__ = ("level", "offset")
-
-    def __init__(self, level: int, offset=ZERO):
-        object.__setattr__(self, "level", int(level))
-        object.__setattr__(self, "offset", Dyadic.coerce(offset))
-
-    def __setattr__(self, *a):
-        raise AttributeError("BsElement is immutable")
-
-    def __mul__(self, other: "BsElement") -> "BsElement":
-        # composition: (g*h)(t) = g(h(t))
-        scaled = other.offset.scale(-self.level)
-        return BsElement(self.level + other.level, scaled + self.offset)
-
-    def inverse(self) -> "BsElement":
-        return BsElement(-self.level, -self.offset.scale(self.level))
-
-    def key(self):
-        return (self.level, *self.offset.as_pair())
-
-    def __eq__(self, other):
-        return isinstance(other, BsElement) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def __repr__(self):
-        return f"BsElement(level={self.level}, offset={self.offset})"
-
-
-IDENTITY = BsElement(0, 0)
-GEN_A = BsElement(1, 0)
-GEN_B = BsElement(0, 1)
 
 
 class CayleyWindow:
@@ -60,7 +26,7 @@ class CayleyWindow:
 
     def __init__(self, radius: int, vertices, dist, edges):
         self.radius = radius
-        self.vertices = sorted(vertices, key=BsElement.key)
+        self.vertices = sorted(vertices)
         self.index = {v: i for i, v in enumerate(self.vertices)}
         self.dist = dist  # word distance from the identity
         # edges: list of (src, dst, color) with dst = src * generator(color)
@@ -80,41 +46,48 @@ class CayleyWindow:
         return [t for t, _c, _o in self.adjacency()[v]]
 
     def to_json(self) -> dict:
-        verts = [list(v.key()) for v in self.vertices]
+        verts = [list(v) for v in self.vertices]
         edges = sorted(
             [self.index[s], self.index[t], c, 1] for s, t, c in self.edges
         )
         return {"vertices": verts, "edges": edges, "radius": self.radius,
-                "center": list(IDENTITY.key())}
+                "center": [0, 0, 0]}
+
+
+def _moves(level: int, q: int, radius: int) -> tuple:
+    """``(level, q)`` times a, a^-1, b and b^-1, offsets ``q * 2**-radius``
+    (``level <= radius``)."""
+    step = 1 << (radius - level)
+    return (level + 1, q), (level - 1, q), (level, q + step), (level, q - step)
 
 
 def bs12_ball(radius: int, cap: int = 500000) -> CayleyWindow:
     """Word-metric ball around the identity by breadth-first enumeration."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    gens = [GEN_A, GEN_A.inverse(), GEN_B, GEN_B.inverse()]
-    dist = {IDENTITY: 0}
-    frontier = [IDENTITY]
+    dist = {(0, 0): 0}
+    frontier = [(0, 0)]
     for r in range(1, radius + 1):
         nxt = []
-        for v in frontier:
-            for g in gens:
-                w = v * g
+        for level, q in frontier:
+            for w in _moves(level, q, radius):
                 if w not in dist:
                     dist[w] = r
                     nxt.append(w)
         frontier = nxt
         if len(dist) > cap:
             raise ResourceLimit(f"window exceeds cap ({cap} vertices)")
-    vset = set(dist)
+    key = {(level, q): (level, *pair(q, radius)) for level, q in dist}
     edges = []
-    for v in vset:
-        for g, color in ((GEN_A, "a"), (GEN_B, "b")):
-            w = v * g
-            if w in vset:
-                edges.append((v, w, color))
-    edges.sort(key=lambda e: (e[0].key(), e[1].key(), e[2]))
-    return CayleyWindow(radius, vset, dist, edges)
+    for (level, q), v in key.items():
+        to_a, _, to_b, _ = _moves(level, q, radius)
+        if to_a in key:
+            edges.append((v, key[to_a], "a"))
+        if to_b in key:
+            edges.append((v, key[to_b], "b"))
+    edges.sort()
+    return CayleyWindow(radius, key.values(),
+                        {key[u]: d for u, d in dist.items()}, edges)
 
 
 class FiberDecomposition:
@@ -125,18 +98,22 @@ class FiberDecomposition:
         # level and the same offset residue modulo the b-step 2**-level.  The
         # coset is a group-theoretic object; its trace inside the window may
         # fall apart into several b-path segments, which we track separately.
+        # On the window's lattice the offset is q * 2**-radius and the b-step
+        # is 2**-level, so the b-position is a shift of q.
+        radius = window.radius
         self.fiber_of = {}
         self.members: dict = {}
         self.position = {}  # member -> integer b-coordinate within its coset
         for v in window.vertices:
-            m = v.offset.scale(v.level).floor()  # offset // 2**-level
-            residue = v.offset - Dyadic(m).scale(-v.level)
-            fid = (v.level, tuple(residue.as_pair()))
+            level, num, exp = v
+            k = radius - level
+            q = num << (radius - exp)
+            m = q >> k  # offset // 2**-level
+            fid = (level, tuple(pair(q - (m << k), radius)))
             self.fiber_of[v] = fid
             self.members.setdefault(fid, []).append(v)
             self.position[v] = m
-        for grp in self.members.values():
-            grp.sort(key=BsElement.key)
+        # members are sorted, as window.vertices is
 
         # window b-segments (maximal b-paths actually present)
         parent = {v: v for v in window.vertices}
@@ -153,9 +130,8 @@ class FiberDecomposition:
             seg_members.setdefault(find(parent, v), []).append(v)
         self.segments: dict = {}
         self.segment_of = {}
-        for group in seg_members.values():
-            group.sort(key=BsElement.key)
-            sid = group[0].key()
+        for group in seg_members.values():  # sorted, as window.vertices is
+            sid = group[0]
             self.segments[sid] = group
             for v in group:
                 self.segment_of[v] = sid
@@ -194,17 +170,9 @@ def fibers(window: CayleyWindow) -> FiberDecomposition:
     return FiberDecomposition(window)
 
 
-def _apex(window: CayleyWindow, labels: LabelSource) -> BsElement:
-    top = max(v.level for v in window.vertices)
-    cands = [v for v in window.vertices if v.level == top]
-    key = labels.choose_min([v.key() for v in cands])
-    return next(v for v in cands if v.key() == key)
-
-
-@lru_cache(maxsize=None)
-def _from_key(key) -> BsElement:
-    level, num, exp = key
-    return BsElement(level, Dyadic(num, exp))
+def _apex(window: CayleyWindow, labels: LabelSource) -> tuple:
+    top = max(v[0] for v in window.vertices)
+    return labels.choose_min([v for v in window.vertices if v[0] == top])
 
 
 def fiber_spanning_tree(window: CayleyWindow, fib: FiberDecomposition,
@@ -256,23 +224,20 @@ def fiber_spanning_tree(window: CayleyWindow, fib: FiberDecomposition,
         if pf is None:
             continue
         conns = seg_edges[(min(f, pf), max(f, pf))]
-        pick_key = labels.choose_min([(s.key(), t.key()) for s, t in conns])
-        s, t = _from_key(tuple(pick_key[0])), _from_key(tuple(pick_key[1]))
+        s, t = labels.choose_min(conns)
         tree_adj[s].add(t)
         tree_adj[t].add(s)
     # root the vertex tree at the apex
-    d = {apex: None}
     order = [apex]
     head = 0
     parent_map = {}
     while head < len(order):
         v = order[head]
         head += 1
-        for w in sorted(tree_adj[v], key=BsElement.key):
-            if w not in d:
-                d[w] = v
-                parent_map[w.key()] = v.key()
+        for w in sorted(tree_adj[v]):
+            if w != apex and w not in parent_map:
+                parent_map[w] = v
                 order.append(w)
     if len(order) != len(window.vertices):
         raise ValueError("fiber spanning tree failed to span the window")
-    return RootedTreeWindow(apex.key(), parent_map)
+    return RootedTreeWindow(apex, parent_map)

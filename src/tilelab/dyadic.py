@@ -6,9 +6,10 @@ is odd or ``(num, exp) == (0, 0)``.  Dyadics are closed under addition,
 subtraction, multiplication and scaling by any power of two (``scale``,
 ``halve``); ``floor`` divides by a positive integer and rounds down, and
 ``pow2_floor`` is the largest power of two not above a positive value.
-That is all the geometry and the BS(1,2) code need; comparisons and hashing
-are exact.  ``on_lattice`` puts dyadics on one lattice as ints, and ``pair``
-gives the normalized JSON form of a lattice int without building a `Dyadic`.
+That is all the geometry needs; comparisons and hashing are exact.
+``on_lattice`` puts dyadics on one lattice as ints, and ``pair`` gives the
+normalized JSON form of a lattice int without building a `Dyadic`: the
+BS(1,2) vertex keys are made that way.
 """
 
 from __future__ import annotations

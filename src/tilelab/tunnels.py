@@ -213,7 +213,7 @@ def assemble_bs12(window: CayleyWindow, seed: int, stages: int = 2,
     path u-v-w through a tile v adjacent to both endpoints, and the carved
     tiling's adjacency is the spanning tree (`verify_representation`), so
     u-v and v-w would be Cayley edges and u-v-w a triangle in the Cayley
-    graph of BS(1,2) = <a, b | a b a^-1 = b^2>.  It has none: the a-exponent
+    graph of BS(1,2) = <a, b | a^-1 b a = b^2>.  It has none: the a-exponent
     sum of a trivial word is 0, so a trivial word of length 3 would be b^3,
     b^-3 or a^k b^j a^-k with j, k in {1, -1}, and none of these is trivial,
     since b has infinite order.
@@ -228,7 +228,7 @@ def assemble_bs12(window: CayleyWindow, seed: int, stages: int = 2,
                   if tree.parent[v] is not None}
     non_tree = []
     for s, t, _c in window.edges:
-        e = frozenset((s.key(), t.key()))
+        e = frozenset((s, t))
         if e not in tree_edges:
             non_tree.append(tuple(sorted(e)))
 
@@ -247,8 +247,8 @@ def contract_fibers(tiling: Tiling, fib: FiberDecomposition) -> Tiling:
     pieces = {}
     unresolved = set()
     for fid, members in fib.members.items():
-        tiles = [tiling.tile_of[v.key()] for v in members
-                 if v.key() in tiling.tile_of]
+        tiles = [tiling.tile_of[v] for v in members
+                 if v in tiling.tile_of]
         if not tiles:
             unresolved.add(fid)
             continue

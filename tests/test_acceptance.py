@@ -236,9 +236,9 @@ def _bs12_walk_setup():
     win = bs12_ball(6)
     g = nx.Graph()
     for v in win.vertices:
-        g.add_node(v.key())
+        g.add_node(v)
     for s, d, _ in win.edges:
-        g.add_edge(s.key(), d.key())
+        g.add_edge(s, d)
     edge_bits = LabelSource(99, salt="omega-perc")
     om = nx.Graph()
     om.add_nodes_from(g)

@@ -1,11 +1,15 @@
 """BS(1,2) arithmetic, windows, and the fiber decomposition."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
+from bs12_reference import (GEN_A, GEN_B, IDENTITY, ReferenceFibers,
+                            reference_ball)
 from tilelab.boxes import ResourceLimit
-from tilelab.bs12 import (GEN_A, GEN_B, IDENTITY, BsElement, bs12_ball,
-                          fiber_spanning_tree, fibers)
+from tilelab.bs12 import _moves, bs12_ball, fiber_spanning_tree, fibers
+from tilelab.dyadic import pair
 from tilelab.labels import LabelSource
 
 A, B = GEN_A, GEN_B
@@ -40,6 +44,37 @@ def test_inverses(u):
     assert g.inverse() * g == IDENTITY
 
 
+@given(words)
+def test_int_steps_walk_to_the_reference_key(u):
+    # the ball's moves on the 2**-12 lattice reach the element of the word
+    radius = 12
+    level, q = 0, 0
+    for ch in u:
+        level, q = _moves(level, q, radius)["aAbB".index(ch)]
+    assert (level, *pair(q, radius)) == element(u).key()
+
+
+@pytest.mark.parametrize("radius", range(9))
+def test_ball_matches_reference(radius):
+    w, ref = bs12_ball(radius), reference_ball(radius)
+    assert w.vertices == [v.key() for v in ref.vertices]
+    assert w.dist == {v.key(): d for v, d in ref.dist.items()}
+    assert w.edges == [(s.key(), t.key(), c) for s, t, c in ref.edges]
+    assert w.to_json() == ref.to_json()
+
+
+@pytest.mark.parametrize("radius", range(9))
+def test_fibers_match_reference(radius):
+    fib = fibers(bs12_ball(radius))
+    ref = ReferenceFibers(reference_ball(radius))
+    assert fib.fiber_of == {v.key(): f for v, f in ref.fiber_of.items()}
+    assert fib.position == {v.key(): m for v, m in ref.position.items()}
+    assert fib.segments == {sid: [v.key() for v in grp]
+                            for sid, grp in ref.segments.items()}
+    assert fib.fiber_edges == ref.fiber_edges
+    assert fib.interior_fibers == ref.interior_fibers
+
+
 def test_ball_sizes():
     # |B(r)| for the standard generators, frozen from independent BFS
     assert [len(bs12_ball(r).vertices) for r in range(6)] == [
@@ -58,7 +93,6 @@ def test_ball_has_no_triangle():
 
 def test_ball_distances_are_geodesic():
     w = bs12_ball(4)
-    adj = w.adjacency()
     for v in w.vertices:
         if w.dist[v] > 0:
             assert any(w.dist[u] == w.dist[v] - 1 for u in w.neighbors(v))
@@ -69,13 +103,13 @@ def test_fibers_are_cosets():
     fib = fibers(w)
     for fid, members in fib.members.items():
         level = fid[0]
-        assert all(v.level == level for v in members)
+        assert all(v[0] == level for v in members)
         # members of one coset differ by integer multiples of the b-step
-        from fractions import Fraction
         base = members[0]
         step = Fraction(2) ** (-level)
         for v in members[1:]:
-            diff = (v.offset - base.offset).as_fraction() / step
+            diff = (Fraction(v[1], 2 ** v[2])
+                    - Fraction(base[1], 2 ** base[2])) / step
             assert diff == int(diff)
 
 
@@ -118,10 +152,10 @@ def test_fiber_spanning_tree_spans_window():
     fib = fibers(w)
     tree = fiber_spanning_tree(w, fib, LabelSource(3, salt="fst"))
     # the tree is keyed by element keys
-    assert set(tree.vertices()) == {v.key() for v in w.vertices}
+    assert set(tree.vertices()) == set(w.vertices)
     assert len(list(tree.edges())) == len(w.vertices) - 1
     # every tree edge is a Cayley edge of the window
-    cayley = {(s.key(), t.key()) for s, t, _c in w.edges}
+    cayley = {(s, t) for s, t, _c in w.edges}
     cayley |= {(t, s) for s, t in cayley}
     for u, v in tree.edges():
         assert (u, v) in cayley

@@ -171,6 +171,36 @@ def test_json_artifacts_are_pinned(tmp_path):
     assert digests == JSON_DIGESTS
 
 
+# SHA-256 of `bs12 --radius 8 --seed 0` and `t3 --radius 6 --seed 1`,
+# recorded while window vertices were `Dyadic`-offset group elements.
+DEEP_WINDOW_DIGESTS = {
+    ("bs12", "8", "0"): {
+        "window.json":
+            "386cf8a80c48acedc342e2ff0c3a13a432ab1ce7275d2bf66070f229e8e779fe",
+        "fibers.json":
+            "2e9ade9b335628a23f051c445433f26f3183b9347e7a06bcaf847ba625cf2f3b",
+    },
+    ("t3", "6", "1"): {
+        "t3-report.json":
+            "4540f83b82a215524eef36897c86defd5e9c85e5ccd72e95f58fd2327bd1c992",
+        "t3-scene.off":
+            "24fb3e6a742f7038cbdedb3ff2be2c4c53992474548c2025d70b5d42d66c3890",
+    },
+}
+
+
+@pytest.mark.parametrize("run", sorted(DEEP_WINDOW_DIGESTS))
+def test_deep_window_artifacts_are_pinned(tmp_path, run):
+    import hashlib
+    import tilelab.cli as cli
+    command, radius, seed = run
+    argv = [command, "--radius", radius, "--seed", seed, "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.iterdir()}
+    assert digests == DEEP_WINDOW_DIGESTS[run]
+
+
 # SHA-256 of `tile-tree --seed 0` on trees whose partition stages peel many
 # rounds, recorded before the stages peeled one window in place.
 DEEP_TREE_DIGESTS = {

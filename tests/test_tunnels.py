@@ -127,9 +127,9 @@ def test_assemble_contract_isometry():
                for fid in fib.interior_fibers)
     # contracted pieces are unions of their member tiles, volumes add up
     for fid, piece in pieces.tile_of.items():
-        member_vol = sum(tiling.tile_of[v.key()].volume()
+        member_vol = sum(tiling.tile_of[v].volume()
                          for v in fib.members[fid]
-                         if v.key() in tiling.tile_of)
+                         if v in tiling.tile_of)
         assert piece.volume() == member_vol
 
     # the pieces have disjoint interiors, and the resolved interior ones
