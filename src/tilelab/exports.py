@@ -3,7 +3,8 @@
 Every file starts with (or embeds) the config hash and seed so that a rerun
 with the same configuration is byte-identical and traceable.  JSON is
 written by `dumps_indented`: the same bytes as `json.dumps` with an indent
-of 2, ``sort_keys=True`` and ``default=repr``.
+of 2, ``sort_keys=True`` and ``default=repr``; a `BoxSet` is written from its
+lattice ints.  OFF and OBJ fill one template per box of a mesh.
 """
 
 from __future__ import annotations
@@ -14,67 +15,66 @@ from decimal import Decimal
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Dict, List, Sequence
 
-# Corner i of a box is (x[i & 1], y[i >> 1 & 1], z[i >> 2]); its six quads:
-_QUADS = (
-    (0, 1, 3, 2), (4, 6, 7, 5),  # bottom, top
-    (0, 2, 6, 4), (1, 5, 7, 3),  # x faces
-    (0, 4, 5, 1), (2, 3, 7, 6),  # y faces
-)
+from .boxes import BoxSet
+from .dyadic import pair
 
 
 def comment_header(config_hash: str, seed) -> List[str]:
     return [f"# config-hash: {config_hash}", f"# seed: {seed}"]
 
 
-def _tiling_mesh(tiling, digits: int):
-    """``(verts, faces)``: the corners and quad faces of every box of every
-    tile, in tile order, read from the tiles' lattice ints.  Each distinct
-    coordinate ``c / 2**e`` is formatted once, through `Decimal`."""
-    verts: List[str] = []
-    faces: List[tuple] = []
-    text: Dict[tuple, str] = {}
-
-    def fmt(c: int, e: int) -> str:
-        s = text.get((c, e))
-        if s is None:
-            s = text[c, e] = f"{Decimal(c) / Decimal(1 << e):.{digits}f}"
-        return s
-
+def _tiling_mesh(tiling, digits: int) -> List[tuple]:
+    """The texts ``(x0, x1, y0, y1, z0, z1)`` of the coordinates of every box
+    of every tile, in tile order, read from the tiles' lattice ints.  Each
+    distinct coordinate ``c / 2**e`` is formatted once, through `Decimal`."""
+    boxes: List[tuple] = []
+    texts: Dict[int, Dict[int, str]] = {}  # exponent -> int -> text
     for key in sorted(tiling.tile_of, key=repr):
         tile = tiling.tile_of[key]
-        e = tile.exp
-        for (x0, x1), (y0, y1), (z0, z1) in tile.ints:
-            xs = (fmt(x0, e), fmt(x1, e))
-            ys = (fmt(y0, e), fmt(y1, e))
-            n = len(verts)
-            verts += [f"{x} {y} {z}" for z in (fmt(z0, e), fmt(z1, e))
-                      for y in ys for x in xs]
-            faces += [(n + a, n + b, n + c, n + d) for a, b, c, d in _QUADS]
-    return verts, faces
+        e, t = tile.exp, texts.setdefault(tile.exp, {})
+        for c in {c for b in tile.ints for iv in b for c in iv} - t.keys():
+            t[c] = f"{Decimal(c) / Decimal(1 << e):.{digits}f}"
+        boxes += [(t[x0], t[x1], t[y0], t[y1], t[z0], t[z1])
+                  for (x0, x1), (y0, y1), (z0, z1) in tile.ints]
+    return boxes
+
+
+def _mesh_text(header: List[str], boxes: List[tuple], v: str, q: str,
+               first: int) -> str:
+    """``header``, then the 8 vertex lines of every box, then the 6 quad
+    lines of every box; vertex lines start with ``v``, quad lines with ``q``,
+    and the corners of box k are numbered from ``first + 8 * k``."""
+    lines = ["".join(h + "\n" for h in header)]
+    # corner i is (x[i & 1], y[i >> 1 & 1], z[i >> 2]); the quads are
+    # bottom, top, the two x faces and the two y faces
+    lines += [f"{v}{x0} {y0} {z0}\n{v}{x1} {y0} {z0}\n{v}{x0} {y1} {z0}\n"
+              f"{v}{x1} {y1} {z0}\n{v}{x0} {y0} {z1}\n{v}{x1} {y0} {z1}\n"
+              f"{v}{x0} {y1} {z1}\n{v}{x1} {y1} {z1}\n"
+              for x0, x1, y0, y1, z0, z1 in boxes]
+    ids = iter(map(str, range(first, first + 8 * len(boxes))))
+    lines += [f"{q}{c0} {c1} {c3} {c2}\n{q}{c4} {c6} {c7} {c5}\n"
+              f"{q}{c0} {c2} {c6} {c4}\n{q}{c1} {c5} {c7} {c3}\n"
+              f"{q}{c0} {c4} {c5} {c1}\n{q}{c2} {c3} {c7} {c6}\n"
+              for c0, c1, c2, c3, c4, c5, c6, c7 in zip(*[ids] * 8)]
+    return "".join(lines)
 
 
 def tiling_off(tiling, config_hash: str, seed, digits: int = 9,
                mesh=None) -> str:
     """ASCII OFF scene: one cuboid shell per box of every tile.  ``mesh``,
     when given, is ``_tiling_mesh(tiling, digits)`` built beforehand."""
-    verts, faces = mesh or _tiling_mesh(tiling, digits)
-    lines = ["OFF"]
-    lines += comment_header(config_hash, seed)
-    lines.append(f"{len(verts)} {len(faces)} 0")
-    lines += verts
-    lines += [f"4 {a} {b} {c} {d}" for a, b, c, d in faces]
-    return "\n".join(lines) + "\n"
+    boxes = _tiling_mesh(tiling, digits) if mesh is None else mesh
+    header = ["OFF", *comment_header(config_hash, seed),
+              f"{8 * len(boxes)} {6 * len(boxes)} 0"]
+    return _mesh_text(header, boxes, "", "4 ", 0)
 
 
 def tiling_obj(tiling, config_hash: str, seed, digits: int = 9,
                mesh=None) -> str:
     """Wavefront OBJ scene of the same mesh as `tiling_off`."""
-    verts, faces = mesh or _tiling_mesh(tiling, digits)
-    lines = comment_header(config_hash, seed)
-    lines += [f"v {v}" for v in verts]
+    boxes = _tiling_mesh(tiling, digits) if mesh is None else mesh
     # OBJ indices are 1-based
-    lines += [f"f {a + 1} {b + 1} {c + 1} {d + 1}" for a, b, c, d in faces]
-    return "\n".join(lines) + "\n"
+    return _mesh_text(comment_header(config_hash, seed), boxes, "v ", "f ", 1)
 
 
 def _int_text(n: int) -> str:
@@ -107,17 +107,39 @@ def _scalar_text(o):
     return None
 
 
+def _boxset_text(s: BoxSet, depth: int) -> str:
+    """JSON text at ``depth`` of the boxes of ``s``, ``[[num, exp], [num,
+    exp]]`` per axis: each distinct coordinate's text once, each box one join."""
+    if not s.ints:
+        return "[]"
+    p1, p2, p3, p4 = ["\n" + "  " * (depth + k) for k in range(1, 5)]
+    text = {}
+    for c in {c for b in s.ints for iv in b for c in iv}:
+        num, exp = pair(c, s.exp)
+        text[c] = f"[{p4}{_int_text(num)},{p4}{exp}{p3}]"
+    axes = f"{p2}],{p2}[{p3}"
+    return (f"[{p1}[{p2}[{p3}" + f"{p2}]{p1}],{p1}[{p2}[{p3}".join(
+        [axes.join([f"{text[lo]},{p3}{text[hi]}" for lo, hi in b])
+         for b in s.ints]) + f"{p2}]{p1}]{p1[:-2]}]")
+
+
 def dumps_indented(obj) -> str:
     """The text `json.dumps` gives ``obj`` with an indent of 2,
     ``sort_keys=True`` and ``default=repr``, without the pure-Python encoder
     that an indent forces.
 
-    A list of plain ints (a ``[num, exp]`` pair, say) is rendered once per
+    A `BoxSet` is written as the list of its boxes, each a ``[[num, exp],
+    [num, exp]]`` pair per axis.  A list of plain ints is rendered once per
     value and depth and reused.  Unlike ``json.dumps``, an int past the
     interpreter's digit limit for int-to-text conversion is written in full,
     and a circular container is not detected: it recurses until
     `RecursionError`.
     """
+    return "".join(_json_parts(obj))
+
+
+def _json_parts(obj) -> List[str]:
+    """The pieces of ``dumps_indented(obj)``, not yet joined."""
     parts: List[str] = []
     put = parts.append
     int_lists: Dict[tuple, str] = {}
@@ -127,6 +149,8 @@ def dumps_indented(obj) -> str:
             seq(o, depth)
         elif isinstance(o, dict):
             mapping(o, depth)
+        elif isinstance(o, BoxSet):
+            put(_boxset_text(o, depth))
         elif isinstance(o, str):
             put(_quote(o))
         else:
@@ -179,13 +203,15 @@ def dumps_indented(obj) -> str:
         put(pad[:-2] + "}")
 
     value(obj, 0)
-    return "".join(parts)
+    return parts
 
 
 def json_report(payload: Dict, config_hash: str, seed) -> str:
     body = {"config_hash": config_hash, "seed": seed}
     body.update(payload)
-    return dumps_indented(body) + "\n"
+    parts = _json_parts(body)
+    parts.append("\n")
+    return "".join(parts)
 
 
 def csv_table(rows: Sequence[Sequence], header: Sequence[str],

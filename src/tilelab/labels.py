@@ -17,7 +17,34 @@ from fractions import Fraction
 LABEL_BITS = 64
 
 
-class LabelSource:
+class _Stream:
+    """A label stream: ``_bits_of`` maps the encoding of a vertex id to its
+    ``nbits``-bit label; the rest is derived from it."""
+
+    nbits = LABEL_BITS
+
+    def bits(self, vertex) -> int:
+        """Integer label of a vertex, ``nbits`` bits wide."""
+        return self._bits_of(_encode_vertex(vertex))
+
+    def label(self, vertex) -> Fraction:
+        """Uniform label in [0, 1) with ``nbits`` binary digits."""
+        return Fraction(self.bits(vertex), 1 << self.nbits)
+
+    def float_label(self, vertex) -> float:
+        return self.bits(vertex) / float(1 << self.nbits)
+
+    def choose_min(self, vertices):
+        """The vertex of minimal label; ties are impossible in practice but
+        broken by the encoded id for full determinism.  Each vertex is
+        encoded once, for its label and its tie-break."""
+        def key(v):
+            code = _encode_vertex(v)
+            return self._bits_of(code), code
+        return min(vertices, key=key)
+
+
+class LabelSource(_Stream):
     """Keyed map from hashable vertex ids to uniform 64-bit fractions."""
 
     def __init__(self, seed: int, salt: str = ""):
@@ -27,19 +54,9 @@ class LabelSource:
             f"{self.seed}:{self.salt}".encode(), digest_size=16
         ).digest()
 
-    def bits(self, vertex) -> int:
-        """Raw 64-bit integer label for a vertex."""
-        h = hashlib.blake2b(
-            _encode_vertex(vertex), key=self._key, digest_size=8
-        ).digest()
+    def _bits_of(self, data: bytes) -> int:
+        h = hashlib.blake2b(data, key=self._key, digest_size=8).digest()
         return int.from_bytes(h, "big")
-
-    def label(self, vertex) -> Fraction:
-        """Uniform label in [0, 1) with 64 binary digits."""
-        return Fraction(self.bits(vertex), 1 << LABEL_BITS)
-
-    def float_label(self, vertex) -> float:
-        return self.bits(vertex) / float(1 << LABEL_BITS)
 
     def split(self, k: int) -> list["SubStream"]:
         """k substreams by bit interleaving; together they determine label()."""
@@ -47,13 +64,8 @@ class LabelSource:
             raise ValueError("k must be >= 1")
         return [SubStream(self, k, j) for j in range(k)]
 
-    def choose_min(self, vertices):
-        """The vertex of minimal label; ties are impossible in practice but
-        broken by the encoded id for full determinism."""
-        return min(vertices, key=lambda v: (self.bits(v), _encode_vertex(v)))
 
-
-class SubStream:
+class SubStream(_Stream):
     """Every-k-th-bit substream of a LabelSource."""
 
     def __init__(self, source: LabelSource, k: int, offset: int):
@@ -62,22 +74,13 @@ class SubStream:
         self.offset = offset
         self.nbits = len(range(offset, LABEL_BITS, k))
 
-    def bits(self, vertex) -> int:
-        raw = self.source.bits(vertex)
+    def _bits_of(self, data: bytes) -> int:
+        raw = self.source._bits_of(data)
         out = 0
         # bit 0 of the fraction is the most significant bit of raw
         for pos in range(self.offset, LABEL_BITS, self.k):
             out = (out << 1) | ((raw >> (LABEL_BITS - 1 - pos)) & 1)
         return out
-
-    def label(self, vertex) -> Fraction:
-        return Fraction(self.bits(vertex), 1 << self.nbits)
-
-    def float_label(self, vertex) -> float:
-        return self.bits(vertex) / float(1 << self.nbits)
-
-    def choose_min(self, vertices):
-        return min(vertices, key=lambda v: (self.bits(v), _encode_vertex(v)))
 
 
 def _encode_vertex(vertex) -> bytes:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .boxes import BoxSet, set_contacts, union_all
 from .canon import forest_hash, rooted_forest_from_edges
-from .dyadic import Dyadic, on_lattice, pair
+from .dyadic import Dyadic, on_lattice
 from .labels import LabelSource
 from .partition import PartitionStack, limit_partitions
 from .trees import RootedTreeWindow
@@ -322,15 +322,10 @@ class Tiling:
         return Tiling(t, region, self.roots, self.unresolved, self.demoted)
 
     def to_json(self) -> dict:
-        def boxes_json(bs: BoxSet):
-            e = bs.exp
-            pairs = {c: pair(c, e) for b in bs.ints for iv in b for c in iv}
-            return [[[pairs[lo], pairs[hi]] for lo, hi in b] for b in bs.ints]
-
+        """The tiling for `exports.dumps_indented`, which writes `BoxSet`s."""
         return {
-            "tiles": {repr(v): boxes_json(s) for v, s in sorted(
-                self.tile_of.items(), key=lambda kv: repr(kv[0]))},
-            "region": boxes_json(self.region),
+            "tiles": {repr(v): s for v, s in self.tile_of.items()},
+            "region": self.region,
             "adjacency": sorted([repr(a), repr(b)] for a, b in self.adjacency()),
             "unresolved": sorted(repr(v) for v in self.unresolved),
             "demoted": sorted(repr(v) for v in self.demoted),

@@ -202,15 +202,20 @@ def test_deep_window_artifacts_are_pinned(tmp_path, run):
 
 
 # SHA-256 of `tile-tree --seed 0` on trees whose partition stages peel many
-# rounds, recorded before the stages peeled one window in place.
+# rounds, recorded before the stages peeled one window in place; the
+# `scene.off` digests were recorded before meshes were written box by box.
 DEEP_TREE_DIGESTS = {
     "path(100)": {
+        "scene.off":
+            "3a8479ae60ea1003cddf86147cdd7f0e582bb281807a33142a1755f379bdf556",
         "tiling.json":
             "7f7f180010f300045a42fc57d33665559c3fd11319e5e1e7a64731e6f840c054",
         "verifier.json":
             "853ce38c830f0ca970705628eff7513039db233991dd8ff0e4d178d32361c734",
     },
     "random(300,4)": {
+        "scene.off":
+            "d95bae4346f7a10ea8f8aa78c2e9fa124110cff9f1dd701078d411b588d62729",
         "tiling.json":
             "f50bacd89c3c4932606b635af5ec91d099cb83e11ac9ebb19df0279c75bed967",
         "verifier.json":
@@ -228,6 +233,28 @@ def test_deep_tree_artifacts_are_pinned(tmp_path, tree):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in DEEP_TREE_DIGESTS[tree]}
     assert digests == DEEP_TREE_DIGESTS[tree]
+
+
+# SHA-256 of the artifacts of `export --tree "binary-canopy(4)" --seed 0`,
+# recorded before meshes were written box by box.
+EXPORT_DIGESTS = {
+    "scene.obj":
+        "2eaf96d35df2393636f5f42d2c925c08107612a5eaf350f0ae3bc49c8afcdd4c",
+    "scene.off":
+        "44107a71a70466f005432bb3c1f4cfa02bec08477ce5467d04d0243e9820891d",
+    "tiling.json":
+        "58ecaf946680c8a500a4f2a29c2279741ab57366c29819c9be472734c95ebee9",
+}
+
+
+def test_export_artifacts_are_pinned(tmp_path):
+    import hashlib
+    import tilelab.cli as cli
+    argv = ["export", "--tree", "binary-canopy(4)", "--seed", "0",
+            "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in tmp_path.iterdir()} == EXPORT_DIGESTS
 
 
 def test_t3_reports_dropped_disconnected_fibers(tmp_path):

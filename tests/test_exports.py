@@ -199,23 +199,61 @@ def test_mesh_from_ints_matches_dyadic_corners(tiles, digits):
     tiling = Tiling(tile_of, union_all(list(tile_of.values())), [0], (), ())
     off = tiling_off(tiling, "h", 3, digits)
     obj = tiling_obj(tiling, "h", 3, digits)
-    doc = json.dumps(tiling.to_json())
-    assert _tiling_mesh(tiling, digits) == _ref_mesh(tiling, digits)
+    # a box's first corner is (x0, y0, z0) and its last (x1, y1, z1)
+    verts, _ = _ref_mesh(tiling, digits)
+    ends = [(verts[n].split(), verts[n + 7].split())
+            for n in range(0, len(verts), 8)]
+    assert _tiling_mesh(tiling, digits) == [
+        (x0, x1, y0, y1, z0, z1) for (x0, y0, z0), (x1, y1, z1) in ends]
     assert off == _ref_off(tiling, "h", 3, digits)
     assert obj == _ref_obj(tiling, "h", 3, digits)
     assert tiling_off(tiling, "h", 3, mesh=_tiling_mesh(tiling, digits)) == off
     assert tiling_obj(tiling, "h", 3, mesh=_tiling_mesh(tiling, digits)) == obj
-    ref = dict(json.loads(doc),
-               tiles={repr(k): _ref_boxes_json(s) for k, s in
-                      sorted(tile_of.items(), key=lambda kv: repr(kv[0]))},
+    ref = dict(tiling.to_json(), config_hash="h", seed=3,
+               tiles={repr(k): _ref_boxes_json(s) for k, s in tile_of.items()},
                region=_ref_boxes_json(tiling.region))
-    assert doc == json.dumps(ref)
+    assert json_report(tiling.to_json(), "h", 3) == (
+        json.dumps(ref, indent=2, sort_keys=True) + "\n")
+
+
+# A numerator of 4,401 digits, past the interpreter's default limit of 4,300
+# on int-to-text conversion
+_HUGE = BoxSet([((Dyadic(10 ** 4400 + 1, 3), Dyadic(10 ** 4400 + 9, 3)),
+                 (Dyadic(0), Dyadic(1)), (Dyadic(-1, 1), Dyadic(0)))])
+_BOXSETS = (st.lists(dyadic_boxes(), max_size=3).map(BoxSet)
+            | st.sampled_from([BoxSet.empty(), _HUGE]))
+
+
+@st.composite
+def boxsets_in_json(draw):
+    """A JSON value holding `BoxSet`s at depths 0 to 4 in lists and dicts,
+    and the same value with each set replaced by its reference list."""
+    s = draw(_BOXSETS)
+    obj, ref = s, _ref_boxes_json(s)
+    for _ in range(draw(st.integers(0, 4))):
+        t = draw(_BOXSETS)
+        if draw(st.booleans()):
+            obj, ref = [7, obj, t], [7, ref, _ref_boxes_json(t)]
+        else:
+            k = draw(st.text(max_size=2))
+            obj = {k: obj, k + "~": t, "z": None}
+            ref = {k: ref, k + "~": _ref_boxes_json(t), "z": None}
+    return obj, ref
+
+
+@settings(max_examples=100, deadline=None)
+@given(boxsets_in_json())
+@example((_HUGE, _ref_boxes_json(_HUGE)))
+@example(([[[{"": BoxSet.empty()}]]], [[[{"": []}]]]))
+def test_dumps_indented_writes_boxsets_as_their_reference_lists(obj_ref):
+    obj, ref = obj_ref
+    assert dumps_indented(obj) == dumps_indented(ref)
 
 
 def test_exports_never_build_dyadic_corners():
     tiling = small_tiling()
     tiling_off(tiling, "h", 0)
     tiling_obj(tiling, "h", 0)
-    tiling.to_json()
+    json_report(tiling.to_json(), "h", 0)
     sets = list(tiling.tile_of.values()) + [tiling.region]
     assert all(s._boxes is None for s in sets)

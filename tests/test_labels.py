@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import scipy.stats
 
-from tilelab.labels import LABEL_BITS, LabelSource
+from tilelab.labels import LABEL_BITS, LabelSource, _encode_vertex
 
 
 def recombine(parts: list[int], k: int) -> int:
@@ -71,6 +71,16 @@ def test_choose_min_is_argmin():
     chosen = src.choose_min(verts)
     assert src.bits(chosen) == min(src.bits(v) for v in verts)
     assert src.choose_min(reversed(verts)) == chosen
+
+
+def test_choose_min_breaks_ties_by_encoded_id():
+    # a 4-bit substream ties often, so the encoded id decides
+    src = LabelSource(5)
+    verts = [7, "7", (1, 2), [1, 2], (1, "2"), "a", ("b", 3)] + list(range(40))
+    for stream in [src] + src.split(16):
+        ref = min(verts, key=lambda v: (stream.bits(v), _encode_vertex(v)))
+        assert stream.choose_min(verts) is ref
+        assert stream.choose_min(reversed(verts)) == ref
 
 
 def test_vertex_encoding_distinguishes_structures():
