@@ -13,24 +13,24 @@ so lower-dimensional slivers never survive.  The kernel is dimension-generic
 A set keeps its canonical boxes as ``(lo, hi)`` int pairs, ``ints``, on the
 lattice of ``exp``, the least exponent >= 0 at which every corner ``c / 2**exp``
 has an int ``c``; equal sets have equal ``(exp, ints)``.  The pipelines build
-their sets from int boxes, through `BoxSet.from_ints`.  `Dyadic` corners enter
-only through the constructor and a `Clearance` query (`_lattice`), and leave
-only through ``boxes``, ``bbox`` and ``contact_faces``.
+their sets from int boxes, through `BoxSet.from_ints` and `box_minus`.
+`Dyadic` corners enter only through the constructor and a `Clearance` query
+(`_lattice`), and leave only through ``boxes``, ``bbox`` and ``contact_faces``.
 Operations move the coarser operand to the finer lattice with ``<<``.  A
 binary boolean is one section-by-section merge of the operands' slab trees
 (`_merge`, after the Extreme Vertices Model of Aguilera and Ayala), which
 reuses their canonical subtrees.  A raw box list, and `union_all` of many
 sets, is canonicalized by one sweep per axis over a segment tree of that
-axis's cuts (`_sweep`, after Bentley's union of rectangles).  Neither builds
-a grid of the distinct coordinates.
+axis's cuts (`_sweep`, after Bentley's union of rectangles), and a box minus
+many boxes (`box_minus`) is one such sweep of the holes merged against the
+box.  None of them builds a grid of the distinct coordinates.
 
-Every pairwise contact (`set_contacts`, `contact_faces`, `components`,
-`interior_intersects`) comes from one contact sweep, `_contacts`.  From
-`INDEX_MIN` boxes on it reads candidates off an index of int bitsets over all
-axes (`_indexed`), so its work follows the pairs whose closures meet rather
-than the pairs that overlap on one axis, which on nested corner blocks are
-almost all of them.  `set_contacts` can also count each set's face-connected
-components in the same sweep.
+Pairwise contact is one relation of int bitsets over all axes (`_relation`):
+per box, the earlier boxes touching it along a face and those overlapping
+it, from bisects into sorted box ends, with no work per pair.  `set_contacts`
+reads which sets touch or overlap, and components, off those bitsets; the
+pair and area queries go through `_contacts`, which below `INDEX_MIN` boxes
+uses an axis-0 active list instead.
 
 `Clearance` is a region prepared for many polyline queries: its complement
 near the region is built once, on the lattice, and each query only lattices
@@ -271,6 +271,27 @@ def union_all(sets: Sequence["BoxSet"]) -> "BoxSet":
     return BoxSet._of(e, _canonical(ib, "union"), max((s.dim for s in sets), default=0))
 
 
+def box_minus(e: int, box: tuple, holes: Sequence[tuple]) -> "BoxSet":
+    """The closure of the int box ``box`` minus the int boxes ``holes``, all
+    on the lattice of ``e``: one sweep of the nonempty holes, merged as a
+    difference against the box's one-slab tree."""
+    ib, holes = _canonical([box]), [h for h in holes if all(lo < hi for lo, hi in h)]
+    if ib and holes:
+        budget = [MAX_SLABS]
+        ib = _int_boxes(_merge("difference", "difference", _sweep("difference", ib, 0, budget),
+                               _sweep("difference", holes, 0, budget)))
+    return BoxSet._of(e, ib, len(box))
+
+
+def least_lattice(e: int, ib: Sequence[tuple]) -> tuple[int, Sequence[tuple]]:
+    """``(f, boxes)``: the int boxes ``ib`` on the lattice of ``e`` moved to
+    the least lattice ``f <= e`` that holds them."""
+    # drop the trailing zero bits that every corner has, at most e
+    m = reduce(or_, (c for b in ib for iv in b for c in iv), 0) if e else 0
+    k = min(e, (m & -m).bit_length() - 1) if m else e
+    return (e - k, [tuple((lo >> k, hi >> k) for lo, hi in b) for b in ib]) if k else (e, ib)
+
+
 class BoxSet:
     """Canonical finite union of closed dyadic boxes."""
 
@@ -295,11 +316,7 @@ class BoxSet:
 
     def _store(self, e: int, ib: Sequence[tuple], dim: int) -> None:
         """Keep ``ib`` on the least lattice that holds it; ``dim`` if it is empty."""
-        # drop the trailing zero bits that every corner has, at most e
-        m = reduce(or_, (c for b in ib for iv in b for c in iv), 0) if e else 0
-        k = min(e, (m & -m).bit_length() - 1) if m else e
-        if k:
-            ib, e = [tuple((lo >> k, hi >> k) for lo, hi in b) for b in ib], e - k
+        e, ib = least_lattice(e, ib)
         for attr, value in (("exp", e), ("ints", tuple(ib)),
                             ("dim", len(ib[0]) if ib else dim), ("_boxes", None)):
             object.__setattr__(self, attr, value)
@@ -326,10 +343,13 @@ class BoxSet:
     def is_empty(self) -> bool:
         return not self.ints
 
+    def measure(self) -> int:
+        """Total volume in units of ``2**-(exp * dim)``: a sum of int products."""
+        return sum(prod(hi - lo for lo, hi in b) for b in self.ints)
+
     def volume(self) -> Fraction:
-        """Exact total volume: a sum of int products on the set's lattice."""
-        return Fraction(sum(prod(hi - lo for lo, hi in b) for b in self.ints),
-                        1 << (self.exp * self.dim))
+        """Exact total volume."""
+        return Fraction(self.measure(), 1 << (self.exp * self.dim))
 
     def int_bbox(self) -> tuple:
         """The bounding box as ``(lo, hi)`` int pairs on the lattice of ``exp``."""
@@ -416,7 +436,9 @@ class BoxSet:
 
     def shared_face_area(self, other: "BoxSet") -> Fraction:
         """Total codimension-1 contact area; assumes disjoint interiors."""
-        return set_contacts([self, other])[0].get((0, 1), Fraction(0))
+        e, ib, owner = _common([self, other])
+        return Fraction(sum(area for _, _, area in _contacts(ib, owner) if area is not None),
+                        _face_unit(e, ib))
 
     def components(self) -> list["BoxSet"]:
         """Face-connected components (edge/corner contact does not connect)."""
@@ -434,10 +456,11 @@ class BoxSet:
 
 
 # Below `INDEX_MIN` boxes `_contacts` keeps the axis-0 active list: building
-# the index costs 3-4 times as much at 2-10 boxes, the size of most calls.
-# The index builds its masks for at most `BLOCK` sweep positions at a time,
-# so they hold at most BLOCK**2 / 8 bytes per axis end however many boxes
-# come (unblocked, `tile-tree` on `binary-canopy(10)` peaks 93 MB higher).
+# the relation's masks costs 3-4 times as much at 2-10 boxes, the size of
+# most calls.  The relation builds its masks for at most `BLOCK` sweep
+# positions at a time, so they hold at most BLOCK**2 / 8 bytes per axis end
+# however many boxes come (unblocked, `tile-tree` on `binary-canopy(10)`
+# peaks 93 MB higher).
 INDEX_MIN = 64
 BLOCK = 2048
 
@@ -458,22 +481,24 @@ def _end_masks(ib: Sequence[tuple], block: Sequence[int], a: int, side: int):
     return [ends[i] for i in order], masks
 
 
-def _indexed(ib: Sequence[tuple], owner: Sequence):
-    """Rows ``(k, near)`` of the contact index: ``near`` lists boxes of
-    other owners before ``k`` in axis-0 sweep order, within one block of
-    sweep positions, whose closures meet box ``k`` on every axis.
+def _relation(ib: Sequence[tuple], owner: Sequence):
+    """Rows ``(k, block, own, face, over)``, one per box ``k`` and block of
+    earlier boxes it meets, of the contact relation of the nonempty int boxes
+    ``ib``: ``block`` lists box indices in axis-0 sweep order, ``face`` and
+    ``over`` are bitsets over its positions of the boxes touching box ``k``
+    along a codim-1 face and of those overlapping it, and ``own`` maps each
+    owner to the bitset of its boxes in the block.
 
-    A block numbers its boxes by sweep position and keeps, per axis, the
-    sorted ``lo`` ends with prefix masks and the sorted ``hi`` ends with
-    suffix masks, as int bitsets: the boxes with ``lo <= x`` and those with
-    ``hi >= x`` are one bisect and one mask each.  A box's candidates are the
-    AND of those masks with the positions before its own, minus its owner's,
-    so the work follows the pairs that meet."""
+    A block keeps, per axis, the sorted ``lo`` ends with prefix masks and the
+    sorted ``hi`` ends with suffix masks.  On one axis, the boxes meeting box
+    k are two bisects and two masks, those overlapping it the same with the
+    bisects swapped, and the rest touch it.  A face contact meets k on every
+    axis and touches it on one, an overlap touches it on none."""
     order = sorted(range(len(ib)), key=lambda k: ib[k][0][0])
     for b0 in range(0, len(order), BLOCK):
         block = order[b0:b0 + BLOCK]
-        # sweep order puts every lo0 of the block at or below lo0 of a later
-        # box, so axis 0 needs only the hi ends
+        # sweep order puts every lo0 of the block at or below lo0 < hi0 of a
+        # later box, so axis 0 needs only the hi ends
         his0, suf0 = _end_masks(ib, block, 0, 1)
         rest = [(*_end_masks(ib, block, a, 0), *_end_masks(ib, block, a, 1))
                 for a in range(1, len(ib[0]))]
@@ -483,47 +508,54 @@ def _indexed(ib: Sequence[tuple], owner: Sequence):
         for p in range(b0, len(order)):
             k = order[p]
             q = ib[k]
-            if q[0][0] > his0[-1]:
+            lo0 = q[0][0]
+            if lo0 > his0[-1]:
                 break  # no later box reaches back into the block
-            m = suf0[bisect_left(his0, q[0][0])] & ~own.get(owner[k], 0)
+            meet = suf0[bisect_left(his0, lo0)]
             if p - b0 < len(block):
-                m &= (1 << (p - b0)) - 1
+                meet &= (1 << (p - b0)) - 1
+            once, twice = meet & ~suf0[bisect_right(his0, lo0)], 0
             for (lo, hi), (los, pre, his, suf) in zip(q[1:], rest):
-                if not m:
+                if not meet:
                     break
-                m &= pre[bisect_right(los, hi)] & suf[bisect_left(his, lo)]
-            if m:
-                near = []
-                while m:
-                    low = m & -m
-                    near.append(block[low.bit_length() - 1])
-                    m ^= low
-                yield k, near
+                meet &= pre[bisect_right(los, hi)] & suf[bisect_left(his, lo)]
+                touch = meet & ~(pre[bisect_left(los, hi)] & suf[bisect_right(his, lo)])
+                twice |= once & touch
+                once |= touch
+            if meet:
+                yield k, block, own, meet & once & ~twice, meet & ~once
+
+
+def _positions(m: int):
+    """The positions of the set bits of the int ``m``, lowest first."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
 
 
 def _contacts(ib: Sequence[tuple], owner: Sequence):
-    """Exact contacts among int boxes on one lattice: yield ``(i, j, area)``
-    for every pair ``i < j`` of boxes with different owners that touch along
-    a codim-1 face (``area`` is the positive int contact area, in units of
-    ``2**-(e * (dim - 1))``) or whose interiors overlap (``area`` is None).
-    Pairs meeting only along an edge or a corner are not reported.
-
-    From `INDEX_MIN` boxes on, the candidates of a box come from the contact
-    index (`_indexed`), which offers only pairs whose closures meet on every
-    axis.  Below it they are the active list of a sort-and-sweep along axis
-    0: the earlier boxes not apart from it on that axis.  Either way each
-    candidate is classified on ints, and pairs come in no fixed order."""
-    small = len(ib) < INDEX_MIN
+    """Exact contacts among nonempty int boxes on one lattice: yield ``(i, j,
+    area)``, in no fixed order, for every pair ``i < j`` of boxes with
+    different owners that touch along a codim-1 face (``area`` is the int
+    contact area, in units of ``2**-(e * (dim - 1))``) or overlap (``area``
+    is None).  Below `INDEX_MIN` boxes an axis-0 active list stands in for
+    `_relation`, and its pairs are classified on ints."""
+    if len(ib) >= INDEX_MIN:
+        for k, block, own, face, over in _relation(ib, owner):
+            mine = own.get(owner[k], 0)
+            for j in map(block.__getitem__, _positions(face & ~mine)):
+                # the side of the touching axis is 0
+                yield min(j, k), max(j, k), prod(filter(None, (
+                    min(ph, qh) - max(pl, ql) for (pl, ph), (ql, qh) in zip(ib[j], ib[k]))))
+            for j in map(block.__getitem__, _positions(over & ~mine)):
+                yield min(j, k), max(j, k), None
+        return
     active: list[int] = []
-    for row in sorted(range(len(ib)), key=lambda k: ib[k][0][0]) if small else _indexed(ib, owner):
-        if small:
-            k = row
-            lo = ib[k][0][0]
-            near = active = [j for j in active if ib[j][0][1] >= lo]
-        else:
-            k, near = row
+    for k in sorted(range(len(ib)), key=lambda k: ib[k][0][0]):
         q = ib[k]
-        for j in near:
+        active = [j for j in active if ib[j][0][1] >= q[0][0]]
+        for j in active:
             if owner[j] == owner[k]:
                 continue
             touch = False
@@ -541,8 +573,7 @@ def _contacts(ib: Sequence[tuple], owner: Sequence):
                     area *= hi - lo
             else:
                 yield min(j, k), max(j, k), area if touch else None
-        if small:
-            active.append(k)
+        active.append(k)
 
 
 def _face_unit(e: int, ib: Sequence[tuple]) -> int:
@@ -551,37 +582,34 @@ def _face_unit(e: int, ib: Sequence[tuple]) -> int:
 
 
 def set_contacts(sets: Sequence[BoxSet], components: Container[int] = ()) -> tuple:
-    """Pairwise contact of box sets: ``(areas, overlaps, counts)`` where
-    ``areas`` maps each set pair ``(a, b)``, ``a < b``, with positive shared
-    face area to that area, and ``overlaps`` holds the set pairs whose
-    interiors meet.  For each index ``a`` in ``components``, ``counts[a]`` is
-    the number of face-connected components of ``sets[a]``: the same sweep
-    also meets that set's own boxes and joins those sharing a face.  The own
-    boxes of every other set are skipped, and its count is None."""
-    e, ib, owner = _common(sets)
+    """Pairwise contact of box sets: ``(adjacent, overlaps, counts)`` where
+    ``adjacent`` holds the set pairs ``(a, b)``, ``a < b``, whose closures
+    share positive face area, ``overlaps`` those whose interiors meet, and
+    ``counts[a]`` is the number of face-connected components of ``sets[a]``
+    for each ``a`` in ``components``, None for the others.  All of it is read
+    off the bitsets of `_relation`: face bits in a box's own counted set go
+    to a union-find, and those of other sets are taken one set at a time,
+    through its mask in the block, so each neighbouring set costs one insert."""
+    _, ib, owner = _common(sets)
     counts = [0 if a in components else None for a in range(len(sets))]
-    keys, parent = owner, None
-    if components:
-        # a box of a counted set is its own owner in the sweep
-        keys = [len(sets) + i if counts[a] is not None else a for i, a in enumerate(owner)]
-        parent = list(range(len(ib)))
-    areas: dict = {}
-    overlaps = set()
-    for i, j, area in _contacts(ib, keys):
-        a, b = owner[i], owner[j]
-        if a == b:
-            if area is not None:
-                join(parent, i, j)
-        elif area is None:
-            overlaps.add((a, b))
-        else:
-            areas[a, b] = areas.get((a, b), 0) + area
-    if parent is not None:
-        for i, a in enumerate(owner):
-            if counts[a] is not None and find(parent, i) == i:
-                counts[a] += 1
-    unit = _face_unit(e, ib)
-    return {key: Fraction(a, unit) for key, a in areas.items()}, overlaps, counts
+    parent = list(range(len(ib)))
+    adjacent, overlaps = set(), set()
+    for k, block, own, face, over in _relation(ib, owner):
+        a = owner[k]
+        mine = own.get(a, 0)
+        if face & mine and counts[a] is not None:
+            root = find(parent, k)
+            for i in _positions(face & mine):
+                parent[find(parent, block[i])] = root
+        for bits, pairs in ((face & ~mine, adjacent), (over & ~mine, overlaps)):
+            while bits:
+                b = owner[block[(bits & -bits).bit_length() - 1]]
+                pairs.add((b, a) if b < a else (a, b))
+                bits &= ~own[b]
+    for i, a in enumerate(owner):
+        if parent[i] == i and counts[a] is not None:
+            counts[a] += 1
+    return adjacent, overlaps, counts
 
 
 def contact_faces(a: BoxSet, b: BoxSet) -> list[tuple[Box, Fraction]]:

@@ -8,9 +8,9 @@ the lattice ``v_i + 2**i * Z^2``; a piece at scale ``i`` is one such set with
 the closures of the scale ``i-1`` sets removed.
 
 All geometry is done in plane coordinates scaled by 5, as ints on one lattice
-per call: a scale-``i`` box is ``a_i + s_i * (5 * w + offset)`` and enters the
-2-D box kernel through `BoxSet.from_ints`, and the report, embedding and SVG
-read the regions' ints.  Areas are exact fractions (scaled back by 1/25).
+per call: a scale-``i`` box is ``a_i + s_i * (5 * w + offset)``, and a piece
+is its box minus the lower-scale boxes it meets, made by one
+`boxes.box_minus`.  The report, embedding and SVG read the regions' ints.  Areas are exact fractions (scaled back by 1/25).
 
 The set notation for the family offsets is ambiguous, so both readings are
 implemented behind ``interpretation``:
@@ -30,7 +30,7 @@ import random
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from .boxes import Box, BoxSet, set_contacts, union_all
+from .boxes import Box, BoxSet, box_minus, set_contacts, union_all
 from .canon import has_cycle
 from .dyadic import Dyadic, on_lattice, pair
 
@@ -175,15 +175,13 @@ def pieces_in_window(chain: ScaleChain, window: Box,
     for i, family, a, s, offs in layers:
         for cell in _cells(a, s, offs, win):
             base = _box(a, s, offs, cell)
-            region = BoxSet.from_ints(e, [base])
             # subtract the closures of every lower-scale set: with a
             # generic anchor chain a set two or more scales down need not
             # be covered by the scale directly below, so removing only
             # scale i-1 leaves overlapping pieces
             removed = [_box(a2, s2, offs2, c2) for j, _, a2, s2, offs2 in layers
                        if j < i for c2 in _cells(a2, s2, offs2, base)]
-            if removed:
-                region = region.difference(BoxSet.from_ints(e, removed))
+            region = box_minus(e, base, removed)
             if region.is_empty():
                 continue
             pieces.append(FractalPiece(i, family, cell, region))
@@ -201,9 +199,9 @@ def _halo_contacts(regions: Sequence[BoxSet], uncovered: BoxSet,
     For regular closed P and U, int(P + B_h) meets int U exactly when int P
     meets int(U + B_h), so one contact sweep of ``uncovered`` grown by the
     halo (index 0) against the regions answers every region at once."""
-    areas, overlaps, counts = set_contacts([uncovered.inflate_all(halo), *regions],
-                                           components=range(1, len(regions) + 1))
-    return ([(a - 1, b - 1) for a, b in sorted(areas) if a],
+    adjacent, overlaps, counts = set_contacts([uncovered.inflate_all(halo), *regions],
+                                              components=range(1, len(regions) + 1))
+    return ([(a - 1, b - 1) for a, b in sorted(adjacent) if a],
             {b - 1 for a, b in overlaps if a == 0}, counts[1:])
 
 

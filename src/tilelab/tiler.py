@@ -10,14 +10,16 @@ below the deepest blocks get nested cubes.
 
 `carve` works on ``(lo, hi)`` int boxes on a lattice, as `boxes.BoxSet`
 keeps them: a block's cells are on the lattice of 1, a margin moves a box to
-the margin's lattice, and each brick, cube and tile is built through
-`BoxSet.from_ints`, which keeps the lattice minimal.  Only the margins are
-`Dyadic`s.
+the margin's lattice, and each brick and cube is one int box on the least
+lattice that holds it.  A tile is made by one `boxes.box_minus` of its brick
+or cube and the ones nested in it.  Only the margins are `Dyadic`s.
 """
 
 from __future__ import annotations
 
-from .boxes import BoxSet, set_contacts, union_all
+from fractions import Fraction
+
+from .boxes import BoxSet, ResourceLimit, box_minus, least_lattice, set_contacts, union_all
 from .canon import forest_hash, rooted_forest_from_edges
 from .dyadic import Dyadic, on_lattice
 from .labels import LabelSource
@@ -251,12 +253,18 @@ def _cell_box(origin, dims) -> tuple:
     return tuple((2 * o - 1, 2 * (o + d) - 1) for o, d in zip(origin, dims))
 
 
-def _deflate(e: int, box: tuple, m: Dyadic) -> BoxSet:
-    """The int box ``box`` on the lattice of ``e`` shrunk by ``m`` on every
-    side, as a set (empty when nothing is left)."""
+def _on(f: int, item: tuple) -> tuple:
+    """The int box of an ``(e, [box])`` item on the finer lattice of ``f``."""
+    e, (box,) = item
+    return tuple((lo << (f - e), hi << (f - e)) for lo, hi in box)
+
+
+def _deflate(e: int, box: tuple, m: Dyadic) -> tuple:
+    """``(f, [box])``: the int box ``box`` on the lattice of ``e`` shrunk by
+    ``m`` on every side, on the least lattice ``f`` that holds it."""
     f, (d,) = on_lattice([m], e)
     k = f - e
-    return BoxSet.from_ints(f, [tuple(((lo << k) + d, (hi << k) - d) for lo, hi in box)])
+    return least_lattice(f, [tuple(((lo << k) + d, (hi << k) - d) for lo, hi in box)])
 
 
 def place_cubes(e: int, box: tuple, k: int) -> tuple:
@@ -296,21 +304,21 @@ class Tiling:
     def vertices(self):
         return list(self.tile_of)
 
-    def contacts(self) -> tuple:
-        """``(verts, areas, overlaps, counts)``: the vertices in ``repr`` order
-        and `set_contacts` of their tiles in that order, with the count of
-        face-connected components of each tile, from one sweep computed once."""
-        if self._contacts is None:
+    def contacts(self, counted: bool = False) -> tuple:
+        """``(verts, adjacent, overlaps, counts)``: the vertices in ``repr``
+        order and `set_contacts` of their tiles, which counts components only
+        when ``counted``.  One sweep is kept; a counted one serves all calls."""
+        if self._contacts is None or counted and None in self._contacts[3]:
             verts = sorted(self.tile_of, key=repr)
             self._contacts = (verts, *set_contacts([self.tile_of[v] for v in verts],
-                                                   components=range(len(verts))))
+                                                   range(len(verts)) if counted else ()))
         return self._contacts
 
     def adjacency(self) -> set:
         """Pairs of vertices whose tile closures share positive face area."""
         if self._adjacency is None:
-            verts, areas, _, _ = self.contacts()
-            self._adjacency = {(verts[a], verts[b]) for a, b in areas}
+            verts, adjacent, _, _ = self.contacts()
+            self._adjacency = {(verts[a], verts[b]) for a, b in adjacent}
         return self._adjacency
 
     def transform(self, perm, signs, translation) -> "Tiling":
@@ -332,33 +340,39 @@ class Tiling:
         }
 
 
+# The finest lattice a tile may need: the verifier's memory grows with the
+# boxes times this exponent.  `path(n)` needs 2**-(3n - 4); `path(5462)` runs
+# `tile-tree` at 1.2 GB peak RSS.  Bench and test windows need <= 2**-3596.
+MAX_EXP = 1 << 14
+
+
 def carve(tree: RootedTreeWindow, topset: TopSet, grid: GridAssignment) -> Tiling:
     """Erode blocks into nested bricks, one tile per resolved vertex.
 
-    A tile is its brick minus the bricks and cubes of the tiles nested in
-    it.  A parent makes each nested brick or cube once, as a one-box set,
-    and removes it from its own brick; a worklist then carves the child from
-    it, so deep windows need no deep recursion."""
-    def block_brick(y) -> BoxSet:
+    A tile is one `boxes.box_minus` of its brick or cube and those of the
+    tiles nested in it, each an ``(exp, [int box])`` item on its least
+    lattice; a worklist carves the children, so no deep recursion.  A tile
+    finer than ``2**-MAX_EXP`` raises `ResourceLimit`, before the verifier."""
+    def block_brick(y) -> tuple:
         box = _cell_box(grid.block_origin[y], block_dims(topset.m_of[y]))
         return _deflate(1, box, margin(topset.stratum[y]))
 
     roots = sorted(grid.roots, key=repr)
     bricks = [block_brick(x) for x in roots]
-    # (vertex, brick, (stratum, depth) of a block or territory node, or None
-    # for a cube)
+    # (vertex, its brick or cube, (stratum, depth) of a block or territory
+    # node, or None for a cube)
     work = [(x, b, (topset.stratum[x], 0)) for x, b in zip(roots, bricks)]
     done = []
     while work:
-        z, brick, at = work.pop()
-        assert not brick.is_empty(), "degenerate brick margin"
-        e, box = brick.exp, brick.ints[0]
+        z, item, at = work.pop()
+        e, (box,) = item
+        assert all(lo < hi for lo, hi in box), "degenerate brick margin"
         kids = []
         if at is None:  # a cube: the cubes of its children go in its middle
             cube_kids = tree.children[z]
             side = box[0][1] - box[0][0]
-            e, host = e + 3, tuple(((lo << 3) + side, (hi << 3) - side) for lo, hi in box)
-        else:  # a brick: its cubes go in a band along its boundary
+            f, host = e + 3, tuple(((lo << 3) + side, (hi << 3) - side) for lo, hi in box)
+        else:  # a brick: its cubes go in a slab at its low end on axis 0
             s, depth = at
             kids = [(y, block_brick(y), (topset.stratum[y], 0)) for y in grid.hang[z]]
             cube_kids = []
@@ -372,18 +386,25 @@ def carve(tree: RootedTreeWindow, topset: TopSet, grid: GridAssignment) -> Tilin
                     kids.append((c, _deflate(1, cbox, nest_margin(s, depth + 1)),
                                  (s, depth + 1)))
             if cube_kids:
-                band = brick.difference(_deflate(e, box, Dyadic(1, s + 4 + depth)))
-                e, host = band.exp, min(band.ints)
+                f, (d,) = on_lattice([Dyadic(1, s + 4 + depth)], e)
+                (lo, _), *rest = _on(f, item)
+                host = ((lo, lo + d), *rest)
         if cube_kids:
-            f, cubes = place_cubes(e, host, len(cube_kids))
-            kids += [(c, BoxSet.from_ints(f, [cu]), None) for c, cu in zip(cube_kids, cubes)]
-        done.append((z, brick.difference(union_all([b for _, b, _ in kids])) if kids else brick))
+            f, cubes = place_cubes(f, host, len(cube_kids))
+            kids += [(c, least_lattice(f, [cu]), None) for c, cu in zip(cube_kids, cubes)]
+        f = max([e] + [k[1][0] for k in kids])
+        tile = box_minus(f, _on(f, item), [_on(f, k[1]) for k in kids])
+        if tile.exp > MAX_EXP:
+            raise ResourceLimit(f"carve: the tile of {z!r} needs the lattice of "
+                                f"2^-{tile.exp}, finer than the cap 2^-{MAX_EXP}")
+        done.append((z, tile))
         work += kids
 
     # post-order: children before their parents, siblings in the order made
     tile_of = dict(reversed(done))
     unresolved = [v for v in tree.order if v not in tile_of]
-    return Tiling(tile_of, union_all(bricks), grid.roots, unresolved, grid.demoted)
+    region = union_all([BoxSet.from_ints(*b) for b in bricks])
+    return Tiling(tile_of, region, grid.roots, unresolved, grid.demoted)
 
 
 def verify_representation(tiling: Tiling, tree: RootedTreeWindow) -> dict:
@@ -398,9 +419,11 @@ def verify_representation(tiling: Tiling, tree: RootedTreeWindow) -> dict:
     """
     report = {"pass": True}
 
-    verts, _, overlaps, counts = tiling.contacts()
+    verts, _, overlaps, counts = tiling.contacts(counted=True)
     parts = dict(zip(verts, counts))
-    volume = {v: s.volume() for v, s in tiling.tile_of.items()}
+    region, dim = tiling.region, tiling.region.dim
+    e = max([region.exp] + [s.exp for s in tiling.tile_of.values()])
+    volume = {v: s.measure() << (dim * (e - s.exp)) for v, s in tiling.tile_of.items()}
     bad = []
     for v, s in tiling.tile_of.items():
         if s.is_empty() or volume[v] <= 0 or parts[v] != 1:
@@ -412,12 +435,11 @@ def verify_representation(tiling: Tiling, tree: RootedTreeWindow) -> dict:
     if overlaps:
         i, j = min(overlaps)
         overlap = (repr(verts[i]), repr(verts[j]))
-    region_volume = tiling.region.volume()
-    cover_ok = (vol == region_volume) and overlap is None
+    cover_ok = vol == region.measure() << (dim * (e - region.exp)) and overlap is None
     report["disjoint_and_cover"] = {
         "pass": cover_ok,
-        "tile_volume": str(vol),
-        "region_volume": str(region_volume),
+        "tile_volume": str(Fraction(vol, 1 << (dim * e))),
+        "region_volume": str(region.volume()),
         "overlap_witness": overlap,
     }
 

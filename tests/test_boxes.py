@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import ndimage
 
 from tilelab import boxes as boxes_mod
-from tilelab.boxes import (BoxSet, Clearance, ResourceLimit, _contacts, _indexed, _lattice,
+from tilelab.boxes import (BoxSet, Clearance, ResourceLimit, _contacts, _lattice, _relation,
                            box_of, clearance, contact_faces, polyline_neighborhood,
                            set_contacts, union_all)
 from tilelab.dyadic import Dyadic
@@ -213,22 +213,89 @@ def test_contact_index_matches_all_pairs_oracle(block, case):
         mp.setattr(boxes_mod, "BLOCK", block)
         got = [(i, j, None if area is None else Fraction(area, unit))
                for i, j, area in _contacts(ib, owner)]
-        offered = [tuple(sorted((j, k))) for k, near in _indexed(ib, owner) for j in near]
+        rows = list(_relation(ib, owner))
     expected = set()
-    meeting = set()
+    faces, overlaps = set(), set()
     for i in range(len(boxes)):
         for j in range(i + 1, len(boxes)):
             kind = face_contact_oracle(boxes[i], boxes[j])
             if owner[i] != owner[j] and kind != "apart":
                 expected.add((i, j, kind))
-            if owner[i] != owner[j] and all(max(pl, ql) <= min(ph, qh) for (pl, ph), (ql, qh)
-                                            in zip(boxes[i], boxes[j])):
-                meeting.add((i, j))
+            if kind != "apart":
+                (faces if kind else overlaps).add((i, j))
     assert len(got) == len(set(got))
     assert set(got) == expected
-    # the index offers exactly the pairs whose closures meet, each once
-    assert len(offered) == len(set(offered))
-    assert set(offered) == meeting
+    # the relation holds every face contact and every overlap of any two
+    # boxes, each once, and the owner masks of its blocks hold their boxes
+    for pairs, at in ((faces, 3), (overlaps, 4)):
+        rel = [tuple(sorted((row[1][i], row[0]))) for row in rows
+               for i in range(len(row[1])) if row[at] >> i & 1]
+        assert len(rel) == len(set(rel))
+        assert set(rel) == pairs
+    for _, block, own, _, _ in rows:
+        assert own == {o: sum(1 << i for i, k in enumerate(block) if owner[k] == o)
+                       for o in {owner[k] for k in block}}
+
+
+@pytest.mark.parametrize("block", [boxes_mod.BLOCK, 4])
+@settings(max_examples=30, deadline=None)
+@given(owned_boxes(max_n=boxes_mod.INDEX_MIN + 40, span=12), st.integers(1, 6))
+@example(nested_corner_shells(_DEPTH, lambda k: k), 1)
+@example(nested_corner_shells(_DEPTH, lambda k: k % 2, Dyadic((1 << 80) + 3, 41)), 1)
+@example(nested_corner_cubes(3 * _DEPTH, lambda k: k % 3), 1)
+def test_set_contacts_matches_pairwise_oracle(block, case, spread):
+    """`set_contacts`, read off the relation's bitsets on one block or on
+    blocks of 4 sweep positions, against the per-pair classification of the
+    active-list sweep: the adjacent sets are those whose face contacts add
+    up to a positive area, the overlapping ones those with a pair of
+    overlapping boxes, and the counts those of `BoxSet.components`."""
+    boxes, owner, shift = case
+    boxes = [tuple((lo + s, hi + s) for (lo, hi), s in zip(b, shift))
+             for b in boxes]
+    # ``spread`` deals the boxes of each owner out to that many sets
+    keys = [(o, k % spread) for k, o in enumerate(owner)]
+    sets = [BoxSet([b for b, o in zip(boxes, keys) if o == key]) for key in sorted(set(keys))]
+    _, ib, of = boxes_mod._common(sets)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(boxes_mod, "BLOCK", block)
+        adjacent, overlaps, counts = set_contacts(sets, components=range(1, len(sets)))
+        mp.setattr(boxes_mod, "INDEX_MIN", len(ib) + 1)
+        pairs = list(_contacts(ib, of))
+    areas, overlapping = {}, set()
+    for i, j, area in pairs:
+        if area is None:
+            overlapping.add((of[i], of[j]))
+        else:
+            areas[of[i], of[j]] = areas.get((of[i], of[j]), 0) + area
+    assert adjacent == {key for key, area in areas.items() if area > 0}
+    assert overlaps == overlapping
+    assert counts == [len(s.components()) if a else None for a, s in enumerate(sets)]
+
+
+@st.composite
+def box_and_holes(draw):
+    """A lattice exponent, an int box and up to 8 int holes, in 2-D or 3-D,
+    with corners in [-12, 16]: holes stick out of the box, overlap each
+    other, and some are degenerate or empty, and so is the box at times."""
+    dim = draw(st.sampled_from([2, 3]))
+
+    def int_box():
+        los = [draw(st.integers(-12, 8)) for _ in range(dim)]
+        return tuple((lo, lo + draw(st.integers(-2, 8))) for lo in los)
+
+    return draw(st.integers(0, 3)), int_box(), [int_box() for _ in range(draw(st.integers(0, 8)))]
+
+
+@given(box_and_holes())
+@example((2, ((-8, 4), (-3, 5)), [((-9, -4), (0, 0)), ((0, 6), (-5, 1)), ((1, 2), (1, 0))]))
+@example((1, ((-4, 4),) * 3, [((-2, 2),) * 3, ((-3, 3),) * 3, ((-6, 6),) * 3]))
+@example((0, ((1, 1), (0, 3)), [((0, 2), (0, 1))]))
+def test_box_minus_matches_set_difference(case):
+    e, box, holes = case
+    got = boxes_mod.box_minus(e, box, holes)
+    want = BoxSet.from_ints(e, [box]).difference(BoxSet.from_ints(e, holes))
+    assert got == want
+    assert got.dim == len(box)
 
 
 @st.composite

@@ -393,6 +393,23 @@ def test_slab_limit_exit_code(tmp_path, monkeypatch, capsys):
     assert "one merge over 1 slabs" in capsys.readouterr().err
 
 
+def test_lattice_cap_exit_code(tmp_path, monkeypatch, capsys):
+    import tilelab.cli as cli
+    import tilelab.tiler as tiler
+
+    # path(n) needs the lattice of 2^-(3n - 4): path(5462) is the deepest
+    # path under the cap
+    assert tiler.MAX_EXP == 1 << 14
+    verified = []
+    monkeypatch.setattr(cli, "verify_representation", lambda *a: verified.append(a))
+    code = cli.main(["tile-tree", "--tree", "path(5463)", "--out", str(tmp_path)])
+    assert code == cli.EXIT_RESOURCE
+    assert capsys.readouterr().err == (
+        "resource cap: carve: the tile of 5460 needs the lattice of 2^-16385, "
+        "finer than the cap 2^-16384\n")
+    assert not verified and not list(tmp_path.iterdir())
+
+
 def test_failed_buddy_allocation_exit_code(tmp_path, monkeypatch, capsys):
     import tilelab.cli as cli
     import tilelab.tiler as tiler

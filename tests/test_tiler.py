@@ -194,8 +194,25 @@ def test_verifier_reports_first_overlapping_pair():
 ])
 def test_contact_sweep_counts_tile_components(descriptor):
     _, tiling = run(descriptor)
-    verts, _, _, counts = tiling.contacts()
+    verts, _, _, counts = tiling.contacts(counted=True)
     assert counts == [len(tiling.tile_of[v].components()) for v in verts]
+
+
+def test_one_contact_sweep_counts_components_only_for_the_verifier(tmp_path, monkeypatch):
+    import tilelab.cli as cli
+    import tilelab.tiler as tiler
+
+    counted = []
+    real = tiler.set_contacts
+    monkeypatch.setattr(tiler, "set_contacts", lambda sets, components=():
+                        counted.append(len(components)) or real(sets, components))
+    # the verifier and tiling.json share one counted sweep
+    assert cli.main(["tile-tree", "--tree", "path(40)", "--out", str(tmp_path)]) == 0
+    assert len(counted) == 1 and counted[0] > 1
+    counted.clear()
+    _, tiling = run("path(40)")
+    tiling.adjacency()
+    assert counted == [0]
 
 
 def test_verifier_reports_split_tile():
@@ -206,7 +223,7 @@ def test_verifier_reports_split_tile():
     tiles[v] = tiles[v].union(tiles[v].translate((Dyadic(100), 0, 0)))
     split = Tiling(tiles, tiling.region, tiling.roots, tiling.unresolved,
                    tiling.demoted)
-    assert split.contacts()[3][3] == 2
+    assert split.contacts(counted=True)[3][3] == 2
     report = verify_representation(split, tree)
     assert report["tiles_open_connected"] == {"pass": False, "witnesses": [repr(v)]}
     assert not report["pass"]
