@@ -8,14 +8,14 @@ A window vertex is its key ``(k, num, exp)`` with ``x = num * 2^-exp``
 normalized; keys are what labels hash and what the artifacts hold.  Every
 offset within word distance r of the identity is a multiple of 2^-r, so a
 ball of radius r is searched on ``(k, q)`` ints with ``x = q * 2^-r``, and
-each vertex's key is made once.  A b-hull of the ball stays on that lattice.
-Orbits of b ("fibers") are the level sets {k = const, x in x0 + 2^-k Z}.
+each vertex's key is made once.  Orbits of b ("fibers") are the level sets
+{k = const, x in x0 + 2^-k Z}; on that lattice a member's b-position is a
+shift of q, so a fiber's b-segments are runs of consecutive positions.
 """
 
 from __future__ import annotations
 
 from .boxes import ResourceLimit
-from .canon import find, join
 from .dyadic import pair
 from .labels import LabelSource
 from .trees import RootedTreeWindow
@@ -91,7 +91,13 @@ def bs12_ball(radius: int, cap: int = 500000) -> CayleyWindow:
 
 
 class FiberDecomposition:
-    """Partition of a window into b-orbit segments and their contact graph."""
+    """Partition of a window into b-orbit segments and their contact graph.
+
+    The window is a `bs12_ball`, whose edge set is induced: two members of
+    a fiber have a b-edge exactly when their b-positions are consecutive.
+    So a b-segment, a maximal b-path of the window, is a maximal run of
+    consecutive positions within a fiber.
+    """
 
     def __init__(self, window: CayleyWindow):
         # A fiber is a b-coset: all elements (level, offset) with the same
@@ -115,26 +121,19 @@ class FiberDecomposition:
             self.position[v] = m
         # members are sorted, as window.vertices is
 
-        # window b-segments (maximal b-paths actually present)
-        parent = {v: v for v in window.vertices}
-        b_deg = {v: 0 for v in window.vertices}
-        for s, t, c in window.edges:
-            if c == "b":
-                b_deg[s] += 1
-                b_deg[t] += 1
-                join(parent, s, t)
-        if any(d > 2 for d in b_deg.values()):
-            raise ValueError("a vertex has more than two b-edges; corrupted window")
-        seg_members: dict = {}
-        for v in window.vertices:
-            seg_members.setdefault(find(parent, v), []).append(v)
-        self.segments: dict = {}
-        self.segment_of = {}
-        for group in seg_members.values():  # sorted, as window.vertices is
-            sid = group[0]
-            self.segments[sid] = group
-            for v in group:
-                self.segment_of[v] = sid
+        # window b-segments: the runs of consecutive positions
+        runs = []
+        for group in self.members.values():
+            run = []
+            for v in sorted(group, key=self.position.__getitem__):
+                if run and self.position[v] != self.position[run[-1]] + 1:
+                    runs.append(sorted(run))
+                    run = []
+                run.append(v)
+            runs.append(sorted(run))
+        runs.sort()  # by least member
+        self.segments: dict = {run[0]: run for run in runs}
+        self.segment_of = {v: run[0] for run in runs for v in run}
 
         # fiber contact graph via a-edges between cosets
         self.fiber_edges = set()
@@ -202,10 +201,7 @@ def fiber_spanning_tree(window: CayleyWindow, fib: FiberDecomposition,
         seg_adj[s2].add(s1)
     sorder = [root_seg]
     sparent = {root_seg: None}
-    head = 0
-    while head < len(sorder):
-        f = sorder[head]
-        head += 1
+    for f in sorder:
         for g in sorted(seg_adj[f]):
             if g not in sparent:
                 sparent[g] = f
@@ -213,31 +209,20 @@ def fiber_spanning_tree(window: CayleyWindow, fib: FiberDecomposition,
     if len(sorder) != len(fib.segments):
         raise ValueError("segment contact graph is disconnected")
     # tree edges: all b-edges, plus per segment the label-minimal a-edge to
-    # its spanning-tree parent segment
-    tree_adj = {v: set() for v in window.vertices}
-    for s, t, c in window.edges:
-        if c == "b":
-            tree_adj[s].add(t)
-            tree_adj[t].add(s)
+    # its spanning-tree parent segment.  Rooted at the apex, that a-edge's
+    # endpoint in the segment hangs from its other endpoint, and the rest of
+    # the segment's run of positions hangs toward it (toward the apex in the
+    # root segment).
+    parent_map = {}
     for f in sorder:
         pf = sparent[f]
-        if pf is None:
-            continue
-        conns = seg_edges[(min(f, pf), max(f, pf))]
-        s, t = labels.choose_min(conns)
-        tree_adj[s].add(t)
-        tree_adj[t].add(s)
-    # root the vertex tree at the apex
-    order = [apex]
-    head = 0
-    parent_map = {}
-    while head < len(order):
-        v = order[head]
-        head += 1
-        for w in sorted(tree_adj[v]):
-            if w != apex and w not in parent_map:
-                parent_map[w] = v
-                order.append(w)
-    if len(order) != len(window.vertices):
-        raise ValueError("fiber spanning tree failed to span the window")
+        anchor = apex
+        if pf is not None:
+            s, t = labels.choose_min(seg_edges[(min(f, pf), max(f, pf))])
+            anchor, above = (s, t) if fib.segment_of[s] == f else (t, s)
+            parent_map[anchor] = above
+        run = sorted(fib.segments[f], key=fib.position.__getitem__)
+        j = run.index(anchor)
+        parent_map.update(zip(run[:j], run[1:j + 1]))
+        parent_map.update(zip(run[j + 1:], run[j:]))
     return RootedTreeWindow(apex, parent_map)

@@ -1,5 +1,5 @@
 """Canonical forms for rooted trees and forests, a cycle check, and the
-union-find that the cycle check, box components and b-segments share."""
+union-find that the cycle check and box components share."""
 
 from __future__ import annotations
 

@@ -69,21 +69,6 @@ class RootedTreeWindow:
     def edges(self):
         return [(self.parent[v], v) for v in self.order if v != self.root]
 
-    def path_to_root(self, v):
-        out = [v]
-        while self.parent[out[-1]] is not None:
-            out.append(self.parent[out[-1]])
-        return out
-
-    def tree_path(self, u, v):
-        """Unique u-v path in the tree."""
-        up, vp = self.path_to_root(u), self.path_to_root(v)
-        sv = set(vp)
-        meet = next(x for x in up if x in sv)
-        a = up[: up.index(meet) + 1]
-        b = vp[: vp.index(meet)]
-        return a + b[::-1]
-
 
 # kind -> (least, most) number of int arguments
 _ARITY = {"path": (1, 1), "binary-canopy": (1, 1), "canopy": (1, 2),

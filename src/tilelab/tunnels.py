@@ -52,13 +52,20 @@ class TunnelPlan:
 
 def schedule_edges(tree: RootedTreeWindow, non_tree_edges) -> list:
     """The edges as tuples, ordered by max(path length, 1 + points hanging
-    off the path), then by repr."""
+    off the path), then by repr.
+
+    The tree path of u-v has n = depth[u] + depth[v] - 2 depth[t] + 1
+    vertices, where t is its top vertex, the lowest common ancestor of u and
+    v.  Every other point of t's subtree hangs off the path, so they number
+    subtree_size[t] - n.
+    """
     def size(e):
-        path = tree.tree_path(*e)
-        on_path = set(path)
-        hanging = sum(tree.subtree_size[c] for v in path
-                      for c in tree.children[v] if c not in on_path)
-        return max(len(path), hanging + 1), repr(e)
+        u, v = e
+        t = u
+        while not tree.is_ancestor(t, v):
+            t = tree.parent[t]
+        n = tree.depth[u] + tree.depth[v] - 2 * tree.depth[t] + 1
+        return max(n, tree.subtree_size[t] - n + 1), repr(e)
     return sorted(map(tuple, non_tree_edges), key=size)
 
 
@@ -224,13 +231,8 @@ def assemble_bs12(window: CayleyWindow, seed: int, stages: int = 2,
     sched = Schedule(schedule_n[:stages], 4)
     tiling = tile_tree(tree, sched, stages, labels)["tiling"]
 
-    tree_edges = {frozenset((tree.parent[v], v)) for v in tree.order
-                  if tree.parent[v] is not None}
-    non_tree = []
-    for s, t, _c in window.edges:
-        e = frozenset((s, t))
-        if e not in tree_edges:
-            non_tree.append(tuple(sorted(e)))
+    non_tree = [(min(s, t), max(s, t)) for s, t, _c in window.edges
+                if tree.parent[s] != t and tree.parent[t] != s]
 
     unrealized = []
     for u, w in schedule_edges(tree, non_tree):
@@ -263,27 +265,17 @@ def contract_fibers(tiling: Tiling, fib: FiberDecomposition) -> Tiling:
     return Tiling(pieces, tiling.region, [], unresolved, [])
 
 
-_CUBE_SYMMETRIES = None
-
-
-def cube_symmetries():
-    global _CUBE_SYMMETRIES
-    if _CUBE_SYMMETRIES is None:
-        out = []
-        for perm in itertools.permutations((0, 1, 2)):
-            for signs in itertools.product((1, -1), repeat=3):
-                out.append((perm, signs))
-        _CUBE_SYMMETRIES = out
-    return _CUBE_SYMMETRIES
+# the 48 (axis permutation, axis signs) pairs, in the order
+# `random_isometry` indexes them
+CUBE_SYMMETRIES = tuple(itertools.product(itertools.permutations((0, 1, 2)),
+                                          itertools.product((1, -1), repeat=3)))
 
 
 def random_isometry(tiling: Tiling, seed: int) -> Tiling:
     """Uniform translation on the 2^-10 grid of [0, 1)^3 composed with a
     uniform cube symmetry."""
     labels = LabelSource(seed, salt="isometry")
-    syms = cube_symmetries()
-    idx = labels.bits("symmetry") % len(syms)
-    perm, signs = syms[idx]
+    perm, signs = CUBE_SYMMETRIES[labels.bits("symmetry") % len(CUBE_SYMMETRIES)]
     tr = tuple(
         Dyadic(labels.bits(("shift", a)) % (1 << 10), 10)
         for a in range(3)

@@ -554,11 +554,10 @@ def piece_features(piece, n_members: int) -> Dict[str, float]:
     z-scoring it against its near-zero spread flags machine-precision
     residue on every run rather than a shape difference.
     """
-    bb = piece.bbox()
-    sides = sorted(((hi - lo).as_fraction() for lo, hi in bb))
+    sides = sorted(hi - lo for lo, hi in piece.int_bbox())  # on one lattice
     return {
         "boxes_per_member": len(piece.ints) / n_members,
-        "elongation": float(sides[-1] / sides[0]),
+        "elongation": float(Fraction(sides[-1], sides[0])),
     }
 
 

@@ -8,11 +8,15 @@ offset, multiplied by composing the maps.  `reference_ball` is
 generators.  `ReferenceFibers` is `tilelab.bs12.FiberDecomposition` as it was
 on those elements: the fiber id and the b-position through `Dyadic.scale`,
 `floor` and a subtraction per vertex.  Tests compare the int-key versions to
-them through `BsElement.key`.
+them through `BsElement.key`.  `reference_spanning_tree` is
+`tilelab.bs12.fiber_spanning_tree` as it was on int-key windows: b-segments
+by a union-find over the b-edges, then a breadth-first search over all
+b-edges and the chosen a-edges.
 """
 
 from tilelab.canon import find, join
 from tilelab.dyadic import Dyadic, ZERO
+from tilelab.trees import RootedTreeWindow
 
 
 class BsElement:
@@ -131,3 +135,54 @@ class ReferenceFibers:
                    for v in grp)
             and any(window.dist[v] <= inner and self.position[v] % 2 == 1
                     for v in grp))
+
+
+def reference_spanning_tree(window, labels) -> RootedTreeWindow:
+    """Fiber spanning tree of an int-key window rooted at the label-minimal
+    top-level vertex: every b-edge, plus per b-segment the label-minimal
+    a-edge to its parent in a breadth-first tree of segments."""
+    parent = {v: v for v in window.vertices}
+    for s, t, c in window.edges:
+        if c == "b":
+            join(parent, s, t)
+    least: dict = {}  # a segment's id is its least member
+    segment_of = {v: least.setdefault(find(parent, v), v)
+                  for v in window.vertices}
+    top = max(v[0] for v in window.vertices)
+    apex = labels.choose_min([v for v in window.vertices if v[0] == top])
+
+    seg_edges: dict = {}
+    for s, t, c in window.edges:
+        if c == "a":
+            ss, st = segment_of[s], segment_of[t]
+            seg_edges.setdefault((min(ss, st), max(ss, st)), []).append((s, t))
+    seg_adj = {sid: set() for sid in segment_of.values()}
+    for s1, s2 in seg_edges:
+        seg_adj[s1].add(s2)
+        seg_adj[s2].add(s1)
+    sorder = [segment_of[apex]]
+    sparent = {sorder[0]: None}
+    for f in sorder:
+        for g in sorted(seg_adj[f]):
+            if g not in sparent:
+                sparent[g] = f
+                sorder.append(g)
+
+    tree_adj = {v: set() for v in window.vertices}
+    for s, t, c in window.edges:
+        if c == "b":
+            tree_adj[s].add(t)
+            tree_adj[t].add(s)
+    for f in sorder[1:]:
+        pf = sparent[f]
+        s, t = labels.choose_min(seg_edges[(min(f, pf), max(f, pf))])
+        tree_adj[s].add(t)
+        tree_adj[t].add(s)
+    order = [apex]
+    parent_map = {}
+    for v in order:
+        for w in sorted(tree_adj[v]):
+            if w != apex and w not in parent_map:
+                parent_map[w] = v
+                order.append(w)
+    return RootedTreeWindow(apex, parent_map)

@@ -4,6 +4,8 @@ This is the stage loop `tilelab.partition` used before it peeled one window
 in place: every round recomputes the core set S_{n_i} from subtree sizes,
 takes its leaf set, grows one class per leaf, and rebuilds the window
 without the leaves' subtrees.  Tests compare `limit_partitions` to it.
+`subtree`, `path_to_root` and `tree_path` walk the tree window as it once
+did, for tests to check the window's preorder tables against.
 """
 
 from tilelab.partition import (InfeasibleGrowth, PartitionLevel,
@@ -21,6 +23,24 @@ def subtree(tree, x):
     that starts at x."""
     i = tree.pos[x]
     return tree.order[i:i + tree.subtree_size[x]]
+
+
+def path_to_root(tree, v):
+    """v and its ancestors, from v up to the root."""
+    out = [v]
+    while tree.parent[out[-1]] is not None:
+        out.append(tree.parent[out[-1]])
+    return out
+
+
+def tree_path(tree, u, v):
+    """Unique u-v path in the tree."""
+    up, vp = path_to_root(tree, u), path_to_root(tree, v)
+    sv = set(vp)
+    meet = next(x for x in up if x in sv)
+    a = up[: up.index(meet) + 1]
+    b = vp[: vp.index(meet)]
+    return a + b[::-1]
 
 
 def core_set(tree, k):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bs12_reference import (GEN_A, GEN_B, IDENTITY, ReferenceFibers,
-                            reference_ball)
+                            reference_ball, reference_spanning_tree)
 from tilelab.boxes import ResourceLimit
 from tilelab.bs12 import _moves, bs12_ball, fiber_spanning_tree, fibers
 from tilelab.dyadic import pair
@@ -159,6 +159,17 @@ def test_fiber_spanning_tree_spans_window():
     cayley |= {(t, s) for s, t in cayley}
     for u, v in tree.edges():
         assert (u, v) in cayley
+
+
+@pytest.mark.parametrize("radius", range(9))
+def test_fiber_spanning_tree_matches_reference(radius):
+    w = bs12_ball(radius)
+    fib = fibers(w)
+    for seed in (0, 1, 3, 7):
+        for labels in (LabelSource(seed), LabelSource(seed, salt="fst")):
+            tree = fiber_spanning_tree(w, fib, labels)
+            ref = reference_spanning_tree(w, labels)
+            assert (tree.root, tree.parent) == (ref.root, ref.parent)
 
 
 def test_ball_cap():

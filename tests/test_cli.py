@@ -172,7 +172,9 @@ def test_json_artifacts_are_pinned(tmp_path):
 
 
 # SHA-256 of `bs12 --radius 8 --seed 0` and `t3 --radius 6 --seed 1`,
-# recorded while window vertices were `Dyadic`-offset group elements.
+# recorded while window vertices were `Dyadic`-offset group elements, and of
+# `t3 --radius 8 --seed 0`, recorded while the spanning tree was rooted by a
+# breadth-first search over its edges.
 DEEP_WINDOW_DIGESTS = {
     ("bs12", "8", "0"): {
         "window.json":
@@ -185,6 +187,12 @@ DEEP_WINDOW_DIGESTS = {
             "4540f83b82a215524eef36897c86defd5e9c85e5ccd72e95f58fd2327bd1c992",
         "t3-scene.off":
             "24fb3e6a742f7038cbdedb3ff2be2c4c53992474548c2025d70b5d42d66c3890",
+    },
+    ("t3", "8", "0"): {
+        "t3-report.json":
+            "448b88ab51040e2b7e3ea894c9e0785787637049ef989f37e7816885eac202e9",
+        "t3-scene.off":
+            "01ffff896209d33704bb002d0dbd8dafb4c18f62fd9477f635ae16082e9be9ae",
     },
 }
 

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from partition_reference import subtree
+from partition_reference import path_to_root, subtree, tree_path
 from tilelab.trees import RootedTreeWindow, parse_descriptor, synthetic_tree
 
 
@@ -38,7 +38,7 @@ def test_random_tree_degree_bound(n, seed):
     assert t.max_degree() <= 4
     # every vertex reaches the root
     for v in t.vertices():
-        assert t.path_to_root(v)[-1] == t.root
+        assert path_to_root(t, v)[-1] == t.root
 
 
 def test_random_tree_seeded():
@@ -56,20 +56,20 @@ def test_euler_intervals_encode_ancestry(n, seed):
     subtree is the run of its descendants in preorder."""
     t = synthetic_tree(f"random({n},4)", seed=seed)
     for v in t.vertices():
-        for u in t.path_to_root(v):
+        for u in path_to_root(t, v):
             assert t.is_ancestor(u, v)
-        anc = set(t.path_to_root(v))
+        anc = set(path_to_root(t, v))
         for u in t.vertices():
             assert t.is_ancestor(u, v) == (u in anc)
     for x in t.vertices():
-        assert subtree(t, x) == [v for v in t.order if x in t.path_to_root(v)]
+        assert subtree(t, x) == [v for v in t.order if x in path_to_root(t, v)]
 
 
 def test_tree_path_endpoints():
     t = synthetic_tree("canopy(3,2)")
     verts = t.vertices()
     u, v = verts[3], verts[11]
-    p = t.tree_path(u, v)
+    p = tree_path(t, u, v)
     assert p[0] == u and p[-1] == v
     # consecutive entries are parent/child pairs
     for a, b in zip(p, p[1:]):

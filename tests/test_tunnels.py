@@ -1,19 +1,24 @@
 """Tunnel routing, edge addition, and the BS(1,2) assembly pipeline."""
 
-import pytest
-from hypothesis import example, given, strategies as st
+import itertools
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from partition_reference import tree_path
 from tilelab.boxes import BoxSet, set_contacts
-from tilelab.bs12 import bs12_ball, fibers
+from tilelab.bs12 import bs12_ball, fiber_spanning_tree, fibers
 from tilelab.canon import has_cycle
 from tilelab.dyadic import Dyadic
 from tilelab.labels import LabelSource
 from tilelab.partition import Schedule
 from tilelab.tiler import tile_tree, verify_representation
 from tilelab.trees import synthetic_tree
-from tilelab.tunnels import (FINEST_EXP, RoutingError, _max_clearance, add_edge,
-                             assemble_bs12, contract_fibers, cube_symmetries,
-                             random_isometry, route_gamma, schedule_edges)
+from tilelab.tunnels import (CUBE_SYMMETRIES, FINEST_EXP, RoutingError,
+                             _max_clearance, add_edge, assemble_bs12,
+                             contract_fibers, random_isometry, route_gamma,
+                             schedule_edges)
+from tilelab.unimodular import piece_features
 
 
 def tiled_path(n, seed=0):
@@ -89,25 +94,58 @@ def test_route_gamma_builds_each_complement_once(monkeypatch, path, routable):
     assert len(calls) <= 3  # one per prepared region: the union, d1 and d3
 
 
+def path_walking_key(tree, e):
+    """`schedule_edges`' sort key as it was computed: walk the tree path and
+    sum the subtrees hanging off it."""
+    path = tree_path(tree, *e)
+    on_path = set(path)
+    hanging = sum(tree.subtree_size[c] for x in path
+                  for c in tree.children[x] if c not in on_path)
+    return max(len(path), hanging + 1), repr(e)
+
+
+def non_tree_edges(window, tree):
+    tree_edges = {frozenset(e) for e in tree.edges()}
+    return [tuple(sorted((s, t))) for s, t, _c in window.edges
+            if frozenset((s, t)) not in tree_edges]
+
+
 def test_schedule_edges_orders_by_size_metric():
-    tree = synthetic_tree("path(10)")
+    for descriptor in ("path(10)", "path(40)", "spine(12,2)"):
+        tree = synthetic_tree(descriptor)
+        edges = list(itertools.combinations(tree.vertices(), 2))
+        assert schedule_edges(tree, edges) == sorted(
+            edges, key=lambda e: path_walking_key(tree, e)), descriptor
 
-    def metric(u, v):
-        path = tree.tree_path(u, v)
-        on_path = set(path)
-        hanging = sum(tree.subtree_size[c] for x in path
-                      for c in tree.children[x] if c not in on_path)
-        return max(len(path), hanging + 1)
 
-    ordered = schedule_edges(tree, [(0, 9), (2, 4), (1, 5)])
-    metrics = [metric(u, v) for u, v in ordered]
-    assert metrics == sorted(metrics)
+@settings(deadline=None)
+@given(st.integers(1, 60), st.integers(0, 1000), st.data())
+def test_schedule_edges_matches_path_walk_on_random_trees(n, seed, data):
+    tree = synthetic_tree(f"random({n},4)", seed=seed)
+    vertex = st.integers(0, n - 1)
+    edges = data.draw(st.lists(st.tuples(vertex, vertex), max_size=40))
+    assert schedule_edges(tree, edges) == sorted(
+        edges, key=lambda e: path_walking_key(tree, e))
+
+
+@pytest.mark.parametrize("radius", range(9))
+def test_schedule_edges_matches_path_walk_on_fiber_trees(radius):
+    window = bs12_ball(radius)
+    fib = fibers(window)
+    for seed in (0, 1, 3):
+        tree = fiber_spanning_tree(window, fib, LabelSource(seed))
+        edges = non_tree_edges(window, tree)
+        assert schedule_edges(tree, edges) == sorted(
+            edges, key=lambda e: path_walking_key(tree, e))
 
 
 def test_cube_symmetries_count():
-    syms = cube_symmetries()
-    assert len(syms) == 48
-    assert len(set(syms)) == 48
+    assert len(CUBE_SYMMETRIES) == 48
+    assert len(set(CUBE_SYMMETRIES)) == 48
+    # the order `random_isometry` indexes, as the nested loops built it
+    assert list(CUBE_SYMMETRIES) == [
+        (perm, signs) for perm in itertools.permutations((0, 1, 2))
+        for signs in itertools.product((1, -1), repeat=3)]
 
 
 def test_assemble_contract_isometry():
@@ -120,6 +158,9 @@ def test_assemble_contract_isometry():
     # every non-tree edge is unrealized, with an explicit reason
     assert len(out["unrealized"]) == len(window.edges) - (len(window.vertices) - 1)
     assert all(len(item) >= 2 for item in out["unrealized"])
+    tree = out["tree"]
+    assert [e for e, _why in out["unrealized"]] == sorted(
+        non_tree_edges(window, tree), key=lambda e: path_walking_key(tree, e))
 
     pieces = contract_fibers(tiling, fib)
     # at this radius an interior fiber's window trace falls apart
@@ -155,3 +196,19 @@ def test_assemble_deterministic():
     b = assemble_bs12(bs12_ball(2), seed=5)
     assert a["tiling"].to_json() == b["tiling"].to_json()
     assert a["unrealized"] == b["unrealized"]
+
+
+def test_piece_features_read_the_int_bbox():
+    window = bs12_ball(4)
+    out = assemble_bs12(window, seed=0)
+    fib = out["fibers"]
+    pieces = contract_fibers(out["tiling"], fib)
+    for fid, piece in pieces.tile_of.items():
+        features = piece_features(piece, len(fib.members[fid]))
+        assert piece._boxes is None  # no Dyadic corner was built
+        sides = sorted((hi - lo).as_fraction() for lo, hi in piece.bbox())
+        assert features["elongation"] == float(sides[-1] / sides[0])
+    # bounding-box sides 1, 3/4 and 2, on the lattice 2^-2
+    piece = BoxSet.from_ints(2, [((0, 4), (-1, 1), (0, 8)),
+                                 ((0, 2), (1, 2), (0, 4))])
+    assert piece_features(piece, 1)["elongation"] == 8 / 3
