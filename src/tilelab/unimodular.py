@@ -10,17 +10,94 @@ where the statement is exact, and with 3-sigma bands where it is statistical.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List,
+                    Optional, Sequence, Tuple)
 
 from .exports import dumps_indented
 
-# networkx takes about half of a cold start; only the graph suites behind
-# `check` call it, so each function that does imports it on first use.
+# networkx takes about half of a cold start, and no command needs it: the
+# suites read a graph through `adj` and `nodes` alone, and only the radius-r
+# cylinder events (`_ball`, `_balls_isomorphic`) import it, on first use.
 if TYPE_CHECKING:
     import networkx as nx
+
+
+# -- graphs ----------------------------------------------------------------------
+
+
+class Graph:
+    """A decorated simple graph as two plain dicts.
+
+    ``nodes[v]`` is the attribute dict of vertex ``v``, and ``adj[v]`` maps
+    each neighbour of ``v`` to the attribute dict of their edge, one dict
+    shared by both ends; a self-loop at ``v`` puts ``v`` in ``adj[v]``.
+    Every suite here reads a graph only through ``adj``, ``nodes``, ``len``,
+    ``in`` and iteration over the vertices, so a networkx graph can stand
+    wherever a `Graph` is read.
+    """
+
+    def __init__(self, nodes: Dict, edges: Iterable[Tuple] = ()):
+        """``nodes`` maps each vertex, in order, to its attributes, and
+        ``edges`` lists ``(u, v, attributes)``; both are copied."""
+        self.nodes: Dict = {v: dict(attr) for v, attr in nodes.items()}
+        self.adj: Dict = {v: {} for v in self.nodes}
+        for u, v, attr in edges:
+            self.adj[u][v] = self.adj[v][u] = dict(attr)
+
+    def __iter__(self) -> Iterator:
+        return iter(self.nodes)
+
+    def __len__(self) -> int:
+        return len(self.nodes)
+
+    def __contains__(self, v) -> bool:
+        return v in self.nodes
+
+
+def _edges(g) -> Iterator[Tuple]:
+    """Each edge of ``g`` once, as networkx's ``g.edges`` yields it: in
+    vertex order, ``(u, v)`` with ``u`` the endpoint met first."""
+    adj = g.adj
+    seen = set()
+    for u in g:
+        for v in adj[u]:
+            if v not in seen:
+                yield u, v
+        seen.add(u)
+
+
+def _degree(g, v) -> int:
+    """The degree of ``v``, a self-loop counting twice (as in networkx)."""
+    nbrs = g.adj[v]
+    return len(nbrs) + (v in nbrs)
+
+
+def _distances(g, root, cutoff: Optional[int] = None) -> Dict:
+    """Breadth-first graph distance from ``root`` to each vertex at most
+    ``cutoff`` away (every reachable one without a cutoff)."""
+    adj = g.adj
+    dist = {root: 0}
+    frontier = [root]
+    d = 0
+    while frontier and (cutoff is None or d < cutoff):
+        d += 1
+        reached = []
+        for v in frontier:
+            for w in adj[v]:
+                if w not in dist:
+                    dist[w] = d
+                    reached.append(w)
+        frontier = reached
+    return dist
+
+
+def _connected(g) -> bool:
+    """Is ``g`` connected? The empty graph is."""
+    return not len(g) or len(_distances(g, next(iter(g)))) == len(g)
 
 
 # -- rooted samples ------------------------------------------------------------
@@ -29,7 +106,7 @@ if TYPE_CHECKING:
 class RootedSample:
     """A finite decorated graph with a distinguished root and a sampling weight."""
 
-    def __init__(self, graph: nx.Graph, root, weight: Fraction):
+    def __init__(self, graph: Graph, root, weight: Fraction):
         if root not in graph:
             raise ValueError("root must be a vertex of the graph")
         self.graph = graph
@@ -39,26 +116,30 @@ class RootedSample:
             raise ValueError("weight must be nonnegative")
 
     def __repr__(self):
-        return (f"RootedSample(n={self.graph.number_of_nodes()}, "
+        return (f"RootedSample(n={len(self.graph)}, "
                 f"root={self.root!r}, weight={self.weight})")
 
 
-def uniform_family(graph: nx.Graph) -> List[RootedSample]:
+def uniform_family(graph: Graph) -> List[RootedSample]:
     """One sample per vertex, each with weight 1/|V| (uniform rooting)."""
-    n = graph.number_of_nodes()
+    n = len(graph)
     return [RootedSample(graph, v, Fraction(1, n)) for v in sorted(graph, key=repr)]
 
 
 # -- rooted distance -----------------------------------------------------------
 
 
-def _ball(graph: nx.Graph, root, r: int) -> nx.Graph:
+def _ball(graph: Graph, root, r: int) -> nx.Graph:
+    """The radius-``r`` ball of ``root`` as a networkx graph: the induced
+    subgraph with attributes copied, each vertex's distance in ``_dist``."""
     import networkx as nx
 
-    dist = nx.single_source_shortest_path_length(graph, root, cutoff=r)
-    ball = graph.subgraph(dist).copy()
-    for v, d in dist.items():
-        ball.nodes[v]["_dist"] = d
+    dist = _distances(graph, root, r)
+    ball = nx.Graph()
+    ball.add_nodes_from((v, {**graph.nodes[v], "_dist": d})
+                        for v, d in dist.items())
+    ball.add_edges_from((u, v, attr) for u in dist
+                        for v, attr in graph.adj[u].items() if v in dist)
     return ball
 
 
@@ -73,24 +154,83 @@ def _balls_isomorphic(b1: nx.Graph, b2: nx.Graph) -> bool:
     return nx.is_isomorphic(b1, b2, node_match=nm, edge_match=em)
 
 
+_NO_EDGE = object()  # the "color" of a pair that is not an edge
+
+
+def _color(nbrs, v):
+    """The color of the edge to ``v`` in adjacency ``nbrs``, `_NO_EDGE` if none."""
+    attr = nbrs.get(v)
+    return _NO_EDGE if attr is None else attr.get("color")
+
+
+def _one_balls_isomorphic(g: Graph, x, y) -> bool:
+    """Are the rooted 1-balls of ``x`` and ``y`` in ``g`` isomorphic?
+
+    The root maps to the root, and a backtracking search looks for a
+    bijection of the other neighbours that keeps marks, the colors of the
+    edges to the root, self-loops and their colors, and the edges among
+    the neighbours with their colors: what `_balls_isomorphic` asks of the
+    two radius-1 `_ball`s, decided on the adjacency with no ball built.
+    """
+    adj, nodes = g.adj, g.nodes
+    ax, ay = adj[x], adj[y]
+    xs = [a for a in ax if a != x]
+    ys = [b for b in ay if b != y]
+    if not (len(xs) == len(ys)
+            and nodes[x].get("mark") == nodes[y].get("mark")
+            and _color(ax, x) == _color(ay, y)):
+        return False
+
+    def signature(root_nbrs, a):
+        # what any image of neighbour `a` must share with it
+        return nodes[a].get("mark"), _color(root_nbrs, a), _color(adj[a], a)
+
+    sx = [signature(ax, a) for a in xs]
+    sy = [signature(ay, b) for b in ys]
+    image: List[int] = []  # image[i]: index in ys of the image of xs[i]
+    free = [True] * len(ys)
+
+    def extend(i: int) -> bool:
+        if i == len(xs):
+            return True
+        na = adj[xs[i]]
+        for j, b in enumerate(ys):
+            if not (free[j] and sx[i] == sy[j]):
+                continue
+            nb = adj[b]
+            if all(_color(na, xs[k]) == _color(nb, ys[m])
+                   for k, m in enumerate(image)):
+                free[j] = False
+                image.append(j)
+                if extend(i + 1):
+                    return True
+                image.pop()
+                free[j] = True
+        return False
+
+    return extend(0)
+
+
 # -- transport function battery ------------------------------------------------
 
 F_BATTERY_VERSION = "1.0"
 
 # A transport function takes a graph ``g``, reads once what it needs of it,
 # and returns the function ``(x, y) -> mass sent from x to y`` on ``g``.
-TransportFn = Callable[["nx.Graph"], Callable[[object, object], Fraction]]
+TransportFn = Callable[[Graph], Callable[[object, object], Fraction]]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
 def _f_unit_neighbors(g):
-    return lambda x, y: _ONE if g.has_edge(x, y) else _ZERO
+    adj = g.adj
+    return lambda x, y: _ONE if y in adj[x] else _ZERO
 
 
 def _f_inverse_degree(g):
-    return lambda x, y: Fraction(1, g.degree(x)) if g.has_edge(x, y) else _ZERO
+    adj = g.adj
+    return lambda x, y: Fraction(1, _degree(g, x)) if y in adj[x] else _ZERO
 
 
 def _f_unit_self(g):
@@ -98,57 +238,54 @@ def _f_unit_self(g):
 
 
 def _f_neighbor_degree(g):
-    return lambda x, y: Fraction(g.degree(y)) if g.has_edge(x, y) else _ZERO
+    adj = g.adj
+    return lambda x, y: Fraction(_degree(g, y)) if y in adj[x] else _ZERO
 
 
 def _f_mark_match(g):
-    nodes = g.nodes
+    adj, nodes = g.adj, g.nodes
 
     def f(x, y):
-        if g.has_edge(x, y) and nodes[x].get("mark") == nodes[y].get("mark"):
+        if y in adj[x] and nodes[x].get("mark") == nodes[y].get("mark"):
             return _ONE
         return _ZERO
     return f
 
 
 def _f_color_weight(g):
-    colors = sorted({repr(c) for _, _, c in g.edges(data="color")})
+    adj = g.adj
+    colors = sorted({repr(adj[u][v].get("color")) for u, v in _edges(g)})
     rank = {c: Fraction(i + 1) for i, c in enumerate(colors)}
 
     def f(x, y):
-        if g.has_edge(x, y):
-            return rank[repr(g.edges[x, y].get("color"))]
-        return _ZERO
+        attr = adj[x].get(y)
+        return _ZERO if attr is None else rank[repr(attr.get("color"))]
     return f
 
 
 def _f_ball_iso(g):
-    balls: Dict = {}  # vertex -> its rooted 1-ball
+    adj = g.adj
     same: Dict = {}  # unordered edge -> are its endpoints' 1-balls isomorphic
 
-    def ball(v):
-        b = balls.get(v)
-        if b is None:
-            b = balls[v] = _ball(g, v, 1)
-        return b
-
     def f(x, y):
-        if not g.has_edge(x, y):
+        if y not in adj[x]:
             return _ZERO
         edge = frozenset((x, y))
         hit = same.get(edge)
         if hit is None:
-            hit = same[edge] = _balls_isomorphic(ball(x), ball(y))
+            hit = same[edge] = _one_balls_isomorphic(g, x, y)
         return _ONE if hit else _ZERO
     return f
 
 
 def _f_distance_two(g):
+    adj = g.adj
+
     def f(x, y):
-        if x == y or g.has_edge(x, y):
+        if x == y or y in adj[x]:
             return _ZERO
-        for z in g.neighbors(x):
-            if g.has_edge(z, y):
+        for z in adj[x]:
+            if y in adj[z]:
                 return _ONE
         return _ZERO
     return f
@@ -200,8 +337,8 @@ def mtp_check(samples: Sequence[RootedSample],
     vertex ``y`` of its graph, the values at ``(root, y)`` and at
     ``(y, root)``.
     """
-    lhs = Fraction(0)
-    rhs = Fraction(0)
+    lhs: Dict[int, int] = {}  # per side: denominator -> sum of numerators
+    rhs: Dict[int, int] = {}
     on_graph: Dict = {}  # graph, by identity -> (f(graph), {(x, y): value})
     for s in samples:
         g, root = s.graph, s.root
@@ -215,17 +352,29 @@ def mtp_check(samples: Sequence[RootedSample],
                 v = values[x, y] = fg(x, y)
             return v
 
+        wn, wd = s.weight.numerator, s.weight.denominator
         # zero values are evaluated like the others but add nothing
-        lhs += s.weight * sum(filter(None, [value(root, y) for y in g]), _ZERO)
-        rhs += s.weight * sum(filter(None, [value(y, root) for y in g]), _ZERO)
-    return lhs, rhs, lhs == rhs
+        for side, terms in ((lhs, [value(root, y) for y in g]),
+                            (rhs, [value(y, root) for y in g])):
+            for v in filter(None, terms):
+                d = wd * v.denominator
+                side[d] = side.get(d, 0) + wn * v.numerator
+    lhs_sum, rhs_sum = _exact_sum(lhs), _exact_sum(rhs)
+    return lhs_sum, rhs_sum, lhs_sum == rhs_sum
+
+
+def _exact_sum(terms: Dict[int, int]) -> Fraction:
+    """The sum of ``n/d`` over ``terms`` (``d -> n``) as one `Fraction`:
+    int numerators brought over the common denominator, then added."""
+    den = math.lcm(*terms)
+    return Fraction(sum(n * (den // d) for d, n in terms.items()), den)
 
 
 def mtp_battery(samples: Sequence[RootedSample]) -> Dict[str, dict]:
     """`mtp_check` of every function of `F_BATTERY`, each a pure function of
     ``(g, x, y)``: each value is evaluated once per distinct
-    ``(graph, x, y)``, each rooted 1-ball is built once per
-    ``(graph, vertex)`` and 1-ball isomorphism is decided once per edge."""
+    ``(graph, x, y)``, and 1-ball isomorphism is decided once per edge,
+    on the adjacency."""
     out = {}
     for name, f in F_BATTERY.items():
         lhs, rhs, ok = mtp_check(samples, f)
@@ -239,12 +388,10 @@ def mtp_battery(samples: Sequence[RootedSample]) -> Dict[str, dict]:
 class Bigraph:
     """A primary graph with a decoration graph on a subset of its vertices."""
 
-    def __init__(self, primary: nx.Graph, secondary: nx.Graph, root):
-        import networkx as nx
-
-        if primary.number_of_nodes() and not nx.is_connected(primary):
+    def __init__(self, primary: Graph, secondary: Graph, root):
+        if not _connected(primary):
             raise ValueError("primary graph must be connected")
-        if secondary.number_of_nodes() and not nx.is_connected(secondary):
+        if not _connected(secondary):
             raise ValueError("secondary graph must be connected")
         if root not in primary:
             raise ValueError("root must be a primary vertex")
@@ -298,26 +445,27 @@ def bigraph_samples(family: Sequence[WeightedBigraph]) -> List[RootedSample]:
 # -- delayed random walk ---------------------------------------------------------
 
 
-def delayed_srw(graph: nx.Graph, omega: nx.Graph, start, steps: int,
+def delayed_srw(graph: Graph, omega: Graph, start, steps: int,
                 seed) -> List:
     """Propose a uniform graph neighbor; move only along edges of ``omega``."""
     if start not in graph:
         raise ValueError("start must be a graph vertex")
     rng = random.Random(f"delayed-srw:{seed!r}")
-    neighbors = {v: sorted(graph.neighbors(v), key=repr) for v in graph}
+    neighbors = {v: sorted(graph.adj[v], key=repr) for v in graph}
+    omega_adj = omega.adj
     traj = [start]
     x = start
     for _ in range(steps):
         nbrs = neighbors[x]
         if nbrs:
             y = nbrs[rng.randrange(len(nbrs))]
-            if omega.has_edge(x, y):
+            if y in omega_adj.get(x, ()):
                 x = y
         traj.append(x)
     return traj
 
 
-def stationarity_check(graph: nx.Graph, omega: nx.Graph) -> bool:
+def stationarity_check(graph: Graph, omega: Graph) -> bool:
     """Exact fixed-point check: is the uniform distribution stationary for the
     delayed walk on each component of ``omega``?
 
@@ -325,15 +473,16 @@ def stationarity_check(graph: nx.Graph, omega: nx.Graph) -> bool:
     deg_omega(y)/deg_G(y); exact rational arithmetic throughout.
     """
     for y in graph:
-        dg = graph.degree(y)
+        dg = _degree(graph, y)
         if dg == 0:
             continue
         inflow = Fraction(0)
         d_om = 0
-        for x in graph.neighbors(y):
-            if omega.has_edge(x, y):
+        omega_nbrs = omega.adj.get(y, ())
+        for x in graph.adj[y]:
+            if x in omega_nbrs:
                 d_om += 1
-                inflow += Fraction(1, graph.degree(x))
+                inflow += Fraction(1, _degree(graph, x))
         if inflow != Fraction(d_om, dg):
             return False
     return True
@@ -346,7 +495,7 @@ class CylinderEvent:
     """A local event: the subgraph ball around the walker matches a rooted
     pattern, and the walker's label falls in a union of intervals."""
 
-    def __init__(self, radius: int, pattern: Optional[nx.Graph], pattern_root,
+    def __init__(self, radius: int, pattern: Optional[Graph], pattern_root,
                  label_intervals: Sequence[Tuple[Fraction, Fraction]]):
         self.radius = radius
         self.pattern = pattern
@@ -367,14 +516,14 @@ class CylinderEvent:
     def _pattern_ball(self) -> nx.Graph:
         return _ball(self.pattern, self.pattern_root, self.radius)
 
-    def pattern_holds(self, omega: nx.Graph, x) -> bool:
+    def pattern_holds(self, omega: Graph, x) -> bool:
         if self.pattern is None:
             return True
         if x not in omega:
-            return self.pattern.number_of_nodes() == 0
+            return len(self.pattern) == 0
         return _balls_isomorphic(_ball(omega, x, self.radius), self._pattern_ball)
 
-    def holds(self, omega: nx.Graph, x, labels: Dict) -> bool:
+    def holds(self, omega: Graph, x, labels: Dict) -> bool:
         return self.pattern_holds(omega, x) and self.label_holds(labels[x])
 
 
@@ -392,7 +541,7 @@ def _batch_means_sigma(indicators: Sequence[int]) -> float:
 
 
 def birkhoff_average(trajectory: Sequence, event: CylinderEvent,
-                     omega: nx.Graph, labels: Dict,
+                     omega: Graph, labels: Dict,
                      safe: Optional[set] = None) -> dict:
     """Running ergodic averages of a cylinder event along a trajectory.
 
@@ -493,44 +642,51 @@ def variance_decay(indicator_ensemble: Sequence[Sequence[int]],
 # -- bundled fixtures --------------------------------------------------------------
 
 
-def bundled_fixtures() -> Dict[str, nx.Graph]:
-    """Small decorated regular graphs used by the exact checking suites."""
-    import networkx as nx
+def _decorated(nodes: Sequence, edges: Sequence[Tuple]) -> Graph:
+    """The graph on ``nodes`` (in order) with ``(u, v)`` ``edges``, marked
+    0, 1, 0, ... over its vertices and colored "a", "b", "a", ... over its
+    edges, each in ``repr`` order."""
+    marks = {v: i % 2 for i, v in enumerate(sorted(nodes, key=repr))}
+    colors = {e: "ab"[j % 2] for j, e in enumerate(sorted(edges, key=repr))}
+    return Graph({v: {"mark": marks[v]} for v in nodes},
+                 [(u, v, {"color": colors[u, v]}) for u, v in edges])
 
-    graphs = {
-        "cycle6": nx.cycle_graph(6),
-        "complete4": nx.complete_graph(4),
-        "cube": nx.hypercube_graph(3),
-        "bipartite33": nx.complete_bipartite_graph(3, 3),
-        "petersen": nx.petersen_graph(),
+
+def bundled_fixtures() -> Dict[str, Graph]:
+    """Small decorated regular graphs used by the exact checking suites:
+    the networkx graphs of the same names, vertices and edges in the order
+    networkx gives them."""
+    cube = list(itertools.product((0, 1), repeat=3))
+    return {
+        "cycle6": _decorated(range(6), [(0, 1), (0, 5), (1, 2), (2, 3),
+                                        (3, 4), (4, 5)]),
+        "complete4": _decorated(range(4), list(itertools.combinations(range(4), 2))),
+        "cube": _decorated(cube, [(u, u[:i] + (1,) + u[i + 1:])
+                                  for u in cube for i in range(3) if not u[i]]),
+        "bipartite33": _decorated(range(6), [(u, v) for u in range(3)
+                                             for v in range(3, 6)]),
+        "petersen": _decorated(range(10), [
+            (0, 1), (0, 4), (0, 5), (1, 2), (1, 6), (2, 3), (2, 7), (3, 4),
+            (3, 8), (4, 9), (5, 7), (5, 8), (6, 8), (6, 9), (7, 9)]),
     }
-    for g in graphs.values():
-        for i, v in enumerate(sorted(g, key=repr)):
-            g.nodes[v]["mark"] = i % 2
-        for j, e in enumerate(sorted(g.edges, key=repr)):
-            g.edges[e]["color"] = "ab"[j % 2]
-    return graphs
 
 
-def omega_fixture(graph: nx.Graph) -> nx.Graph:
+def omega_fixture(graph: Graph) -> Graph:
     """A deterministic spanning subgraph: every other edge in sorted order."""
-    import networkx as nx
-
-    omega = nx.Graph()
-    omega.add_nodes_from(graph.nodes(data=True))
-    for j, e in enumerate(sorted(graph.edges, key=repr)):
-        if j % 2 == 0:
-            omega.add_edge(*e, **graph.edges[e])
-    return omega
+    edges = sorted(_edges(graph), key=repr)[::2]
+    return Graph({v: graph.nodes[v] for v in graph},
+                 [(u, v, graph.adj[u][v]) for u, v in edges])
 
 
-def bigraph_fixture(graph: nx.Graph) -> List[WeightedBigraph]:
+def bigraph_fixture(graph: Graph) -> List[WeightedBigraph]:
     """Uniformly rooted bigraph family over ``graph`` with the decoration
     graph induced on the closed neighborhood of the smallest vertex."""
     center = sorted(graph, key=repr)[0]
-    keep = {center} | set(graph.neighbors(center))
-    secondary = graph.subgraph(keep).copy()
-    n = graph.number_of_nodes()
+    keep = {center} | set(graph.adj[center])
+    secondary = Graph({v: graph.nodes[v] for v in graph if v in keep},
+                      [(u, v, graph.adj[u][v]) for u, v in _edges(graph)
+                       if u in keep and v in keep])
+    n = len(graph)
     return [WeightedBigraph(Bigraph(graph, secondary, v), Fraction(1, n))
             for v in sorted(graph, key=repr)]
 

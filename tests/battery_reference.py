@@ -1,16 +1,26 @@
-"""The mass-transport battery as one call per value, the reference the
-tests hold `tilelab.unimodular.mtp_battery` to.
+"""The mass-transport battery as one call per value on networkx graphs, the
+reference the tests hold `tilelab.unimodular.mtp_battery` to, and the
+networkx fixtures the plain ones of `tilelab.unimodular` are held to.
 
 Each transport function is a plain ``f(g, x, y)`` that rebuilds whatever it
 reads of ``g`` (color ranks, rooted 1-balls) on every call, and `mtp_check`
-calls it once per term of each side of the identity.
+calls it once per term of each side of the identity.  Rooted 1-ball
+isomorphism is networkx's VF2 on the induced balls.
 """
 
 from fractions import Fraction
 
 import networkx as nx
 
-from tilelab.unimodular import _ball
+import tilelab.unimodular as um
+
+
+def _ball(g, root, r):
+    dist = nx.single_source_shortest_path_length(g, root, cutoff=r)
+    ball = g.subgraph(dist).copy()
+    for v, d in dist.items():
+        ball.nodes[v]["_dist"] = d
+    return ball
 
 
 def _rooted_ball_isomorphic(g1, o1, g2, o2, r):
@@ -98,3 +108,52 @@ def mtp_battery(samples):
         lhs, rhs, ok = mtp_check(samples, f)
         out[name] = {"lhs": str(lhs), "rhs": str(rhs), "equal": ok}
     return out
+
+
+# -- networkx fixtures -------------------------------------------------------------
+
+
+def fixtures():
+    """The bundled fixtures as networkx generators make them, marked and
+    colored in ``repr`` order."""
+    graphs = {
+        "cycle6": nx.cycle_graph(6),
+        "complete4": nx.complete_graph(4),
+        "cube": nx.hypercube_graph(3),
+        "bipartite33": nx.complete_bipartite_graph(3, 3),
+        "petersen": nx.petersen_graph(),
+    }
+    for g in graphs.values():
+        for i, v in enumerate(sorted(g, key=repr)):
+            g.nodes[v]["mark"] = i % 2
+        for j, e in enumerate(sorted(g.edges, key=repr)):
+            g.edges[e]["color"] = "ab"[j % 2]
+    return graphs
+
+
+def omega_fixture(graph):
+    omega = nx.Graph()
+    omega.add_nodes_from(graph.nodes(data=True))
+    for j, e in enumerate(sorted(graph.edges, key=repr)):
+        if j % 2 == 0:
+            omega.add_edge(*e, **graph.edges[e])
+    return omega
+
+
+def bigraph_secondary(graph):
+    """The decoration graph of every bigraph `bigraph_fixture` makes."""
+    center = sorted(graph, key=repr)[0]
+    return graph.subgraph({center} | set(graph.neighbors(center))).copy()
+
+
+def to_networkx(g):
+    """A graph read through ``adj`` and ``nodes`` as a networkx graph."""
+    h = nx.Graph()
+    h.add_nodes_from((v, g.nodes[v]) for v in g)
+    h.add_edges_from((u, v, attr) for u in g for v, attr in g.adj[u].items())
+    return h
+
+
+def networkx_samples(samples):
+    return [um.RootedSample(to_networkx(s.graph), s.root, s.weight)
+            for s in samples]

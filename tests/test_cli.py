@@ -35,11 +35,14 @@ def test_parser_is_built_on_first_use_and_reused(tmp_path):
     assert out.returncode == 0, out.stderr
 
 
-def test_commands_other_than_check_do_not_load_networkx(tmp_path):
+def test_no_command_loads_networkx(tmp_path):
+    import tilelab.cli as cli
     cfg = tmp_path / "run.cfg"
     cfg.write_text("i_min = -1\ni_max = 1\nwindow = 1.0\n")
     runs = [["tile-tree", "--tree", "path(6)"], ["t3", "--radius", "2"],
-            ["bs12", "--radius", "3"], ["fractal", "--config", str(cfg)]]
+            ["bs12", "--radius", "3"], ["fractal", "--config", str(cfg)],
+            ["check"], ["export", "--tree", "path(6)"]]
+    assert sorted(args[0] for args in runs) == sorted(cli._COMMANDS)
     lines = ["import sys, tilelab.cli as cli",
              "assert 'networkx' not in sys.modules, 'import'"]
     for args in runs:

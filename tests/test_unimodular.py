@@ -48,7 +48,33 @@ def dual_samples(g):
 def test_battery_matches_per_call_reference_on_fixtures():
     for name, g in um.bundled_fixtures().items():
         for fam in (um.uniform_family(g), dual_samples(g)):
-            assert um.mtp_battery(fam) == ref.mtp_battery(fam), name
+            assert (um.mtp_battery(fam)
+                    == ref.mtp_battery(ref.networkx_samples(fam))), name
+
+
+def test_fixtures_equal_their_networkx_generators():
+    def plain(g):
+        return (list(g), list(um._edges(g)),
+                [g.nodes[v]["mark"] for v in g],
+                [g.adj[u][v]["color"] for u, v in um._edges(g)])
+
+    def generated(h):
+        return (list(h), list(h.edges), [h.nodes[v]["mark"] for v in h],
+                [h.edges[e]["color"] for e in h.edges])
+
+    ours, theirs = um.bundled_fixtures(), ref.fixtures()
+    assert list(ours) == list(theirs)
+    for name, g in ours.items():
+        h = theirs[name]
+        assert plain(g) == generated(h), name
+        assert plain(um.omega_fixture(g)) == generated(ref.omega_fixture(h)), name
+        family = um.bigraph_fixture(g)
+        assert [w.bigraph.root for w in family] == sorted(h, key=repr)
+        assert {w.weight for w in family} == {Fraction(1, len(h))}
+        for w in family:
+            assert w.bigraph.primary is g
+            assert (plain(w.bigraph.secondary)
+                    == generated(ref.bigraph_secondary(h))), name
 
 
 def test_battery_matches_per_call_reference_on_biased_path():
@@ -67,9 +93,8 @@ def decorated_graphs(draw):
     n = draw(st.integers(1, 7))
     g = nx.Graph()
     g.add_nodes_from(range(n))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    for u, v in (draw(st.lists(st.sampled_from(pairs), max_size=12))
-                 if pairs else []):
+    pairs = [(u, v) for u in range(n) for v in range(u, n)]  # self-loops too
+    for u, v in draw(st.lists(st.sampled_from(pairs), max_size=12)):
         color = draw(st.sampled_from(["a", "b", "c", 0, None]))
         if color is None:
             g.add_edge(u, v)  # no color attribute at all
@@ -100,20 +125,75 @@ def test_battery_matches_per_call_reference_on_random_graphs(samples):
     assert um.mtp_battery(samples) == ref.mtp_battery(samples)
 
 
-def test_battery_builds_each_ball_once_per_graph_and_vertex(monkeypatch):
-    built = []
-    ball = um._ball
+@settings(max_examples=200, deadline=None)
+@given(decorated_graphs())
+def test_one_ball_matcher_matches_vf2_on_random_graphs(g):
+    for x in g:
+        for y in g:
+            assert (um._one_balls_isomorphic(g, x, y)
+                    == ref._rooted_ball_isomorphic(g, x, g, y, 1)), (x, y)
 
-    def counting_ball(graph, root, r):
-        built.append((id(graph), root))
-        return ball(graph, root, r)
 
-    monkeypatch.setattr(um, "_ball", counting_ball)
+def two_stars(ring0, ring1, leaves=7):
+    """Stars centred at 0 and 100 with ``leaves`` leaves each, all of one
+    mark and color, plus the edges ``ring0`` among the first star's leaves
+    1, 2, ... and ``ring1`` among the second's 101, 102, ..."""
+    g = nx.Graph()
+    for c, ring in ((0, ring0), (100, ring1)):
+        g.add_node(c, mark=0)
+        for k in range(1, leaves + 1):
+            g.add_node(c + k, mark=1)
+            g.add_edge(c, c + k, color="a")
+        for u, v, *color in ring:
+            g.add_edge(c + u, c + v, color=color[0] if color else "b")
+    return g
+
+
+def cycle(*leaves):
+    return [(u, v) for u, v in zip(leaves, leaves[1:] + leaves[:1])]
+
+
+@pytest.mark.parametrize("ring0, ring1, same", [
+    ([], [], True),
+    (cycle(1, 2, 3, 4, 5, 6, 7), cycle(1, 3, 5, 7, 2, 4, 6), True),
+    (cycle(1, 2, 3, 4, 5, 6, 7), cycle(1, 2, 3) + cycle(4, 5, 6, 7), False),
+    (cycle(1, 2, 3, 4, 5, 6, 7),
+     cycle(1, 2, 3, 4, 5, 6, 7)[:-1] + [(7, 1, "c")], False),
+    ([(1, 1), (2, 3)], [(6, 7), (4, 4)], True),
+    ([(1, 1), (1, 2)], [(6, 7), (4, 4)], False),
+    ([(1, 1)], [], False),
+    ([(1, 1, "b")], [(7, 7, "c")], False),
+])
+def test_one_ball_matcher_backtracks_over_alike_leaves(ring0, ring1, same):
+    g = two_stars(ring0, ring1)
+    assert ref._rooted_ball_isomorphic(g, 0, g, 100, 1) == same
+    assert um._one_balls_isomorphic(g, 0, 100) == same
+    assert um._one_balls_isomorphic(g, 100, 0) == same
+
+
+def test_battery_builds_no_ball_and_decides_each_edge_once(monkeypatch):
+    decided = []
+    decide = um._one_balls_isomorphic
+
+    def counting(g, x, y):
+        decided.append((id(g), frozenset((x, y))))
+        return decide(g, x, y)
+
+    def no_ball(graph, root, r):
+        raise AssertionError("the battery built a ball")
+
+    monkeypatch.setattr(um, "_ball", no_ball)
+    monkeypatch.setattr(um, "_one_balls_isomorphic", counting)
     for g in um.bundled_fixtures().values():
         for fam in (um.uniform_family(g), dual_samples(g)):
-            built.clear()
+            edges = {(id(s.graph), frozenset(e))
+                     for s in fam for e in um._edges(s.graph)}
+            decided.clear()
             um.mtp_battery(fam)
-            assert built and len(built) == len(set(built))
+            assert decided and len(decided) == len(set(decided))
+            assert set(decided) <= edges
+            if fam[0].graph is g:  # uniform rooting reaches every edge
+                assert set(decided) == edges
 
 
 def test_battery_manifest():
@@ -156,7 +236,7 @@ def test_delayed_walk_moves_only_on_omega():
     om = um.omega_fixture(g)
     traj = um.delayed_srw(g, om, 0, 500, seed=1)
     for x, y in zip(traj, traj[1:]):
-        assert x == y or om.has_edge(x, y)
+        assert x == y or y in om.adj[x]
     assert traj == um.delayed_srw(g, om, 0, 500, seed=1)
     assert traj != um.delayed_srw(g, om, 0, 500, seed=2)
 
@@ -183,7 +263,7 @@ def test_birkhoff_average_within_error_bar():
 def test_birkhoff_truncates_at_unsafe_states():
     g, om, labels, x0, event = cube_setup()
     traj = um.delayed_srw(g, om, x0, 2000, seed=3)
-    safe = {x0} | set(g.neighbors(x0))
+    safe = {x0} | set(g.adj[x0])
     res = um.birkhoff_average(traj, event, om, labels, safe=safe)
     assert res["truncated"]
     assert res["n"] < len(traj)
@@ -242,6 +322,13 @@ def test_import_defers_networkx_to_the_graph_suites():
         "g = um.bundled_fixtures()['petersen']",
         "res = um.mtp_battery(um.uniform_family(g))",
         "assert len(res) == 8 and all(r['equal'] for r in res.values()), res",
+        "assert 'networkx' not in sys.modules, 'battery'",
+        "dual = um.dual_family(um.reroot_to_H(um.bigraph_fixture(g)))",
+        "res = um.mtp_battery(um.bigraph_samples(dual))",
+        "assert len(res) == 8 and all(r['equal'] for r in res.values()), res",
+        "assert 'networkx' not in sys.modules, 'duality'",
+        "assert um.stationarity_check(g, um.omega_fixture(g))",
+        "assert 'networkx' not in sys.modules, 'stationarity'",
     ])
     out = subprocess.run([sys.executable, "-c", script],
                          capture_output=True, text=True)
