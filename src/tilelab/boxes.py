@@ -23,7 +23,10 @@ reuses their canonical subtrees.  A raw box list, and `union_all` of many
 sets, is canonicalized by one sweep per axis over a segment tree of that
 axis's cuts (`_sweep`, after Bentley's union of rectangles), and a box minus
 many boxes (`box_minus`) is one such sweep of the holes merged against the
-box.  None of them builds a grid of the distinct coordinates.
+box.  None of them builds a grid of the distinct coordinates.  Where only
+contact is read, a raw box list (`RawBoxes`) can stand for a set without a
+sweep: whether two finite unions of closed boxes have meeting interiors is
+whether some box of each does.
 
 Pairwise contact is one relation of int bitsets over all axes (`_relation`):
 per box, the earlier boxes touching it along a face and those overlapping
@@ -41,11 +44,10 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from functools import reduce
 from itertools import groupby
 from math import prod
-from operator import itemgetter, or_
-from typing import Container, Sequence
+from operator import itemgetter
+from typing import Container, NamedTuple, Sequence
 
 from .canon import find, join
 from .dyadic import Dyadic, ZERO, on_lattice
@@ -96,7 +98,18 @@ def _offset(e: int, ib: Sequence[tuple], moves: Sequence[tuple]):
                      for (lo, hi), a, b in zip(box, d[::2], d[1::2])) for box in ib]
 
 
-def _common(sets: Sequence["BoxSet"]) -> tuple[int, list[tuple], list[int]]:
+class RawBoxes(NamedTuple):
+    """Nonempty int boxes ``ints`` on the lattice of ``exp`` that need not be
+    canonical: they may overlap each other and need not sit on their least
+    lattice.  `set_contacts` takes one in place of a `BoxSet` (`_common` reads
+    a set only through ``exp`` and ``ints``); it is never made a `BoxSet`,
+    whose equality and hash assume canonical boxes."""
+
+    exp: int
+    ints: Sequence[tuple]
+
+
+def _common(sets: Sequence["BoxSet | RawBoxes"]) -> tuple[int, list[tuple], list[int]]:
     """The finest exponent of ``sets``, all their int boxes on its lattice,
     set after set, and the index of each box's set."""
     e = max((s.exp for s in sets), default=0)
@@ -275,7 +288,9 @@ def box_minus(e: int, box: tuple, holes: Sequence[tuple]) -> "BoxSet":
     """The closure of the int box ``box`` minus the int boxes ``holes``, all
     on the lattice of ``e``: one sweep of the nonempty holes, merged as a
     difference against the box's one-slab tree."""
-    ib, holes = _canonical([box]), [h for h in holes if all(lo < hi for lo, hi in h)]
+    # a nonempty box is its own canonical list
+    ib = [box] if all(lo < hi for lo, hi in box) else []
+    holes = [h for h in holes if all(lo < hi for lo, hi in h)]
     if ib and holes:
         budget = [MAX_SLABS]
         ib = _int_boxes(_merge("difference", "difference", _sweep("difference", ib, 0, budget),
@@ -286,8 +301,16 @@ def box_minus(e: int, box: tuple, holes: Sequence[tuple]) -> "BoxSet":
 def least_lattice(e: int, ib: Sequence[tuple]) -> tuple[int, Sequence[tuple]]:
     """``(f, boxes)``: the int boxes ``ib`` on the lattice of ``e`` moved to
     the least lattice ``f <= e`` that holds them."""
-    # drop the trailing zero bits that every corner has, at most e
-    m = reduce(or_, (c for b in ib for iv in b for c in iv), 0) if e else 0
+    # drop the trailing zero bits that every corner has, at most e; most
+    # sets have an odd corner, so stop at the first box that shows one
+    if not e:
+        return e, ib
+    m = 0
+    for b in ib:
+        for lo, hi in b:
+            m |= lo | hi
+        if m & 1:
+            return e, ib
     k = min(e, (m & -m).bit_length() - 1) if m else e
     return (e - k, [tuple((lo >> k, hi >> k) for lo, hi in b) for b in ib]) if k else (e, ib)
 
@@ -317,9 +340,11 @@ class BoxSet:
     def _store(self, e: int, ib: Sequence[tuple], dim: int) -> None:
         """Keep ``ib`` on the least lattice that holds it; ``dim`` if it is empty."""
         e, ib = least_lattice(e, ib)
-        for attr, value in (("exp", e), ("ints", tuple(ib)),
-                            ("dim", len(ib[0]) if ib else dim), ("_boxes", None)):
-            object.__setattr__(self, attr, value)
+        put = object.__setattr__
+        put(self, "exp", e)
+        put(self, "ints", tuple(ib))
+        put(self, "dim", len(ib[0]) if ib else dim)
+        put(self, "_boxes", None)
 
     def __setattr__(self, *a):
         raise AttributeError("BoxSet is immutable")
@@ -353,9 +378,11 @@ class BoxSet:
 
     def int_bbox(self) -> tuple:
         """The bounding box as ``(lo, hi)`` int pairs on the lattice of ``exp``."""
-        ib = self.ints
-        return tuple((min(b[a][0] for b in ib), max(b[a][1] for b in ib))
-                     for a in range(len(ib[0])))
+        out = []
+        for axis in zip(*self.ints):  # every box's (lo, hi) on one axis
+            los, his = zip(*axis)
+            out.append((min(los), max(his)))
+        return tuple(out)
 
     def bbox(self) -> Box | None:
         e = self.exp
@@ -581,7 +608,7 @@ def _face_unit(e: int, ib: Sequence[tuple]) -> int:
     return 1 << (e * (len(ib[0]) - 1)) if ib else 1
 
 
-def set_contacts(sets: Sequence[BoxSet], components: Container[int] = ()) -> tuple:
+def set_contacts(sets: Sequence[BoxSet | RawBoxes], components: Container[int] = ()) -> tuple:
     """Pairwise contact of box sets: ``(adjacent, overlaps, counts)`` where
     ``adjacent`` holds the set pairs ``(a, b)``, ``a < b``, whose closures
     share positive face area, ``overlaps`` those whose interiors meet, and
@@ -589,7 +616,13 @@ def set_contacts(sets: Sequence[BoxSet], components: Container[int] = ()) -> tup
     for each ``a`` in ``components``, None for the others.  All of it is read
     off the bitsets of `_relation`: face bits in a box's own counted set go
     to a union-find, and those of other sets are taken one set at a time,
-    through its mask in the block, so each neighbouring set costs one insert."""
+    through its mask in the block, so each neighbouring set costs one insert.
+
+    A set may be a `RawBoxes`, whose boxes may overlap each other.  Its
+    ``overlaps`` are exact, since the interiors of two finite unions of
+    closed boxes meet exactly when those of some box of each do.  It must
+    not be in ``components``: a union-find over face bits miscounts boxes
+    that overlap."""
     _, ib, owner = _common(sets)
     counts = [0 if a in components else None for a in range(len(sets))]
     parent = list(range(len(ib)))

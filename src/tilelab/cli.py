@@ -12,7 +12,7 @@ import functools
 import sys
 
 from . import bs12 as bs12mod
-from . import exports, fractal, tunnels, unimodular
+from . import exports, fractal, tunnels
 from .boxes import ResourceLimit
 from .canon import has_cycle
 from .config import ConfigError, RunConfig, load_config
@@ -132,6 +132,8 @@ def cmd_bs12(cfg: RunConfig) -> int:
 
 
 def cmd_t3(cfg: RunConfig) -> int:
+    from . import unimodular  # imported here: only t3 and check use it
+
     window = bs12mod.bs12_ball(cfg.radius)
     assembly = tunnels.assemble_bs12(window, cfg.seed, cfg.stages,
                                      tuple(cfg.schedule))
@@ -205,6 +207,8 @@ def cmd_fractal(cfg: RunConfig) -> int:
 
 
 def cmd_check(cfg: RunConfig) -> int:
+    from . import unimodular
+
     results = {}
     ok = True
     fixtures = unimodular.bundled_fixtures()

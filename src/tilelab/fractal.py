@@ -30,7 +30,7 @@ import random
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from .boxes import Box, BoxSet, box_minus, set_contacts, union_all
+from .boxes import Box, BoxSet, RawBoxes, _offset, box_minus, set_contacts, union_all
 from .canon import has_cycle
 from .dyadic import Dyadic, on_lattice, pair
 
@@ -198,8 +198,14 @@ def _halo_contacts(regions: Sequence[BoxSet], uncovered: BoxSet,
 
     For regular closed P and U, int(P + B_h) meets int U exactly when int P
     meets int(U + B_h), so one contact sweep of ``uncovered`` grown by the
-    halo (index 0) against the regions answers every region at once."""
-    adjacent, overlaps, counts = set_contacts([uncovered.inflate_all(halo), *regions],
+    halo (index 0) against the regions answers every region at once.  The
+    grown set is the raw boxes of ``uncovered`` each grown by the halo, with
+    no canonical sweep: they overlap each other, but interiors of two finite
+    unions of closed boxes meet exactly when those of some box of each do,
+    and set 0 is neither counted nor read for adjacency."""
+    grown = RawBoxes(*_offset(uncovered.exp, uncovered.ints,
+                              [(-halo, halo)] * uncovered.dim))
+    adjacent, overlaps, counts = set_contacts([grown, *regions],
                                               components=range(1, len(regions) + 1))
     return ([(a - 1, b - 1) for a, b in sorted(adjacent) if a],
             {b - 1 for a, b in overlaps if a == 0}, counts[1:])
@@ -271,11 +277,13 @@ def embed_tree(pieces: Sequence[FractalPiece], edges: Sequence[Tuple[int, int]],
     prec = 16
     points: List[Tuple[int, int, int]] = []  # (x, y, e) for (x, y) / 2**e
     for p in pieces:
-        boxes = [[(lo << prec, hi << prec) for lo, hi in b] for b in p.region.ints]
+        (x0, x1), (y0, y1) = p.region.int_bbox()
         while True:
-            x, y = ((lo << prec) + (hi - lo) * rng.getrandbits(prec)
-                    for lo, hi in p.region.int_bbox())
-            if any(xl <= x <= xh and yl <= y <= yh for (xl, xh), (yl, yh) in boxes):
+            # x, then y: the order fixes the points a seed gives
+            x = (x0 << prec) + (x1 - x0) * rng.getrandbits(prec)
+            y = (y0 << prec) + (y1 - y0) * rng.getrandbits(prec)
+            if any(xl << prec <= x <= xh << prec and yl << prec <= y <= yh << prec
+                   for (xl, xh), (yl, yh) in p.region.ints):
                 points.append((x, y, p.region.exp + prec))
                 break
 

@@ -445,14 +445,16 @@ def verify_representation(tiling: Tiling, tree: RootedTreeWindow) -> dict:
 
     report["local_finiteness"] = {"pass": True, "counts": []}
 
+    # edges as ordered pairs in the sweep's ``repr`` order, the order of
+    # `Tiling.adjacency`'s pairs
+    rank = {v: i for i, v in enumerate(verts)}
     resolved = set(tiling.tile_of)
     expected = set()
     for v in resolved:
         p = tree.parent[v]
         if p is not None and p in resolved:
-            expected.add((min(v, p, key=repr), max(v, p, key=repr)))
-    got = {(min(a, b, key=repr), max(a, b, key=repr))
-           for a, b in tiling.adjacency()}
+            expected.add((v, p) if rank[v] < rank[p] else (p, v))
+    got = set(tiling.adjacency())
     iso = expected == got
     hashes = None
     if iso:

@@ -6,6 +6,7 @@ from bisect import bisect_left
 from functools import reduce
 from itertools import product
 from fractions import Fraction
+from operator import or_
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import ndimage
 
 from tilelab import boxes as boxes_mod
-from tilelab.boxes import (BoxSet, Clearance, ResourceLimit, _contacts, _lattice, _relation,
-                           box_of, clearance, contact_faces, polyline_neighborhood,
+from tilelab.boxes import (BoxSet, Clearance, RawBoxes, ResourceLimit, _contacts, _lattice,
+                           _relation, box_of, clearance, contact_faces, polyline_neighborhood,
                            set_contacts, union_all)
 from tilelab.dyadic import Dyadic
 from voxels import voxelize
@@ -296,6 +297,43 @@ def test_box_minus_matches_set_difference(case):
     want = BoxSet.from_ints(e, [box]).difference(BoxSet.from_ints(e, holes))
     assert got == want
     assert got.dim == len(box)
+
+
+def _least_lattice_scan(e, ib):
+    """`least_lattice` as one OR over every corner, with no early return."""
+    m = reduce(or_, (c for b in ib for iv in b for c in iv), 0) if e else 0
+    k = min(e, (m & -m).bit_length() - 1) if m else e
+    return (e - k, [tuple((lo >> k, hi >> k) for lo, hi in b) for b in ib]) if k else (e, ib)
+
+
+@st.composite
+def lattice_boxes(draw):
+    """An exponent and up to 6 int boxes whose corners share 0 to 7 trailing
+    zero bits, some negative, some all zero."""
+    dim = draw(st.sampled_from([2, 3]))
+    corner = st.integers(0, 7).flatmap(lambda k: st.integers(-9, 9).map(lambda c: c << k))
+    return draw(st.integers(0, 6)), [tuple((draw(corner), draw(corner)) for _ in range(dim))
+                                     for _ in range(draw(st.integers(0, 6)))]
+
+
+@given(lattice_boxes())
+@example((3, []))
+@example((3, [((0, 0), (0, 0)), ((0, 0), (0, 0))]))  # every corner zero
+@example((2, [((0, 8), (4, 16)), ((-8, 4), (12, 5))]))  # one odd corner, in the last box
+@example((0, [((2, 4), (4, 8))]))
+@example((5, [((-64, 32), (96, -128)), ((0, 0), (256, 32))]))  # more zero bits than e
+def test_least_lattice_matches_full_corner_scan(case):
+    e, ib = case
+    f, got = boxes_mod.least_lattice(e, ib)
+    want_f, want = _least_lattice_scan(e, ib)
+    assert (f, list(got)) == (want_f, list(want))
+
+
+@given(boxes2d.filter(lambda s: not s.is_empty()))
+def test_int_bbox_is_the_per_axis_extremes(a):
+    ib = a.ints
+    assert a.int_bbox() == tuple((min(b[ax][0] for b in ib), max(b[ax][1] for b in ib))
+                                 for ax in range(a.dim))
 
 
 @st.composite
@@ -712,6 +750,29 @@ def test_union_all_matches_union_fold_and_reference(raws):
     assert got == reduce(BoxSet.union, sets)
     every = [b for r in raws for b in r]
     assert exact(got.boxes) == exact(reference_boolean(lambda x, y: x, every))
+
+
+@settings(deadline=None)
+@given(box_families(), st.integers(0, 3))
+@example([[box_of((0, 2), (0, 1)), box_of((2, 3), (0, 2))],
+          [box_of((3, 4), (0, 1))], [box_of((0, 1), (1, 2))]], 2)
+def test_set_contacts_reads_raw_widened_boxes_as_their_set(raws, k):
+    """Set 0 as its canonical boxes each widened by ``2**-k``, which overlap
+    each other, gives the overlaps of its canonical inflation, and the same
+    face contacts between sets whose interiors do not meet: a box pair that
+    touches inside the other set's interior adds a face bit only where the
+    sets overlap anyway."""
+    grown, *rest = [BoxSet(r) for r in raws]
+    halo = Dyadic(1, k)
+    raw = RawBoxes(*boxes_mod._offset(grown.exp, grown.ints, [(-halo, halo)] * grown.dim))
+    canonical = grown.inflate_all(halo)
+    assert BoxSet.from_ints(*raw) == canonical
+    counted = range(1, len(raws))
+    adjacent, overlaps, counts = set_contacts([raw, *rest], components=counted)
+    want_adjacent, want_overlaps, want_counts = set_contacts([canonical, *rest], components=counted)
+    assert overlaps == want_overlaps
+    assert adjacent - overlaps == want_adjacent - want_overlaps
+    assert counts == want_counts
 
 
 def test_deep_overlap_canonicalizes_in_one_sweep():

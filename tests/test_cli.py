@@ -54,6 +54,22 @@ def test_no_command_loads_networkx(tmp_path):
     assert out.returncode == 0, out.stderr
 
 
+def test_commands_other_than_t3_and_check_do_not_load_unimodular(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("i_min = -1\ni_max = 1\nwindow = 1.0\n")
+    runs = [["tile-tree", "--tree", "path(6)"], ["bs12", "--radius", "3"],
+            ["fractal", "--config", str(cfg)], ["export", "--tree", "path(6)"]]
+    lines = ["import sys, tilelab.cli as cli",
+             "assert 'tilelab.unimodular' not in sys.modules, 'import'"]
+    for args in runs:
+        argv = args + ["--out", str(tmp_path / args[0])]
+        lines.append(f"assert cli.main({argv!r}) == 0")
+        lines.append(f"assert 'tilelab.unimodular' not in sys.modules, {args[0]!r}")
+    out = subprocess.run([sys.executable, "-c", "\n".join(lines)],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+
+
 def test_tile_tree_pass(tmp_path):
     out = run_cli("tile-tree", "--seed", "3", "--tree", "path(12)",
                   "--out", str(tmp_path))
