@@ -21,9 +21,12 @@ binary boolean is one section-by-section merge of the operands' slab trees
 (`_merge`, after the Extreme Vertices Model of Aguilera and Ayala), which
 reuses their canonical subtrees.  A raw box list, and `union_all` of many
 sets, is canonicalized by one sweep per axis over a segment tree of that
-axis's cuts (`_sweep`, after Bentley's union of rectangles), and a box minus
-many boxes (`box_minus`) is one such sweep of the holes merged against the
-box.  None of them builds a grid of the distinct coordinates.  Where only
+axis's cuts (`_sweep`, after Bentley's union of rectangles).  A box minus
+many boxes (`box_minus`) is one direct subtraction (`_minus`) that builds no
+slab tree: on each axis but the last, one walk over the slabs between the
+sorted ends of the box and the holes, keeping the holes that span each slab
+active; on the last, the gaps the sorted hole intervals leave in the box.
+None of them builds a grid of the distinct coordinates.  Where only
 contact is read, a raw box list (`RawBoxes`) can stand for a set without a
 sweep: whether two finite unions of closed boxes have meeting interiors is
 whether some box of each does.
@@ -65,10 +68,11 @@ def inflate(box: Box, eps) -> Box:
 
 
 # Slabs one `_merge` of two slab trees may append over all axes, or one
-# `_sweep` may emit over all axes but the last, sections later absorbed into a
-# touching equal one included: about 200 MB of trees.  At `tilelab t3
-# --radius 10` the largest sweep emits 1,941 (a fiber's union) and the
-# largest merge appends 29, a margin of over 500 times.
+# `_sweep` or `box_minus` may emit over all axes but the last, sections later
+# absorbed into a touching equal one included: about 200 MB of trees.  At
+# `tilelab t3 --radius 10` the largest sweep emits 1,941 (a fiber's union),
+# the largest merge appends 29 and the largest `box_minus` emits 16 (a
+# tile), a margin of over 500 times.
 MAX_SLABS = 1 << 20
 
 
@@ -286,16 +290,76 @@ def union_all(sets: Sequence["BoxSet"]) -> "BoxSet":
 
 def box_minus(e: int, box: tuple, holes: Sequence[tuple]) -> "BoxSet":
     """The closure of the int box ``box`` minus the int boxes ``holes``, all
-    on the lattice of ``e``: one sweep of the nonempty holes, merged as a
-    difference against the box's one-slab tree."""
-    # a nonempty box is its own canonical list
+    on the lattice of ``e``: the holes clipped to the box, those with empty
+    interior dropped, and the rest subtracted by `_minus`."""
     ib = [box] if all(lo < hi for lo, hi in box) else []
-    holes = [h for h in holes if all(lo < hi for lo, hi in h)]
-    if ib and holes:
-        budget = [MAX_SLABS]
-        ib = _int_boxes(_merge("difference", "difference", _sweep("difference", ib, 0, budget),
-                               _sweep("difference", holes, 0, budget)))
+    if ib:
+        clipped = []
+        for h in holes:
+            c = []
+            for (lo, hi), (bl, bh) in zip(h, box):
+                if lo < bl:
+                    lo = bl
+                if hi > bh:
+                    hi = bh
+                if lo >= hi:
+                    break
+                c.append((lo, hi))
+            else:
+                clipped.append(tuple(c))
+        # with no hole left a nonempty box is its own canonical list, and a
+        # 0-dimensional box (a point) minus any hole is empty
+        if clipped:
+            ib = _minus(box, clipped, 0, [MAX_SLABS]) if box else []
     return BoxSet._of(e, ib, len(box))
+
+
+def _minus(box: tuple, holes: Sequence[tuple], d: int, budget: list) -> list[tuple]:
+    """Canonical int boxes, on axes ``d, d+1, ...``, of the nonempty int box
+    ``box`` minus ``holes`` (at least one, inside the box, nonempty).  On the
+    last axis they are the gaps the sorted hole intervals leave.  On another,
+    the slabs between consecutive ends of the box and the holes are walked in
+    order, the holes spanning the slab kept active from two index lists
+    sorted by ``lo`` and by ``hi``: a slab's section is the box's own with no
+    active hole, else the same subtraction on the next axis.  A slab that
+    touches the one before and has an equal section extends it, so the result
+    is canonical with no slab tree; each slab appended counts against
+    ``budget``."""
+    lo, hi = box[d]
+    if d == len(box) - 1:
+        out, at = [], lo
+        for a, b in sorted(h[d] for h in holes):
+            if a > at:
+                out.append(((at, a),))
+            if b > at:
+                at = b
+        if at < hi:
+            out.append(((at, hi),))
+        return out
+    n = len(holes)
+    los, his = [h[d][0] for h in holes], [h[d][1] for h in holes]
+    by_lo, by_hi = sorted(range(n), key=los.__getitem__), sorted(range(n), key=his.__getitem__)
+    cuts = sorted({lo, hi, *los, *his})
+    whole = [box[d + 1:]]
+    active: set[int] = set()
+    slabs: list[list] = []
+    i = j = 0
+    for a, b in zip(cuts, cuts[1:]):
+        while i < n and los[by_lo[i]] == a:
+            active.add(by_lo[i])
+            i += 1
+        while j < n and his[by_hi[j]] == a:
+            active.remove(by_hi[j])
+            j += 1
+        sec = _minus(box, [holes[k] for k in active], d + 1, budget) if active else whole
+        if slabs and slabs[-1][1] == a and slabs[-1][2] == sec:
+            slabs[-1][1] = b
+        elif sec:
+            budget[0] -= 1
+            if budget[0] < 0:
+                raise ResourceLimit(f"difference: one merge over {MAX_SLABS} slabs")
+            slabs.append([a, b, sec])
+    return [((a, b),) + s for a, b, sec in slabs for s in sec]
 
 
 def least_lattice(e: int, ib: Sequence[tuple]) -> tuple[int, Sequence[tuple]]:

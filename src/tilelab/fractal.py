@@ -30,7 +30,8 @@ import random
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from .boxes import Box, BoxSet, RawBoxes, _offset, box_minus, set_contacts, union_all
+from .boxes import (Box, BoxSet, RawBoxes, _offset, _shift, box_minus, set_contacts,
+                    union_all)
 from .canon import has_cycle
 from .dyadic import Dyadic, on_lattice, pair
 
@@ -228,7 +229,8 @@ def adjacency_report(pieces: Sequence[FractalPiece], window: Box,
                          max((r.exp for r in regions), default=0))
     win, h = ((5 * ints[0], 5 * ints[1]), (5 * ints[2], 5 * ints[3])), ints[4]
     covered = union_all(regions)
-    uncovered = BoxSet.from_ints(e, [win]).difference(covered)
+    # e holds every region, so it is at least as fine as covered's lattice
+    uncovered = box_minus(e, win, _shift(covered.ints, e - covered.exp))
 
     edges, exposed, counts = _halo_contacts(regions, uncovered, halo)
     degree = [0] * len(pieces)

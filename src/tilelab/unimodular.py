@@ -385,24 +385,38 @@ def mtp_battery(samples: Sequence[RootedSample]) -> Dict[str, dict]:
 # -- bigraphs and duality --------------------------------------------------------
 
 
+def _require_connected(primary: Graph, secondary: Graph) -> None:
+    """Raise ValueError unless both graphs of a bigraph are connected."""
+    if not _connected(primary):
+        raise ValueError("primary graph must be connected")
+    if not _connected(secondary):
+        raise ValueError("secondary graph must be connected")
+
+
 class Bigraph:
     """A primary graph with a decoration graph on a subset of its vertices."""
 
     def __init__(self, primary: Graph, secondary: Graph, root):
-        if not _connected(primary):
-            raise ValueError("primary graph must be connected")
-        if not _connected(secondary):
-            raise ValueError("secondary graph must be connected")
+        _require_connected(primary, secondary)
         if root not in primary:
             raise ValueError("root must be a primary vertex")
         self.primary = primary
         self.secondary = secondary
         self.root = root
 
+    @staticmethod
+    def _of(primary: Graph, secondary: Graph, root) -> "Bigraph":
+        """A bigraph over graphs already known to be connected, ``root`` a
+        primary vertex: a family shares its two graphs, so they are checked
+        once for it, not once per member."""
+        b = object.__new__(Bigraph)
+        b.primary, b.secondary, b.root = primary, secondary, root
+        return b
+
     def dual(self) -> "Bigraph":
         if self.root not in self.secondary:
             raise ValueError("cannot dualize: root outside the secondary graph")
-        return Bigraph(self.secondary, self.primary, self.root)
+        return Bigraph._of(self.secondary, self.primary, self.root)
 
     def root_in_secondary(self) -> bool:
         return self.root in self.secondary
@@ -686,8 +700,9 @@ def bigraph_fixture(graph: Graph) -> List[WeightedBigraph]:
     secondary = Graph({v: graph.nodes[v] for v in graph if v in keep},
                       [(u, v, graph.adj[u][v]) for u, v in _edges(graph)
                        if u in keep and v in keep])
+    _require_connected(graph, secondary)
     n = len(graph)
-    return [WeightedBigraph(Bigraph(graph, secondary, v), Fraction(1, n))
+    return [WeightedBigraph(Bigraph._of(graph, secondary, v), Fraction(1, n))
             for v in sorted(graph, key=repr)]
 
 

@@ -7,6 +7,7 @@ from functools import reduce
 from itertools import product
 from fractions import Fraction
 from operator import or_
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -275,16 +276,35 @@ def test_set_contacts_matches_pairwise_oracle(block, case, spread):
 
 @st.composite
 def box_and_holes(draw):
-    """A lattice exponent, an int box and up to 8 int holes, in 2-D or 3-D,
-    with corners in [-12, 16]: holes stick out of the box, overlap each
-    other, and some are degenerate or empty, and so is the box at times."""
+    """A lattice exponent, an int box and up to 40 int holes, in 2-D or 3-D:
+    a new box has corners in [-12, 16], and a hole after the first may
+    instead repeat an earlier one, nest in it, or share a face with it.
+    Holes stick out of the box and overlap each other, and some are
+    degenerate or empty, and so is the box at times."""
     dim = draw(st.sampled_from([2, 3]))
 
     def int_box():
         los = [draw(st.integers(-12, 8)) for _ in range(dim)]
         return tuple((lo, lo + draw(st.integers(-2, 8))) for lo in los)
 
-    return draw(st.integers(0, 3)), int_box(), [int_box() for _ in range(draw(st.integers(0, 8)))]
+    def inside(lo, hi):
+        a = draw(st.integers(min(lo, hi), max(lo, hi)))
+        return a, draw(st.integers(a, max(a, hi)))
+
+    holes = []
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(st.sampled_from(["new", "repeat", "nest", "face"])) if holes else "new"
+        h = draw(st.sampled_from(holes)) if holes else None
+        if kind == "new":
+            h = int_box()
+        elif kind == "nest":
+            h = tuple(inside(lo, hi) for lo, hi in h)
+        elif kind == "face":  # the same box moved off one of its faces
+            a, w = draw(st.integers(0, dim - 1)), draw(st.integers(1, 6))
+            lo, hi = h[a]
+            h = h[:a] + (draw(st.sampled_from([(hi, hi + w), (lo - w, lo)])),) + h[a + 1:]
+        holes.append(h)
+    return draw(st.integers(0, 3)), int_box(), holes
 
 
 @given(box_and_holes())
@@ -297,6 +317,40 @@ def test_box_minus_matches_set_difference(case):
     want = BoxSet.from_ints(e, [box]).difference(BoxSet.from_ints(e, holes))
     assert got == want
     assert got.dim == len(box)
+
+
+@settings(max_examples=50)
+@given(box_and_holes())
+def test_box_minus_takes_no_slab_tree_path(case):
+    e, box, holes = case
+    want = BoxSet.from_ints(e, [box]).difference(BoxSet.from_ints(e, holes))
+
+    def refuse(*a):
+        raise AssertionError("box_minus went through the slab-tree kernel")
+
+    with patch.multiple(boxes_mod, _sweep=refuse, _merge=refuse, _int_boxes=refuse):
+        assert boxes_mod.box_minus(e, box, holes) == want
+
+
+def test_box_minus_counts_its_slabs(monkeypatch):
+    # a square hole in the middle of a square: three slabs on axis 0
+    box, hole = ((0, 9), (0, 9)), ((3, 6), (3, 6))
+    monkeypatch.setattr(boxes_mod, "MAX_SLABS", 3)
+    assert len(boxes_mod.box_minus(0, box, [hole]).ints) == 4
+    monkeypatch.setattr(boxes_mod, "MAX_SLABS", 2)
+    with pytest.raises(ResourceLimit, match="difference: one merge over 2 slabs"):
+        boxes_mod.box_minus(0, box, [hole])
+    assert boxes_mod.box_minus(0, box, []).ints == (box,)  # no holes, no slabs
+
+
+def test_box_minus_of_many_staggered_holes():
+    # 1,200 holes, each overlapping its next dozen along axis 0 and wrapping
+    # round the other two axes at coprime periods
+    holes = [((k, k + 13), (k % 37, k % 37 + 9), (k % 23, k % 23 + 4)) for k in range(1200)]
+    box = ((-2, 1220), (1, 44), (0, 25))
+    got = boxes_mod.box_minus(0, box, holes)
+    assert got == BoxSet.from_ints(0, [box]).difference(BoxSet.from_ints(0, holes))
+    assert 0 < got.measure() < BoxSet.from_ints(0, [box]).measure()
 
 
 def _least_lattice_scan(e, ib):

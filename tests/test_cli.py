@@ -22,6 +22,15 @@ def test_cli_import_does_not_load_numpy():
     assert out.stdout.strip() == "False"
 
 
+def test_package_import_loads_no_submodule():
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, tilelab; print([m for m in sys.modules if m.startswith('tilelab.')])"],
+        capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
 def test_parser_is_built_on_first_use_and_reused(tmp_path):
     lines = ["import tilelab.cli as cli",
              "assert cli._build_parser.cache_info().misses == 0, 'import'"]

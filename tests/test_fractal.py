@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tilelab.boxes import BoxSet, set_contacts
+from tilelab import fractal
+from tilelab.boxes import BoxSet, box_minus, set_contacts, union_all
 from tilelab.dyadic import Dyadic, on_lattice
 from tilelab.fractal import (FAMILY_OFFSETS, INTERPRETATIONS, FractalPiece, _cells,
                              _dyadic_mod, _halo_contacts, _pow2,
@@ -92,6 +93,26 @@ def test_contact_sweep_counts_piece_components(seed, i_max, win):
     regions = [p.region for p in pieces_in_window(build_chain(seed, -2, i_max), win, "square")]
     assert set_contacts(regions, components=range(len(regions)))[2] == \
         [len(r.components()) for r in regions]
+
+
+@pytest.mark.parametrize("seed,i_min,i_max,win", [
+    (0, -2, 2, window(1)),
+    (3, -1, 1, ((Dyadic(-1), Dyadic(0)), (Dyadic(0), Dyadic(1)))),
+    (5, -2, 1, ((Dyadic(-3, 2), Dyadic(5, 3)), (Dyadic(-1, 1), Dyadic(7, 2)))),
+])
+def test_uncovered_set_is_the_window_minus_the_pieces(monkeypatch, seed, i_min, i_max, win):
+    chain = build_chain(seed, i_min, i_max)
+    five = BoxSet([tuple((5 * lo, 5 * hi) for lo, hi in win)])
+    for interp in INTERPRETATIONS:
+        pieces = pieces_in_window(chain, win, interp)
+        made = []
+        monkeypatch.setattr(fractal, "box_minus",
+                            lambda *a: made.append(box_minus(*a)) or made[-1])
+        report = adjacency_report(pieces, win, interp)
+        monkeypatch.undo()
+        want = five.difference(union_all([p.region for p in pieces]))
+        assert made == [want]
+        assert not want.is_empty() and report["uncovered_area"] == str(want.volume() / 25)
 
 
 def test_split_piece_is_reported_disconnected():

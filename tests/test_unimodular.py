@@ -222,6 +222,29 @@ def test_reroot_zero_mass_raises():
         um.reroot_to_H(fam)
 
 
+def test_check_searches_each_fixture_graph_once(tmp_path, monkeypatch):
+    # one connectivity search per fixture graph and per decoration graph;
+    # the family members and their duals share both graphs
+    import tilelab.cli as cli
+
+    searched = []
+    search = um._distances
+    monkeypatch.setattr(um, "_distances", lambda g, *a: searched.append(g) or search(g, *a))
+    assert cli.main(["check", "--out", str(tmp_path)]) == 0
+    assert len(um.bundled_fixtures()) == 5
+    assert len(searched) == 10
+
+
+def test_disconnected_graphs_are_refused():
+    path, two = nx.path_graph(3), nx.Graph([(0, 1), (2, 3)])
+    with pytest.raises(ValueError, match="primary graph must be connected"):
+        um.Bigraph(two, path, 0)
+    with pytest.raises(ValueError, match="secondary graph must be connected"):
+        um.Bigraph(path, two, 0)
+    with pytest.raises(ValueError, match="primary graph must be connected"):
+        um.bigraph_fixture(um.Graph({v: {} for v in two}, [(0, 1, {}), (2, 3, {})]))
+
+
 def test_stationarity_exact():
     for name, g in um.bundled_fixtures().items():
         om = um.omega_fixture(g)
