@@ -33,10 +33,11 @@ whether some box of each does.
 
 Pairwise contact is one relation of int bitsets over all axes (`_relation`):
 per box, the earlier boxes touching it along a face and those overlapping
-it, from bisects into sorted box ends, with no work per pair.  `set_contacts`
-reads which sets touch or overlap, and components, off those bitsets; the
-pair and area queries go through `_contacts`, which below `INDEX_MIN` boxes
-uses an axis-0 active list instead.
+it, from bisects into sorted box ends, with no work per pair.  Every contact
+query reads it, whatever the number of boxes: `set_contacts` reads which
+sets touch or overlap, and components, off those bitsets, and so do
+`BoxSet.components` and `BoxSet.interior_intersects`; only the area queries
+(`shared_face_area`, `contact_faces`) measure the pairs, in `_contacts`.
 
 `Clearance` is a region prepared for many polyline queries: its complement
 near the region is built once, on the lattice, and each query only lattices
@@ -453,11 +454,12 @@ class BoxSet:
         return (tuple((Dyadic(lo, e), Dyadic(hi, e)) for lo, hi in self.int_bbox())
                 if self.ints else None)
 
-    def _frame(self, margin) -> "BoxSet":
-        """The bounding box inflated by ``margin``, as a set."""
-        m = Dyadic.coerce(margin)
-        e, ib = _offset(self.exp, [self.int_bbox()], [(-m, m)] * self.dim)
-        return BoxSet._of(e, ib, self.dim)
+    def _outside(self, margin) -> "BoxSet":
+        """The bounding box widened by ``margin``, minus the set: one
+        `box_minus` on the finer of the two lattices."""
+        f, (m,) = on_lattice([Dyadic.coerce(margin)], self.exp)
+        bbox, *ib = _shift([self.int_bbox(), *self.ints], f - self.exp)
+        return box_minus(f, tuple((lo - m, hi + m) for lo, hi in bbox), ib)
 
     def contains_point(self, pt: Sequence) -> bool:
         e, q = on_lattice([Dyadic.coerce(x) for x in pt], self.exp)
@@ -488,9 +490,8 @@ class BoxSet:
         return _combine("difference", self, other)
 
     def interior_intersects(self, other: "BoxSet") -> bool:
-        """Whether the interiors meet; stops at the first overlapping pair."""
-        _, ib, owner = _common([self, other])
-        return any(area is None for _, _, area in _contacts(ib, owner))
+        """Whether the interiors meet, read off `set_contacts`."""
+        return bool(set_contacts([self, other])[1])
 
     def contains_set(self, other: "BoxSet") -> bool:
         return other.difference(self).is_empty()
@@ -520,7 +521,7 @@ class BoxSet:
             raise ValueError("thin: negative margin")
         if self.is_empty() or e == ZERO:
             return self
-        outside = self._frame(e + 1).difference(self)
+        outside = self._outside(e + 1)
         return self.difference(outside.inflate_all(e))
 
     # -- contact structure --------------------------------------------------------
@@ -532,12 +533,13 @@ class BoxSet:
                         _face_unit(e, ib))
 
     def components(self) -> list["BoxSet"]:
-        """Face-connected components (edge/corner contact does not connect)."""
+        """Face-connected components (edge/corner contact does not connect),
+        by a union-find over the face bits of `_relation`."""
         n = len(self.ints)
         parent = list(range(n))
-        for i, j, area in _contacts(self.ints, range(n)):
-            if area is not None:
-                join(parent, i, j)
+        for k, block, _, face, _ in _relation(self.ints, (0,) * n):
+            for i in _positions(face):
+                join(parent, k, block[i])
         groups: dict[int, list[tuple]] = {}
         for i in range(n):
             groups.setdefault(find(parent, i), []).append(self.ints[i])
@@ -546,13 +548,10 @@ class BoxSet:
                 [BoxSet._of(self.exp, _canonical(g), self.dim) for g in groups.values()])
 
 
-# Below `INDEX_MIN` boxes `_contacts` keeps the axis-0 active list: building
-# the relation's masks costs 3-4 times as much at 2-10 boxes, the size of
-# most calls.  The relation builds its masks for at most `BLOCK` sweep
-# positions at a time, so they hold at most BLOCK**2 / 8 bytes per axis end
-# however many boxes come (unblocked, `tile-tree` on `binary-canopy(10)`
-# peaks 93 MB higher).
-INDEX_MIN = 64
+# The relation builds its masks for at most `BLOCK` sweep positions at a
+# time, so they hold at most BLOCK**2 / 8 bytes per axis end however many
+# boxes come (unblocked, `tile-tree` on `binary-canopy(10)` peaks 93 MB
+# higher).
 BLOCK = 2048
 
 
@@ -630,41 +629,15 @@ def _contacts(ib: Sequence[tuple], owner: Sequence):
     area)``, in no fixed order, for every pair ``i < j`` of boxes with
     different owners that touch along a codim-1 face (``area`` is the int
     contact area, in units of ``2**-(e * (dim - 1))``) or overlap (``area``
-    is None).  Below `INDEX_MIN` boxes an axis-0 active list stands in for
-    `_relation`, and its pairs are classified on ints."""
-    if len(ib) >= INDEX_MIN:
-        for k, block, own, face, over in _relation(ib, owner):
-            mine = own.get(owner[k], 0)
-            for j in map(block.__getitem__, _positions(face & ~mine)):
-                # the side of the touching axis is 0
-                yield min(j, k), max(j, k), prod(filter(None, (
-                    min(ph, qh) - max(pl, ql) for (pl, ph), (ql, qh) in zip(ib[j], ib[k]))))
-            for j in map(block.__getitem__, _positions(over & ~mine)):
-                yield min(j, k), max(j, k), None
-        return
-    active: list[int] = []
-    for k in sorted(range(len(ib)), key=lambda k: ib[k][0][0]):
-        q = ib[k]
-        active = [j for j in active if ib[j][0][1] >= q[0][0]]
-        for j in active:
-            if owner[j] == owner[k]:
-                continue
-            touch = False
-            area = 1
-            for (pl, ph), (ql, qh) in zip(ib[j], q):
-                lo = pl if pl >= ql else ql
-                hi = ph if ph <= qh else qh
-                if lo > hi:
-                    break
-                if lo == hi:
-                    if touch:
-                        break  # edge or corner contact only
-                    touch = True
-                else:
-                    area *= hi - lo
-            else:
-                yield min(j, k), max(j, k), area if touch else None
-        active.append(k)
+    is None), from the rows of `_relation`."""
+    for k, block, own, face, over in _relation(ib, owner):
+        mine = own.get(owner[k], 0)
+        for j in map(block.__getitem__, _positions(face & ~mine)):
+            # the side of the touching axis is 0
+            yield min(j, k), max(j, k), prod(filter(None, (
+                min(ph, qh) - max(pl, ql) for (pl, ph), (ql, qh) in zip(ib[j], ib[k]))))
+        for j in map(block.__getitem__, _positions(over & ~mine)):
+            yield min(j, k), max(j, k), None
 
 
 def _face_unit(e: int, ib: Sequence[tuple]) -> int:
@@ -760,14 +733,14 @@ class Clearance:
     ``eps <= Clearance(region)(points)``.
 
     The complement within 1 of the region's bounding box, ``frame - region``
-    with ``frame`` that box inflated by 1, is built once, on the region's
-    lattice, and moved at most once to each finer lattice a query needs.  A
-    polyline not inside the box has a point outside the closed region, so its
-    clearance is 0.  Otherwise every point within 1 of it lies in ``frame``,
-    and the distance from a segment box to a complement box is their largest
-    per-axis gap (an open eps-box around the segment meets the closed
-    complement box in a set with interior iff eps exceeds it); the clearance
-    is the least such gap."""
+    with ``frame`` that box inflated by 1, is built once, as one `box_minus`
+    on the region's lattice, and moved at most once to each finer lattice a
+    query needs.  A polyline not inside the box has a point outside the
+    closed region, so its clearance is 0.  Otherwise every point within 1 of
+    it lies in ``frame``, and the distance from a segment box to a complement
+    box is their largest per-axis gap (an open eps-box around the segment
+    meets the closed complement box in a set with interior iff eps exceeds
+    it); the clearance is the least such gap."""
 
     __slots__ = ("exp", "lattices")
 
@@ -775,7 +748,7 @@ class Clearance:
         # lattice exponent -> [bbox, *complement boxes] as ints on that lattice
         self.exp, self.lattices = region.exp, {}
         if not region.is_empty():
-            comp = region._frame(1).difference(region)
+            comp = region._outside(1)
             self.lattices[self.exp] = [region.int_bbox(),
                                        *_shift(comp.ints, self.exp - comp.exp)]
 

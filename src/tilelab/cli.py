@@ -42,14 +42,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--radius", type=int, default=None)
         p.add_argument("--schedule", default=None,
                        help="comma separated level sizes, e.g. 1,6")
-        p.add_argument("--resolution", type=int, default=None,
-                       help="voxel resolution exponent")
         p.add_argument("--interpretation", default=None)
-        p.add_argument("--threads", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--tree", default=None,
                        help="synthetic tree descriptor, e.g. binary-canopy(4)")
-        p.add_argument("--steps", type=int, default=None)
 
     for name in ("tile-tree", "bs12", "t3", "fractal", "check", "export"):
         common(sub.add_parser(name))
@@ -60,12 +56,9 @@ def _config_from_args(args) -> RunConfig:
     overrides = {
         "seed": args.seed,
         "radius": args.radius,
-        "resolution": args.resolution,
         "interpretation": args.interpretation,
-        "threads": args.threads,
         "out": args.out,
         "tree": args.tree,
-        "steps": args.steps,
     }
     if args.schedule is not None:
         overrides["schedule"] = [int(p) for p in

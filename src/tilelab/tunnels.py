@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 
 from .boxes import (BoxSet, Clearance, clearance, contact_faces, polyline_neighborhood,
-                    union_all)
+                    set_contacts, union_all)
 from .bs12 import CayleyWindow, FiberDecomposition, fiber_spanning_tree, fibers
 from .dyadic import Dyadic, HALF
 from .labels import LabelSource
@@ -93,7 +93,7 @@ def route_gamma(tiling_tiles: dict, path) -> TunnelPlan:
             f"path length {len(path)}: axis-aligned tunnels need a common neighbor"
         )
     d1, d2, d3 = (tiling_tiles[v] for v in path)
-    union = d1.union(d2).union(d3)
+    union = union_all([d1, d2, d3])
     faces12 = sorted(contact_faces(d1, d2), key=lambda fa: -fa[1])
     faces23 = sorted(contact_faces(d2, d3), key=lambda fa: -fa[1])
     if not faces12 or not faces23:
@@ -190,22 +190,34 @@ def add_edge(tiling: Tiling, plan: TunnelPlan) -> Tiling:
         )
     u, mid, w = path
     d1, d2, d3 = tiling.tile_of[u], tiling.tile_of[mid], tiling.tile_of[w]
-    if clearance(plan.gamma, d1.union(d2).union(d3)) < plan.epsilon.halve():
+    if clearance(plan.gamma, union_all([d1, d2, d3])) < plan.epsilon.halve():
         raise RoutingError("tube escapes the path tiles")
     tube = plan.tube()
     new_d1 = d1.union(tube.difference(d3))
     new_d2 = d2.difference(tube)
-    if len(new_d2.components()) != 1:
-        raise RoutingError("tunnel would disconnect the middle tile")
-    if new_d1.shared_face_area(d3) <= 0:
-        raise RoutingError("tunnel failed to reach the far tile")
-    if new_d1.shared_face_area(new_d2) <= 0 or new_d2.shared_face_area(d3) <= 0:
-        raise RoutingError("tunnel consumed an existing contact face")
+    fault = _carve_fault(new_d1, new_d2, d3)
+    if fault:
+        raise RoutingError(fault)
     tiles = dict(tiling.tile_of)
     tiles[u] = new_d1
     tiles[mid] = new_d2
     return Tiling(tiles, tiling.region, tiling.roots, tiling.unresolved,
                   tiling.demoted)
+
+
+def _carve_fault(d1: BoxSet, d2: BoxSet, d3: BoxSet) -> str | None:
+    """Why the carved tiles of a tunnel ``d1``-``d2``-``d3`` break its
+    contract, or None: ``d2`` must stay one piece, and each pair must share
+    a face.  One `set_contacts` call answers all four: a face bit between
+    two sets is positive shared face area."""
+    adjacent, _, counts = set_contacts([d1, d2, d3], components=(1,))
+    if counts[1] != 1:
+        return "tunnel would disconnect the middle tile"
+    if (0, 2) not in adjacent:
+        return "tunnel failed to reach the far tile"
+    if (0, 1) not in adjacent or (1, 2) not in adjacent:
+        return "tunnel consumed an existing contact face"
+    return None
 
 
 def assemble_bs12(window: CayleyWindow, seed: int, stages: int = 2,
@@ -255,7 +267,7 @@ def contract_fibers(tiling: Tiling, fib: FiberDecomposition) -> Tiling:
             unresolved.add(fid)
             continue
         acc = union_all(tiles)
-        if len(acc.components()) != 1:
+        if set_contacts([acc], components=(0,))[2][0] != 1:
             # a fragmented window trace cannot make an honest piece
             unresolved.add(("disconnected", fid))
             continue

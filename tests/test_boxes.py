@@ -191,13 +191,16 @@ def nested_corner_cubes(depth, owner_of):
             [owner_of(k) for k in range(depth)], [0] * 3)
 
 
-# enough shells or cubes to take the contact index, not the axis-0 sweep
-_DEPTH = boxes_mod.INDEX_MIN // 3 + 2
+# shells or cubes enough to fill many blocks of 4 sweep positions, with
+# most pairs overlapping on every single axis
+_DEPTH = 23
+# the most boxes an `owned_boxes` case of the oracle tests below draws
+_MANY = 104
 
 
 @pytest.mark.parametrize("block", [boxes_mod.BLOCK, 4])
 @settings(max_examples=25, deadline=None)
-@given(owned_boxes(min_n=boxes_mod.INDEX_MIN, max_n=boxes_mod.INDEX_MIN + 40, span=24))
+@given(owned_boxes(min_n=1, max_n=_MANY, span=24))
 @example(nested_corner_shells(_DEPTH, lambda k: k))
 @example(nested_corner_shells(_DEPTH, lambda k: k % 2, Dyadic((1 << 80) + 3, 41)))
 @example(nested_corner_shells(_DEPTH, lambda k: 0))  # one owner: no pair
@@ -206,7 +209,6 @@ def test_contact_index_matches_all_pairs_oracle(block, case):
     """The contact index, on one block or on many blocks of 4 sweep
     positions, against the same brute-force classification."""
     boxes, owner, shift = case
-    assert len(boxes) >= boxes_mod.INDEX_MIN
     boxes = [tuple((lo + s, hi + s) for (lo, hi), s in zip(b, shift))
              for b in boxes]
     e, ib = _lattice(boxes)
@@ -241,37 +243,52 @@ def test_contact_index_matches_all_pairs_oracle(block, case):
 
 @pytest.mark.parametrize("block", [boxes_mod.BLOCK, 4])
 @settings(max_examples=30, deadline=None)
-@given(owned_boxes(max_n=boxes_mod.INDEX_MIN + 40, span=12), st.integers(1, 6))
+@given(owned_boxes(max_n=_MANY, span=12), st.integers(1, 6))
 @example(nested_corner_shells(_DEPTH, lambda k: k), 1)
 @example(nested_corner_shells(_DEPTH, lambda k: k % 2, Dyadic((1 << 80) + 3, 41)), 1)
 @example(nested_corner_cubes(3 * _DEPTH, lambda k: k % 3), 1)
 def test_set_contacts_matches_pairwise_oracle(block, case, spread):
     """`set_contacts`, read off the relation's bitsets on one block or on
-    blocks of 4 sweep positions, against the per-pair classification of the
-    active-list sweep: the adjacent sets are those whose face contacts add
-    up to a positive area, the overlapping ones those with a pair of
-    overlapping boxes, and the counts those of `BoxSet.components`."""
+    blocks of 4 sweep positions, against the brute-force classification of
+    the pairs of the sets' boxes: the adjacent sets are those whose face
+    contacts add up to a positive area, the overlapping ones those with a
+    pair of overlapping boxes, and the counts those of a union-find over the
+    face contacts within a set."""
     boxes, owner, shift = case
     boxes = [tuple((lo + s, hi + s) for (lo, hi), s in zip(b, shift))
              for b in boxes]
     # ``spread`` deals the boxes of each owner out to that many sets
     keys = [(o, k % spread) for k, o in enumerate(owner)]
     sets = [BoxSet([b for b, o in zip(boxes, keys) if o == key]) for key in sorted(set(keys))]
-    _, ib, of = boxes_mod._common(sets)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(boxes_mod, "BLOCK", block)
         adjacent, overlaps, counts = set_contacts(sets, components=range(1, len(sets)))
-        mp.setattr(boxes_mod, "INDEX_MIN", len(ib) + 1)
-        pairs = list(_contacts(ib, of))
+    # every box of every set, by its lo end on axis 0
+    flat = sorted(((a, b) for a, s in enumerate(sets) for b in s.boxes),
+                  key=lambda ab: ab[1][0][0])
+    group = list(range(len(flat)))  # each box's component, by relabelling
     areas, overlapping = {}, set()
-    for i, j, area in pairs:
-        if area is None:
-            overlapping.add((of[i], of[j]))
-        else:
-            areas[of[i], of[j]] = areas.get((of[i], of[j]), 0) + area
+    for i in range(len(flat)):
+        for j in range(i + 1, len(flat)):
+            if flat[j][1][0][0] > flat[i][1][0][1]:
+                break  # this box and every later one are apart on axis 0
+            (a, p), (b, q) = flat[i], flat[j]
+            kind = face_contact_oracle(p, q)
+            if kind == "apart":
+                continue
+            if a != b:
+                key = (a, b) if a < b else (b, a)
+                if kind is None:
+                    overlapping.add(key)
+                else:
+                    areas[key] = areas.get(key, 0) + kind
+            elif kind is not None and group[i] != group[j]:
+                old = group[j]
+                group = [group[i] if g == old else g for g in group]
     assert adjacent == {key for key, area in areas.items() if area > 0}
     assert overlaps == overlapping
-    assert counts == [len(s.components()) if a else None for a, s in enumerate(sets)]
+    assert counts == [len({g for g, (b, _) in zip(group, flat) if b == a}) if a else None
+                      for a in range(len(sets))]
 
 
 @st.composite

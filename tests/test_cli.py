@@ -345,6 +345,22 @@ def test_config_error_exit_code(tmp_path):
     assert not list(tmp_path.glob("fractal-*"))
 
 
+def test_unread_keys_have_no_flag(tmp_path, capsys):
+    # `threads`, `steps` and `resolution` stay config keys, hashed into the
+    # artifacts, but no command reads them, so the parser offers no flag
+    import tilelab.cli as cli
+    from tilelab.config import load_config
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["tile-tree", "--threads", "2", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("threads = 2\nsteps = 5\nresolution = 7\n")
+    loaded = load_config(str(cfg))
+    assert (loaded.threads, loaded.steps, loaded.resolution) == (2, 5, 7)
+
+
 @pytest.mark.parametrize("tree, why", [
     ("foo(3)", "unknown tree kind: 'foo'"),
     ("random(50,1)", "random(n,maxdeg) needs n >= 1, and n <= maxdeg + 1"),

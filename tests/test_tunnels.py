@@ -1,23 +1,25 @@
 """Tunnel routing, edge addition, and the BS(1,2) assembly pipeline."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from partition_reference import tree_path
-from tilelab.boxes import BoxSet, set_contacts
+from tilelab import tunnels
+from tilelab.boxes import BoxSet, box_of, set_contacts, union_all
 from tilelab.bs12 import bs12_ball, fiber_spanning_tree, fibers
 from tilelab.canon import has_cycle
 from tilelab.dyadic import Dyadic
 from tilelab.labels import LabelSource
 from tilelab.partition import Schedule
-from tilelab.tiler import tile_tree, verify_representation
+from tilelab.tiler import Tiling, tile_tree, verify_representation
 from tilelab.trees import synthetic_tree
 from tilelab.tunnels import (CUBE_SYMMETRIES, FINEST_EXP, RoutingError,
                              _max_clearance, add_edge, assemble_bs12,
-                             contract_fibers, random_isometry, route_gamma,
-                             schedule_edges)
+                             TunnelPlan, contract_fibers, random_isometry,
+                             route_gamma, schedule_edges)
 from tilelab.unimodular import piece_features
 
 
@@ -79,19 +81,122 @@ def test_max_clearance_matches_loop(room):
 def test_route_gamma_builds_each_complement_once(monkeypatch, path, routable):
     tree, tiling = tiled_path(8)
     calls = []
-    difference = BoxSet.difference
+    outside = BoxSet._outside
 
-    def counted(self, other):
+    def counted(self, margin):
         calls.append(1)
-        return difference(self, other)
+        return outside(self, margin)
 
-    monkeypatch.setattr(BoxSet, "difference", counted)
+    monkeypatch.setattr(BoxSet, "_outside", counted)
     if routable:
         route_gamma(tiling.tile_of, path)
     else:
         with pytest.raises(RoutingError, match="no certified corridor"):
             route_gamma(tiling.tile_of, path)
     assert len(calls) <= 3  # one per prepared region: the union, d1 and d3
+
+
+def four_query_fault(d1, d2, d3):
+    """`add_edge`'s verdict on its carved tiles from the four queries it once
+    asked: a component count and three shared face areas."""
+    if len(d2.components()) != 1:
+        return "tunnel would disconnect the middle tile"
+    if d1.shared_face_area(d3) <= 0:
+        return "tunnel failed to reach the far tile"
+    if d1.shared_face_area(d2) <= 0 or d2.shared_face_area(d3) <= 0:
+        return "tunnel consumed an existing contact face"
+    return None
+
+
+@pytest.fixture
+def carve_verdicts(monkeypatch):
+    """Every ``(tiles, verdict)`` that `add_edge` gets from `_carve_fault`."""
+    seen = []
+    real = tunnels._carve_fault
+
+    def spy(*tiles):
+        seen.append((tiles, real(*tiles)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(tunnels, "_carve_fault", spy)
+    return seen
+
+
+def test_carve_verdict_matches_four_queries_on_a04_instances(carve_verdicts):
+    # the routed instances of test_a04: per seed, the tiling of a random
+    # tree and the first u-v-w path that routes, until 100 are found
+    routed = 0
+    for seed in range(400):
+        if routed >= 100:
+            break
+        n = random.Random(seed).randrange(3, 9)
+        tree = synthetic_tree(f"random({n},4)", seed=seed)
+        try:
+            tiling = tile_tree(tree, Schedule([1], 4), 1,
+                               LabelSource(seed, salt="tunnel-acc"))["tiling"]
+        except ValueError:
+            continue
+        if not 3 <= len(tiling.tile_of) <= 8:
+            continue
+        old = {frozenset(e) for e in tiling.adjacency()}
+        verts = sorted(tiling.tile_of, key=repr)
+        paths = ((u, v, w) for u in verts for w in verts
+                 if repr(u) < repr(w) and frozenset((u, w)) not in old
+                 for v in verts if {frozenset((u, v)), frozenset((w, v))} <= old)
+        for path in paths:
+            try:
+                plan = route_gamma(tiling.tile_of, list(path))
+            except RoutingError:
+                continue
+            add_edge(tiling, plan)
+            routed += 1
+            break
+    assert routed >= 100
+    assert len(carve_verdicts) == routed
+    for tiles, verdict in carve_verdicts:
+        assert verdict is None
+        assert verdict == four_query_fault(*tiles)
+
+
+def _bar(x, z_hi):
+    """The box [x, x + 1] x [0, 1/4] x [0, z_hi]."""
+    return BoxSet([box_of((x, x + 1), (0, Dyadic(1, 2)), (0, z_hi))])
+
+
+@pytest.mark.parametrize("z_hi, z, x_end, why", [
+    # the tube cuts the middle tile through
+    (1, Dyadic(1, 1), Dyadic(5, 1), "tunnel would disconnect the middle tile"),
+    # the tube stops inside the middle tile
+    (1, Dyadic(1, 1), Dyadic(3, 1), "tunnel failed to reach the far tile"),
+    # the tube eats the whole face between the middle and the far tile
+    (Dyadic(1, 2), Dyadic(1, 3), Dyadic(5, 1), "tunnel consumed an existing contact face"),
+])
+def test_carve_verdict_matches_four_queries_on_each_fault(carve_verdicts, z_hi, z, x_end, why):
+    # tiles 0 and 2 of height z_hi on either side of a unit-high tile 1; the
+    # tube, 1/4 wide, fills the tiles' 1/4 depth
+    tiles = {0: _bar(0, z_hi), 1: _bar(1, 1), 2: _bar(2, z_hi)}
+    tiling = Tiling(tiles, union_all(list(tiles.values())), [], set(), [])
+    y = Dyadic(1, 3)
+    plan = TunnelPlan([0, 1, 2], [(Dyadic(1, 1), y, z), (x_end, y, z)], Dyadic(1, 2))
+    with pytest.raises(RoutingError, match=why):
+        add_edge(tiling, plan)
+    [(carved, verdict)] = carve_verdicts
+    assert verdict == why == four_query_fault(*carved)
+
+
+@pytest.mark.parametrize("radius", [4, 5, 6])
+def test_contract_fibers_drops_the_disconnected_fibers(radius):
+    out = assemble_bs12(bs12_ball(radius), seed=0)
+    tiling, fib = out["tiling"], out["fibers"]
+    pieces = contract_fibers(tiling, fib)
+    dropped = {fid for fid, members in fib.members.items()
+               if any(v in tiling.tile_of for v in members)
+               and len(union_all([tiling.tile_of[v] for v in members
+                                  if v in tiling.tile_of]).components()) != 1}
+    assert dropped  # 2, 3 and 5 fibers at radii 4, 5 and 6
+    assert {x[1] for x in pieces.unresolved
+            if isinstance(x, tuple) and x[0] == "disconnected"} == dropped
+    assert dropped.isdisjoint(pieces.tile_of)
 
 
 def path_walking_key(tree, e):
