@@ -16,17 +16,20 @@ has an int ``c``; equal sets have equal ``(exp, ints)``.  The pipelines build
 their sets from int boxes, through `BoxSet.from_ints` and `box_minus`.
 `Dyadic` corners enter only through the constructor and a `Clearance` query
 (`_lattice`), and leave only through ``boxes``, ``bbox`` and ``contact_faces``.
-Operations move the coarser operand to the finer lattice with ``<<``.  A
-binary boolean is one section-by-section merge of the operands' slab trees
-(`_merge`, after the Extreme Vertices Model of Aguilera and Ayala), which
-reuses their canonical subtrees.  A raw box list, and `union_all` of many
-sets, is canonicalized by one sweep per axis over a segment tree of that
-axis's cuts (`_sweep`, after Bentley's union of rectangles).  A box minus
-many boxes (`box_minus`) is one direct subtraction (`_minus`) that builds no
-slab tree: on each axis but the last, one walk over the slabs between the
-sorted ends of the box and the holes, keeping the holes that span each slab
-active; on the last, the gaps the sorted hole intervals leave in the box.
-None of them builds a grid of the distinct coordinates.  Where only
+Operations move the coarser operand to the finer lattice with ``<<``.
+Every boolean is one of two kernels.  A raw box list, `union_all` of many
+sets and `BoxSet.union` are canonicalized by one sweep per axis over a
+segment tree of that axis's cuts (`_sweep`, after Bentley's union of
+rectangles), which merges each node's section into the union of its
+ancestors' (`_merge`).  A box minus many boxes (`box_minus`) is one direct
+subtraction (`_minus`) that builds no slab tree: on each axis but the last,
+one walk over the slabs between the sorted ends of the box and the holes,
+keeping the holes that span each slab active; on the last, the gaps the
+sorted hole intervals leave in the box.  `BoxSet.difference` is one
+`box_minus` of the minuend's bounding box, whose holes are the subtrahend's
+boxes and the part of the box outside the minuend, and
+`BoxSet.intersection` is ``a - (a - b)``.  Neither kernel builds a grid of
+the distinct coordinates.  Where only
 contact is read, a raw box list (`RawBoxes`) can stand for a set without a
 sweep: whether two finite unions of closed boxes have meeting interiors is
 whether some box of each does.
@@ -48,7 +51,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import groupby
 from math import prod
 from operator import itemgetter
 from typing import Container, NamedTuple, Sequence
@@ -68,9 +70,9 @@ def inflate(box: Box, eps) -> Box:
     return tuple((lo - e, hi + e) for lo, hi in box)
 
 
-# Slabs one `_merge` of two slab trees may append over all axes, or one
-# `_sweep` or `box_minus` may emit over all axes but the last, sections later
-# absorbed into a touching equal one included: about 200 MB of trees.  At
+# Slabs one `_merge` of two sections of a `_sweep` may append over all axes,
+# or one `_sweep` or `box_minus` may emit over all axes but the last, sections
+# later absorbed into a touching equal one included: about 200 MB of trees.  At
 # `tilelab t3 --radius 10` the largest sweep emits 1,941 (a fiber's union),
 # the largest merge appends 29 and the largest `box_minus` emits 16 (a
 # tile), a margin of over 500 times.
@@ -122,26 +124,14 @@ def _common(sets: Sequence["BoxSet | RawBoxes"]) -> tuple[int, list[tuple], list
             [k for k, s in enumerate(sets) for _ in s.ints])
 
 
-def _parse(ib: Sequence[tuple], depth: int = 0):
-    """Slab tree of a canonical int box list: sorted slabs ``(lo, hi,
-    section)`` along the first axis, ``section`` the slab tree of the other
-    axes (True below the last), ``()`` the empty set.  Touching slabs never have
-    equal sections, so the tree is a function of the point set."""
-    if not ib or depth == len(ib[0]):
-        return True if ib else ()
-    return tuple((lo, hi, _parse(list(group), depth + 1))
-                 for (lo, hi), group in groupby(ib, key=itemgetter(depth)))
-
-
-def _merge(name: str, op: str, a, b):
-    """Slab tree of ``a op b``; one merge appending over ``MAX_SLABS`` slabs
-    raises `ResourceLimit`."""
+def _merge(name: str, a, b):
+    """Slab tree of the union of the slab trees ``a`` and ``b``, merged
+    section by section along each axis; one merge appending over
+    ``MAX_SLABS`` slabs raises `ResourceLimit`."""
 
     def merge(a, b, budget):
-        if not a or not b:
-            return (b or a) if op == "union" else (() if op == "intersection" else a)
-        if a == b:
-            return () if op == "difference" else a
+        if not a or not b or a == b:
+            return a or b
         cuts = sorted({x for lo, hi, _ in a + b for x in (lo, hi)})
         out = []
         i = j = 0
@@ -171,13 +161,6 @@ def _int_boxes(tree) -> list[tuple]:
     if tree is True:
         return [()]
     return [((lo, hi),) + rest for lo, hi, sec in tree for rest in _int_boxes(sec)]
-
-
-def _combine(op: str, a: "BoxSet", b: "BoxSet") -> "BoxSet":
-    """``a op b`` by one `_merge` of their slab trees."""
-    e = max(a.exp, b.exp)
-    tree = _merge(op, op, _parse(_shift(a.ints, e - a.exp)), _parse(_shift(b.ints, e - b.exp)))
-    return BoxSet._of(e, _int_boxes(tree), max(a.dim, b.dim))
 
 
 def _sweep(name: str, ib: Sequence[tuple], d: int, budget: list):
@@ -226,7 +209,7 @@ def _sweep(name: str, ib: Sequence[tuple], d: int, budget: list):
             mine = [b for b in mine if not _covers(acc, b, d + 1)]
         if mine:
             sec = _sweep(name, mine, d + 1, budget)
-            acc = sec if not acc else _merge(name, "union", acc, sec)
+            acc = sec if not acc else _merge(name, acc, sec)
         if k in below:
             mid = (lo + hi) >> 1
             for c, clo, chi in ((2 * k, lo, mid), (2 * k + 1, mid, hi)):
@@ -480,14 +463,20 @@ class BoxSet:
     # -- booleans ---------------------------------------------------------------
 
     def union(self, other: "BoxSet") -> "BoxSet":
-        return _combine("union", self, other)
+        return union_all([self, other])
 
     def intersection(self, other: "BoxSet") -> "BoxSet":
-        return _combine("intersection", self, other)
+        return self.difference(self.difference(other))
 
     def difference(self, other: "BoxSet") -> "BoxSet":
-        """Regularized difference: closure of (self minus other)."""
-        return _combine("difference", self, other)
+        """Regularized difference: closure of (self minus other), one
+        `box_minus` of the bounding box, whose holes are other's boxes and
+        the part of the box outside self."""
+        if not self.ints:
+            return BoxSet.empty(max(self.dim, other.dim))
+        e, (bbox, *holes), _ = _common([RawBoxes(self.exp, [self.int_bbox()]),
+                                        self._outside(0), other])
+        return box_minus(e, bbox, holes)
 
     def interior_intersects(self, other: "BoxSet") -> bool:
         """Whether the interiors meet, read off `set_contacts`."""

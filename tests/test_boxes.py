@@ -266,7 +266,13 @@ def test_set_contacts_matches_pairwise_oracle(block, case, spread):
     # every box of every set, by its lo end on axis 0
     flat = sorted(((a, b) for a, s in enumerate(sets) for b in s.boxes),
                   key=lambda ab: ab[1][0][0])
-    group = list(range(len(flat)))  # each box's component, by relabelling
+    parent = list(range(len(flat)))  # a union-find over the face contacts in a set
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
     areas, overlapping = {}, set()
     for i in range(len(flat)):
         for j in range(i + 1, len(flat)):
@@ -282,12 +288,11 @@ def test_set_contacts_matches_pairwise_oracle(block, case, spread):
                     overlapping.add(key)
                 else:
                     areas[key] = areas.get(key, 0) + kind
-            elif kind is not None and group[i] != group[j]:
-                old = group[j]
-                group = [group[i] if g == old else g for g in group]
+            elif kind is not None:
+                parent[root(j)] = root(i)
     assert adjacent == {key for key, area in areas.items() if area > 0}
     assert overlaps == overlapping
-    assert counts == [len({g for g, (b, _) in zip(group, flat) if b == a}) if a else None
+    assert counts == [len({root(i) for i, (b, _) in enumerate(flat) if b == a}) if a else None
                       for a in range(len(sets))]
 
 
@@ -324,10 +329,17 @@ def box_and_holes(draw):
     return draw(st.integers(0, 3)), int_box(), holes
 
 
+_BOX_MINUS_EXAMPLES = [
+    (2, ((-8, 4), (-3, 5)), [((-9, -4), (0, 0)), ((0, 6), (-5, 1)), ((1, 2), (1, 0))]),
+    (1, ((-4, 4),) * 3, [((-2, 2),) * 3, ((-3, 3),) * 3, ((-6, 6),) * 3]),
+    (0, ((1, 1), (0, 3)), [((0, 2), (0, 1))]),
+]
+
+
 @given(box_and_holes())
-@example((2, ((-8, 4), (-3, 5)), [((-9, -4), (0, 0)), ((0, 6), (-5, 1)), ((1, 2), (1, 0))]))
-@example((1, ((-4, 4),) * 3, [((-2, 2),) * 3, ((-3, 3),) * 3, ((-6, 6),) * 3]))
-@example((0, ((1, 1), (0, 3)), [((0, 2), (0, 1))]))
+@example(_BOX_MINUS_EXAMPLES[0])
+@example(_BOX_MINUS_EXAMPLES[1])
+@example(_BOX_MINUS_EXAMPLES[2])
 def test_box_minus_matches_set_difference(case):
     e, box, holes = case
     got = boxes_mod.box_minus(e, box, holes)
@@ -336,17 +348,29 @@ def test_box_minus_matches_set_difference(case):
     assert got.dim == len(box)
 
 
-@settings(max_examples=50)
+@settings(max_examples=50, deadline=None)
 @given(box_and_holes())
+@example(_BOX_MINUS_EXAMPLES[0])
+@example(_BOX_MINUS_EXAMPLES[1])
+@example(_BOX_MINUS_EXAMPLES[2])
 def test_box_minus_takes_no_slab_tree_path(case):
+    """`box_minus`, and `difference` and `intersection` both ways between the
+    box and the union of the holes, match the Fraction-grid reference and
+    never reach the sweep."""
     e, box, holes = case
-    want = BoxSet.from_ints(e, [box]).difference(BoxSet.from_ints(e, holes))
+    a, b = (BoxSet([tuple((Dyadic(lo, e), Dyadic(hi, e)) for lo, hi in h) for h in part])
+            for part in ([box], holes))
 
-    def refuse(*a):
-        raise AssertionError("box_minus went through the slab-tree kernel")
+    def refuse(*_):
+        raise AssertionError("a box difference went through the sweep")
 
     with patch.multiple(boxes_mod, _sweep=refuse, _merge=refuse, _int_boxes=refuse):
-        assert boxes_mod.box_minus(e, box, holes) == want
+        got = [boxes_mod.box_minus(e, box, holes), a.difference(b), a.intersection(b),
+               b.difference(a), b.intersection(a)]
+    minus, both = (lambda x, y: x & ~y), np.logical_and
+    want = [reference_boolean(op, x.boxes, y.boxes) for op, x, y in
+            ((minus, a, b), (minus, a, b), (both, a, b), (minus, b, a), (both, b, a))]
+    assert [exact(s.boxes) for s in got] == [exact(w) for w in want]
 
 
 def test_box_minus_counts_its_slabs(monkeypatch):
@@ -366,8 +390,14 @@ def test_box_minus_of_many_staggered_holes():
     holes = [((k, k + 13), (k % 37, k % 37 + 9), (k % 23, k % 23 + 4)) for k in range(1200)]
     box = ((-2, 1220), (1, 44), (0, 25))
     got = boxes_mod.box_minus(0, box, holes)
-    assert got == BoxSet.from_ints(0, [box]).difference(BoxSet.from_ints(0, holes))
-    assert 0 < got.measure() < BoxSet.from_ints(0, [box]).measure()
+    # the box is got and the holes clipped to it, and their volumes add up,
+    # so got meets no hole
+    clipped = [tuple((max(lo, bl), min(hi, bh)) for (lo, hi), (bl, bh) in zip(h, box))
+               for h in holes]
+    whole, cut = BoxSet.from_ints(0, [box]), BoxSet.from_ints(0, clipped)
+    assert got.union(cut) == whole
+    assert got.measure() + cut.measure() == whole.measure()
+    assert 0 < got.measure() < whole.measure()
 
 
 def _least_lattice_scan(e, ib):
@@ -788,6 +818,13 @@ _OVERLAPPING = [_int_box((0, 3), (0, 2), (0, 1)), _int_box((1, 4), (1, 3), (0, 2
 @example(([_int_box((0, 1), (0, 2)), _int_box((1, 3), (0, 2)),
            _int_box((3, 4), (0, 2)), _int_box((5, 6), (0, 2))],
           [_int_box((4, 5), (0, 2)), _int_box((2, 5), (0, 1))]))
+# an empty minuend, and an empty subtrahend
+@example(([], [_int_box((0, 2), (0, 1))]))
+@example(([_int_box((0, 2), (0, 1)), _int_box((0, 1), (1, 2))], []))
+# a one-box minuend, its own bounding box, so nothing of the box lies outside it
+@example(([_int_box((0, 2), (0, 2), (0, 2))], [_int_box((1, 3), (1, 3), (1, 3))]))
+# disjoint operands, the minuend an L whose bounding box reaches round a corner
+@example(([_int_box((0, 2), (0, 1)), _int_box((0, 1), (1, 2))], [_int_box((3, 4), (0, 2))]))
 def test_kernel_matches_fraction_grid_reference(case):
     raw_a, raw_b = case
     a, b = BoxSet(raw_a), BoxSet(raw_b)
@@ -797,6 +834,7 @@ def test_kernel_matches_fraction_grid_reference(case):
                     (a.intersection(b), np.logical_and),
                     (a.difference(b), lambda x, y: x & ~y)):
         assert exact(got.boxes) == exact(reference_boolean(op, a.boxes, b.boxes))
+        assert got.dim == max(a.dim, b.dim)  # an empty result keeps the operands' dimension
 
 
 @st.composite

@@ -1,22 +1,10 @@
-"""Keyed label streams: determinism, uniformity, substream recombination."""
+"""Keyed labels: determinism, uniformity, tie-breaking."""
 
 from fractions import Fraction
 
 import scipy.stats
 
 from tilelab.labels import LABEL_BITS, LabelSource, _encode_vertex
-
-
-def recombine(parts: list[int], k: int) -> int:
-    """Inverse of splitting: rebuild the 64-bit label from substream bits."""
-    assert len(parts) == k
-    cursors = [len(range(j, LABEL_BITS, k)) for j in range(k)]
-    raw = 0
-    for pos in range(LABEL_BITS):
-        j = pos % k
-        cursors[j] -= 1
-        raw = (raw << 1) | ((parts[j] >> cursors[j]) & 1)
-    return raw
 
 
 def test_deterministic_across_instances():
@@ -41,7 +29,7 @@ def test_labels_in_unit_interval():
 
 def test_uniformity_ks():
     src = LabelSource(0, salt="ks")
-    sample = [src.float_label(i) for i in range(2000)]
+    sample = [src.bits(i) / 2**LABEL_BITS for i in range(2000)]
     stat = scipy.stats.kstest(sample, "uniform")
     assert stat.pvalue > 0.01
 
@@ -56,15 +44,6 @@ def test_uniformity_chi_square_buckets():
     assert stat.pvalue > 0.01
 
 
-def test_split_recombine_roundtrip():
-    src = LabelSource(9, salt="split")
-    for k in (2, 3, 4):
-        subs = src.split(k)
-        for v in ["a", (1, 2), 7]:
-            parts = [s.bits(v) for s in subs]
-            assert recombine(parts, k) == src.bits(v)
-
-
 def test_choose_min_is_argmin():
     src = LabelSource(5)
     verts = list(range(30))
@@ -73,14 +52,16 @@ def test_choose_min_is_argmin():
     assert src.choose_min(reversed(verts)) == chosen
 
 
-def test_choose_min_breaks_ties_by_encoded_id():
-    # a 4-bit substream ties often, so the encoded id decides
+def test_choose_min_breaks_ties_by_encoded_id(monkeypatch):
+    # a 4-bit label ties often, so the encoded id decides
     src = LabelSource(5)
     verts = [7, "7", (1, 2), [1, 2], (1, "2"), "a", ("b", 3)] + list(range(40))
-    for stream in [src] + src.split(16):
-        ref = min(verts, key=lambda v: (stream.bits(v), _encode_vertex(v)))
-        assert stream.choose_min(verts) is ref
-        assert stream.choose_min(reversed(verts)) == ref
+    full = src._bits_of
+    for width in (LABEL_BITS, 4):
+        monkeypatch.setattr(src, "_bits_of", lambda data: full(data) >> (LABEL_BITS - width))
+        ref = min(verts, key=lambda v: (src.bits(v), _encode_vertex(v)))
+        assert src.choose_min(verts) is ref
+        assert src.choose_min(reversed(verts)) == ref
 
 
 def test_vertex_encoding_distinguishes_structures():
