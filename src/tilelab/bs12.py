@@ -31,19 +31,6 @@ class CayleyWindow:
         self.dist = dist  # word distance from the identity
         # edges: list of (src, dst, color) with dst = src * generator(color)
         self.edges = edges
-        self._adj = None
-
-    def adjacency(self) -> dict:
-        if self._adj is None:
-            adj = {v: [] for v in self.vertices}
-            for s, t, c in self.edges:
-                adj[s].append((t, c, +1))
-                adj[t].append((s, c, -1))
-            self._adj = adj
-        return self._adj
-
-    def neighbors(self, v):
-        return [t for t, _c, _o in self.adjacency()[v]]
 
     def to_json(self) -> dict:
         verts = [list(v) for v in self.vertices]

@@ -132,11 +132,6 @@ class Dyadic:
         """JSON form ``[num, exp]``."""
         return [self.num, self.exp]
 
-    @staticmethod
-    def from_pair(pair) -> "Dyadic":
-        num, exp = pair
-        return Dyadic(int(num), int(exp))
-
     def __repr__(self) -> str:
         if self.exp == 0:
             return f"Dyadic({self.num})"

@@ -301,9 +301,6 @@ class Tiling:
         self._contacts = None
         self._adjacency = None
 
-    def vertices(self):
-        return list(self.tile_of)
-
     def contacts(self, counted: bool = False) -> tuple:
         """``(verts, adjacent, overlaps, counts)``: the vertices in ``repr``
         order and `set_contacts` of their tiles, which counts components only

@@ -246,9 +246,7 @@ def _bs12_walk_setup():
         if edge_bits.bits(tuple(sorted((u, v)))) % 4:
             om.add_edge(u, v)
     x0 = (0, 0, 0)
-    pattern = um._ball(om, x0, 1)
-    event = um.CylinderEvent(1, pattern, x0,
-                             [(Fraction(0), Fraction(1, 2))])
+    event = um.CylinderEvent(1, om, x0, [(Fraction(0), Fraction(1, 2))])
     labels = {v: LabelSource(11, salt="walk-acc").label(v) for v in g}
     return g, om, x0, event, labels
 

@@ -106,12 +106,22 @@ def test_shared_face_area_unit_cubes():
     assert a.shared_face_area(c) == 0  # edge contact only
 
 
-def face_contact_oracle(p, q):
-    """Brute-force pair classification on Dyadic coordinates: the positive
-    codim-1 contact area, None for overlapping interiors, or "apart" when the
-    closures are disjoint or meet only along an edge or a corner."""
+def dyadic_length(lo, hi):
+    return (hi - lo).as_fraction()
+
+
+def int_length(lo, hi):
+    return hi - lo
+
+
+def face_contact_oracle(p, q, length=dyadic_length):
+    """Brute-force pair classification: the positive codim-1 contact area,
+    None for overlapping interiors, or "apart" when the closures are
+    disjoint or meet only along an edge or a corner.  The coordinates are
+    Dyadics, or with ``length=int_length`` ints on one lattice, whose area
+    counts lattice cells."""
     touch_axis = -1
-    area = Fraction(1)
+    area = 1
     for a, ((pl, ph), (ql, qh)) in enumerate(zip(p, q)):
         lo, hi = max(pl, ql), min(ph, qh)
         if lo > hi:
@@ -121,7 +131,7 @@ def face_contact_oracle(p, q):
                 return "apart"
             touch_axis = a
         else:
-            area *= (hi - lo).as_fraction()
+            area *= length(lo, hi)
     return area if touch_axis >= 0 else None
 
 
@@ -241,31 +251,71 @@ def test_contact_index_matches_all_pairs_oracle(block, case):
                        for o in {owner[k] for k in block}}
 
 
-@pytest.mark.parametrize("block", [boxes_mod.BLOCK, 4])
-@settings(max_examples=30, deadline=None)
-@given(owned_boxes(max_n=_MANY, span=12), st.integers(1, 6))
-@example(nested_corner_shells(_DEPTH, lambda k: k), 1)
-@example(nested_corner_shells(_DEPTH, lambda k: k % 2, Dyadic((1 << 80) + 3, 41)), 1)
-@example(nested_corner_cubes(3 * _DEPTH, lambda k: k % 3), 1)
-def test_set_contacts_matches_pairwise_oracle(block, case, spread):
-    """`set_contacts`, read off the relation's bitsets on one block or on
-    blocks of 4 sweep positions, against the brute-force classification of
-    the pairs of the sets' boxes: the adjacent sets are those whose face
-    contacts add up to a positive area, the overlapping ones those with a
-    pair of overlapping boxes, and the counts those of a union-find over the
-    face contacts within a set."""
+def contact_sets(case, spread):
+    """The sets of an `owned_boxes` case, its boxes shifted and those of
+    each owner dealt out to ``spread`` sets, and every box of every set as
+    ``(set index, Dyadic box, int box)``, the int boxes read off the sets'
+    ``ints`` and moved to one lattice, sorted by their lo ends on axis 0."""
     boxes, owner, shift = case
     boxes = [tuple((lo + s, hi + s) for (lo, hi), s in zip(b, shift))
              for b in boxes]
-    # ``spread`` deals the boxes of each owner out to that many sets
     keys = [(o, k % spread) for k, o in enumerate(owner)]
     sets = [BoxSet([b for b, o in zip(boxes, keys) if o == key]) for key in sorted(set(keys))]
+    e = max((s.exp for s in sets), default=0)
+    flat = [(a, b, tuple((lo << e - s.exp, hi << e - s.exp) for lo, hi in ib))
+            for a, s in enumerate(sets) for b, ib in zip(s.boxes, s.ints)]
+    return sets, sorted(flat, key=lambda abi: abi[2][0][0])
+
+
+def axis_0_pairs(flat):
+    """The index pairs ``i < j`` of `contact_sets`' boxes that meet on axis
+    0: every other pair is "apart" under both forms of the oracle."""
+    for i in range(len(flat)):
+        for j in range(i + 1, len(flat)):
+            if flat[j][2][0][0] > flat[i][2][0][1]:
+                break  # this box and every later one are apart on axis 0
+            yield i, j
+
+
+_CONTACT_EXAMPLES = [
+    nested_corner_shells(_DEPTH, lambda k: k),
+    nested_corner_shells(_DEPTH, lambda k: k % 2, Dyadic((1 << 80) + 3, 41)),
+    nested_corner_cubes(3 * _DEPTH, lambda k: k % 3),
+]
+
+
+@pytest.mark.parametrize("case", _CONTACT_EXAMPLES)
+def test_int_face_contact_oracle_matches_dyadic_form(case):
+    """On the examples of `test_set_contacts_matches_pairwise_oracle`, the
+    oracle on the sets' ints gives every pair the Dyadic form's class, and
+    its area in lattice cells is the Dyadic area."""
+    sets, flat = contact_sets(case, 1)
+    e = max(s.exp for s in sets)
+    cell = Fraction(1, 1 << e * (len(flat[0][2]) - 1))  # a face's lattice cell
+    for i, j in axis_0_pairs(flat):
+        kind = face_contact_oracle(flat[i][2], flat[j][2], int_length)
+        exact = face_contact_oracle(flat[i][1], flat[j][1])
+        assert exact == (kind * cell if isinstance(kind, int) else kind), (i, j)
+
+
+@pytest.mark.parametrize("block", [boxes_mod.BLOCK, 4])
+@settings(max_examples=30, deadline=None)
+@given(owned_boxes(max_n=_MANY, span=12), st.integers(1, 6))
+@example(_CONTACT_EXAMPLES[0], 1)
+@example(_CONTACT_EXAMPLES[1], 1)
+@example(_CONTACT_EXAMPLES[2], 1)
+def test_set_contacts_matches_pairwise_oracle(block, case, spread):
+    """`set_contacts`, read off the relation's bitsets on one block or on
+    blocks of 4 sweep positions, against the brute-force classification of
+    the pairs of the sets' boxes, on their ints: the adjacent sets are those
+    whose face contacts add up to a positive area, the overlapping ones
+    those with a pair of overlapping boxes, and the counts those of a
+    union-find over the face contacts within a set."""
+    # ``spread`` deals the boxes of each owner out to that many sets
+    sets, flat = contact_sets(case, spread)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(boxes_mod, "BLOCK", block)
         adjacent, overlaps, counts = set_contacts(sets, components=range(1, len(sets)))
-    # every box of every set, by its lo end on axis 0
-    flat = sorted(((a, b) for a, s in enumerate(sets) for b in s.boxes),
-                  key=lambda ab: ab[1][0][0])
     parent = list(range(len(flat)))  # a union-find over the face contacts in a set
 
     def root(i):
@@ -274,25 +324,22 @@ def test_set_contacts_matches_pairwise_oracle(block, case, spread):
         return i
 
     areas, overlapping = {}, set()
-    for i in range(len(flat)):
-        for j in range(i + 1, len(flat)):
-            if flat[j][1][0][0] > flat[i][1][0][1]:
-                break  # this box and every later one are apart on axis 0
-            (a, p), (b, q) = flat[i], flat[j]
-            kind = face_contact_oracle(p, q)
-            if kind == "apart":
-                continue
-            if a != b:
-                key = (a, b) if a < b else (b, a)
-                if kind is None:
-                    overlapping.add(key)
-                else:
-                    areas[key] = areas.get(key, 0) + kind
-            elif kind is not None:
-                parent[root(j)] = root(i)
+    for i, j in axis_0_pairs(flat):
+        (a, _, p), (b, _, q) = flat[i], flat[j]
+        kind = face_contact_oracle(p, q, int_length)
+        if kind == "apart":
+            continue
+        if a != b:
+            key = (a, b) if a < b else (b, a)
+            if kind is None:
+                overlapping.add(key)
+            else:
+                areas[key] = areas.get(key, 0) + kind
+        elif kind is not None:
+            parent[root(j)] = root(i)
     assert adjacent == {key for key, area in areas.items() if area > 0}
     assert overlaps == overlapping
-    assert counts == [len({root(i) for i, (b, _) in enumerate(flat) if b == a}) if a else None
+    assert counts == [len({root(i) for i, (b, *_) in enumerate(flat) if b == a}) if a else None
                       for a in range(len(sets))]
 
 

@@ -146,7 +146,7 @@ def test_embed_tree_vertices_inside_pieces():
     emb = embed_tree(pieces, edges, seed=0)
     from tilelab.dyadic import Dyadic as D
     for idx, pair in enumerate(emb["points"]):
-        pt = tuple(D.from_pair(c) for c in pair)
+        pt = tuple(D(*c) for c in pair)
         assert pieces[idx].region.contains_point(pt)
     assert emb["crossings"] == 0
 

@@ -244,7 +244,7 @@ def test_deep_path_window_verifies():
 
 def test_cover_is_exact_fraction_identity():
     tree, tiling = run("binary-canopy(4)")
-    total = sum((tiling.tile_of[v].volume() for v in tiling.vertices()),
+    total = sum((tile.volume() for tile in tiling.tile_of.values()),
                 Fraction(0))
     assert total == tiling.region.volume()
 

@@ -34,7 +34,7 @@ def test_add_edge_exact_contract():
     # endpoints at tree distance two, through their common neighbor
     u, mid, w = 2, 3, 4
     plan = route_gamma(tiling.tile_of, [u, mid, w])
-    before = {v: tiling.tile_of[v] for v in tiling.vertices()}
+    before = dict(tiling.tile_of)
     after = add_edge(tiling, plan)
 
     old = {frozenset(e) for e in tiling.adjacency()}
@@ -42,7 +42,7 @@ def test_add_edge_exact_contract():
     assert new == old | {frozenset((u, w))}
 
     halo = plan.halo()
-    for v in after.vertices():
+    for v in after.tile_of:
         outside_before = before[v].difference(halo)
         outside_after = after.tile_of[v].difference(halo)
         assert outside_before.boxes == outside_after.boxes  # bit-identical

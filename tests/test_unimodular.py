@@ -126,12 +126,14 @@ def test_battery_matches_per_call_reference_on_random_graphs(samples):
 
 
 @settings(max_examples=200, deadline=None)
-@given(decorated_graphs())
-def test_one_ball_matcher_matches_vf2_on_random_graphs(g):
-    for x in g:
-        for y in g:
-            assert (um._one_balls_isomorphic(g, x, y)
-                    == ref._rooted_ball_isomorphic(g, x, g, y, 1)), (x, y)
+@given(decorated_graphs(), decorated_graphs(), st.integers(0, 3))
+def test_one_ball_matcher_matches_vf2_on_random_graphs(g, h, r):
+    # rooted r-balls on one graph (x, y in g) and on two (x in g, y in h)
+    for other in (g, h):
+        for x in g:
+            for y in other:
+                assert (um._balls_isomorphic(g, x, other, y, r)
+                        == ref._rooted_ball_isomorphic(g, x, other, y, r)), (x, y)
 
 
 def two_stars(ring0, ring1, leaves=7):
@@ -167,23 +169,29 @@ def cycle(*leaves):
 def test_one_ball_matcher_backtracks_over_alike_leaves(ring0, ring1, same):
     g = two_stars(ring0, ring1)
     assert ref._rooted_ball_isomorphic(g, 0, g, 100, 1) == same
-    assert um._one_balls_isomorphic(g, 0, 100) == same
-    assert um._one_balls_isomorphic(g, 100, 0) == same
+    assert um._balls_isomorphic(g, 0, g, 100, 1) == same
+    assert um._balls_isomorphic(g, 100, g, 0, 1) == same
+
+
+def test_ball_matcher_takes_balls_past_the_recursion_limit():
+    # a path's ball from one end, against the same path numbered backwards
+    n = sys.getrecursionlimit() + 10
+    g = um.Graph({v: {} for v in range(n)}, [(v, v + 1, {}) for v in range(n - 1)])
+    h = um.Graph({v: {} for v in range(n)}, [(v + 1, v, {}) for v in range(n - 1)])
+    assert um._balls_isomorphic(g, 0, h, n - 1, n)
+    assert not um._balls_isomorphic(g, 0, h, n - 2, n)
 
 
 def test_battery_builds_no_ball_and_decides_each_edge_once(monkeypatch):
     decided = []
-    decide = um._one_balls_isomorphic
+    decide = um._balls_isomorphic
 
-    def counting(g, x, y):
+    def counting(g, x, h, y, r):
+        assert h is g and r == 1
         decided.append((id(g), frozenset((x, y))))
-        return decide(g, x, y)
+        return decide(g, x, h, y, r)
 
-    def no_ball(graph, root, r):
-        raise AssertionError("the battery built a ball")
-
-    monkeypatch.setattr(um, "_ball", no_ball)
-    monkeypatch.setattr(um, "_one_balls_isomorphic", counting)
+    monkeypatch.setattr(um, "_balls_isomorphic", counting)
     for g in um.bundled_fixtures().values():
         for fam in (um.uniform_family(g), dual_samples(g)):
             edges = {(id(s.graph), frozenset(e))
@@ -223,13 +231,20 @@ def test_reroot_zero_mass_raises():
 
 
 def test_check_searches_each_fixture_graph_once(tmp_path, monkeypatch):
-    # one connectivity search per fixture graph and per decoration graph;
-    # the family members and their duals share both graphs
+    # one connectivity search (a search with no cutoff) per fixture graph
+    # and per decoration graph; the family members and their duals share
+    # both graphs, and the battery's 1-ball searches pass a cutoff
     import tilelab.cli as cli
 
     searched = []
     search = um._distances
-    monkeypatch.setattr(um, "_distances", lambda g, *a: searched.append(g) or search(g, *a))
+
+    def counting(g, root, cutoff=None):
+        if cutoff is None:
+            searched.append(g)
+        return search(g, root, cutoff)
+
+    monkeypatch.setattr(um, "_distances", counting)
     assert cli.main(["check", "--out", str(tmp_path)]) == 0
     assert len(um.bundled_fixtures()) == 5
     assert len(searched) == 10
@@ -269,8 +284,7 @@ def cube_setup():
     om = um.omega_fixture(g)
     labels = {v: Fraction(i, 8) for i, v in enumerate(sorted(g, key=repr))}
     x0 = sorted(om, key=repr)[0]
-    pattern = um._ball(om, x0, 1)
-    event = um.CylinderEvent(1, pattern, x0, [(Fraction(0), Fraction(1, 2))])
+    event = um.CylinderEvent(1, om, x0, [(Fraction(0), Fraction(1, 2))])
     return g, om, labels, x0, event
 
 
@@ -350,8 +364,17 @@ def test_import_defers_networkx_to_the_graph_suites():
         "res = um.mtp_battery(um.bigraph_samples(dual))",
         "assert len(res) == 8 and all(r['equal'] for r in res.values()), res",
         "assert 'networkx' not in sys.modules, 'duality'",
-        "assert um.stationarity_check(g, um.omega_fixture(g))",
+        "om = um.omega_fixture(g)",
+        "assert um.stationarity_check(g, om)",
         "assert 'networkx' not in sys.modules, 'stationarity'",
+        "from fractions import Fraction",
+        "event = um.CylinderEvent(2, om, 0, [(Fraction(0), Fraction(1, 2))])",
+        "assert event.pattern_holds(om, 0)",
+        "labels = {v: Fraction(v, len(g)) for v in g}",
+        "traj = um.delayed_srw(g, om, 0, 200, seed=1)",
+        "res = um.birkhoff_average(traj, event, om, labels)",
+        "assert res['n'] == len(traj) and 0 < sum(res['indicators']), res",
+        "assert 'networkx' not in sys.modules, 'cylinder events'",
     ])
     out = subprocess.run([sys.executable, "-c", script],
                          capture_output=True, text=True)
