@@ -762,8 +762,3 @@ class Clearance:
                 if gap < best:
                     best = gap
         return Dyadic(best, e)
-
-
-def clearance(points: Sequence[Sequence], region: BoxSet) -> Dyadic:
-    """One-shot `Clearance` query."""
-    return Clearance(region)(points)

@@ -179,9 +179,12 @@ def pieces_in_window(chain: ScaleChain, window: Box,
             # subtract the closures of every lower-scale set: with a
             # generic anchor chain a set two or more scales down need not
             # be covered by the scale directly below, so removing only
-            # scale i-1 leaves overlapping pieces
+            # scale i-1 leaves overlapping pieces.  Only cells with interior
+            # inside the base remove anything; on the int lattice those are
+            # the cells that meet the base shrunk by one unit on each side
+            inner = tuple((lo + 1, hi - 1) for lo, hi in base)
             removed = [_box(a2, s2, offs2, c2) for j, _, a2, s2, offs2 in layers
-                       if j < i for c2 in _cells(a2, s2, offs2, base)]
+                       if j < i for c2 in _cells(a2, s2, offs2, inner)]
             region = box_minus(e, base, removed)
             if region.is_empty():
                 continue

@@ -5,6 +5,9 @@ are connected vertex sets of size exactly 2^{n_i} (or singletons), refining
 earlier stages so that no later class cuts a surviving earlier class.  Stage
 sizes n_i must grow fast enough relative to the degree bound for the fraction
 of vertices caught in non-singleton classes to stay bounded below.
+
+A level holds only its grown classes, class id -> members; a vertex in none
+of them is a singleton of that level.
 """
 
 from __future__ import annotations
@@ -44,58 +47,43 @@ class Schedule:
         return f"Schedule({self.n_values}, d={self.degree_bound})"
 
 
-class PartitionLevel:
-    """One partition: class ids -> member sets."""
-
-    def __init__(self, level_index: int, class_members: dict):
-        self.level_index = level_index
-        self.class_members = {cid: frozenset(m) for cid, m in class_members.items()}
-
-    def nonsingleton_classes(self):
-        return {c: m for c, m in self.class_members.items() if len(m) > 1}
-
-    def singletonize(self, cid):
-        for v in self.class_members.pop(cid):
-            self.class_members[("s", self.level_index, v)] = frozenset([v])
-
-
-class PartitionStack:
-    def __init__(self, schedule: Schedule):
-        self.schedule = schedule
-        self.levels: list[PartitionLevel] = []
+def index_classes(levels: list) -> dict:
+    """Each vertex -> the classes of ``levels`` holding it, as ``(rank,
+    members)`` pairs, outermost first.  The rank orders all the classes by
+    size, largest first, and within a level by their order there: stage
+    sizes grow, so that is the latest level first."""
+    held = {}
+    rank = 0
+    for level in reversed(levels):
+        for ms in level.values():
+            for v in ms:
+                held.setdefault(v, []).append((rank, ms))
+            rank += 1
+    return held
 
 
 def grow_class(tree: RootedTreeWindow, region: set, x, target: int,
-               stack: PartitionStack, labels: LabelSource) -> set:
+               held: dict, labels: LabelSource) -> set:
     """Grow a connected class of exactly ``target`` vertices inside
     ``region``, the at least ``target`` vertices of T_x that this stage has
-    not yet peeled.
+    not yet peeled; ``held`` is `index_classes` of the earlier stages.
 
     One vertex is added at a time.  Whenever the current set cuts an earlier
     class, the smallest cut class is completed before free growth resumes;
     free growth takes the label-minimal frontier vertex whose commitment
     (the outermost earlier class it belongs to) still fits in the budget.
     """
-    # earlier non-singleton classes, outermost-first lookup per vertex
-    classes = []
-    for lvl in stack.levels:
-        for cid, ms in lvl.nonsingleton_classes().items():
-            if not ms.isdisjoint(region):
-                classes.append(ms)
-    classes.sort(key=len, reverse=True)
+    meets = {r: ms for v in region for r, ms in held.get(v, ())}
+    fits = {r for r, ms in meets.items() if ms <= region}
+    # the earlier classes inside the region, largest first; a vertex whose
+    # outermost class straddles the region maps to None, since entering it
+    # would be unrecoverable
+    completable = [meets[r] for r in sorted(fits)]
     outermost = {}
-    completable = []
-    for ms in classes:
-        if ms.issubset(region):
-            completable.append(ms)
-            for v in ms:
-                if v not in outermost:
-                    outermost[v] = ms
-        else:
-            # straddles the region: entering it would be unrecoverable
-            for v in ms:
-                if v in region and v not in outermost:
-                    outermost[v] = None
+    for v in region:
+        if v in held:
+            r, ms = held[v][0]
+            outermost[v] = ms if r in fits else None
 
     c = {x}
     adj = {}
@@ -108,7 +96,7 @@ def grow_class(tree: RootedTreeWindow, region: set, x, target: int,
 
     if outermost.get(x, "free") is None:
         raise InfeasibleGrowth(f"seed {x!r} lies in a window-straddling class")
-    if x in outermost and outermost[x] is not None and len(outermost[x]) > target:
+    if x in outermost and len(outermost[x]) > target:
         raise InfeasibleGrowth(f"seed {x!r} committed to an oversized class")
 
     while len(c) < target:
@@ -134,16 +122,16 @@ def grow_class(tree: RootedTreeWindow, region: set, x, target: int,
                 raise InfeasibleGrowth(
                     f"no feasible frontier vertex at size {len(c)}/{target} from {x!r}"
                 )
-        pick = labels.choose_min([repr(v) for v in cands])
-        c.add(next(v for v in cands if repr(v) == pick))
+        by_repr = {repr(v): v for v in cands}
+        c.add(by_repr[labels.choose_min(by_repr)])
     return c
 
 
-def build_stage(tree: RootedTreeWindow, schedule: Schedule, stack: PartitionStack,
-                i: int, labels: LabelSource) -> PartitionStack:
-    """Run stage i: one sweep up the tree grows one class under every leaf
-    of S_{n_i}, the vertices whose live subtree has at least 2^{n_i}
-    elements, and peels its subtree.
+def build_stage(tree: RootedTreeWindow, schedule: Schedule, levels: list,
+                i: int, labels: LabelSource) -> None:
+    """Run stage i and append its level to ``levels``: one sweep up the tree
+    grows one class under every leaf of S_{n_i}, the vertices whose live
+    subtree has at least 2^{n_i} elements, and peels its subtree.
 
     Children come before parents, so a vertex's live size is final when the
     sweep reaches it, and if that size reaches 2^{n_i} the vertex is a leaf
@@ -155,6 +143,7 @@ def build_stage(tree: RootedTreeWindow, schedule: Schedule, stack: PartitionStac
     n = schedule.n_values[i - 1]
     target = 1 << n
     d = schedule.degree_bound
+    held = index_classes(levels)
     size = dict.fromkeys(tree.order, 1)  # live subtree sizes; peeled 0
     last = dict.fromkeys(tree.order, 0)  # latest peel round in the subtree
     grown = []
@@ -175,7 +164,7 @@ def build_stage(tree: RootedTreeWindow, schedule: Schedule, stack: PartitionStac
                 stk.extend(c for c in tree.children[v] if size[c])
             try:
                 grown.append((last[x], repr(x),
-                               grow_class(tree, region, x, target, stack, labels)))
+                               grow_class(tree, region, x, target, held, labels)))
             except InfeasibleGrowth:
                 pass  # x's subtree stays singletons at this stage
             size[x] = 0
@@ -185,36 +174,32 @@ def build_stage(tree: RootedTreeWindow, schedule: Schedule, stack: PartitionStac
     # in any order; the next stage reads their order (min(cut, key=len) takes
     # the first of equal sizes), so they go in by round, then by repr
     grown.sort(key=lambda g: g[:2])
-    new_classes = {("c", i, k, rx): cx for k, rx, cx in grown}
+    new_classes = {("c", i, k, rx): frozenset(cx) for k, rx, cx in grown}
 
-    # refinement: singletonize earlier classes cut by a new class; the new
-    # classes are disjoint, so a class is cut exactly when its members have
-    # more than one owner, counting "no new class" as one
+    # refinement: an earlier class cut by a new class falls back to
+    # singletons; the new classes are disjoint, so a class is cut exactly
+    # when its members have more than one owner, counting "no new class" as
+    # one
     owner = {v: cid for cid, cx in new_classes.items() for v in cx}
-    for lvl in stack.levels:
-        for cid, ms in list(lvl.nonsingleton_classes().items()):
+    for level in levels:
+        for cid, ms in list(level.items()):
             if len({owner.get(v) for v in ms}) > 1:
-                lvl.singletonize(cid)
-
-    members = dict(new_classes)
-    for v in tree.order:
-        if v not in owner:
-            members[("s", i, v)] = {v}
-    stack.levels.append(PartitionLevel(i, members))
-    return stack
+                del level[cid]
+    levels.append(new_classes)
 
 
 def limit_partitions(tree: RootedTreeWindow, schedule: Schedule, stages: int,
                      labels: LabelSource):
-    """Run all stages; return (stack, per-level non-singleton fraction)."""
+    """Run all stages; return (levels, per-level non-singleton fraction).
+
+    ``levels[i - 1]`` maps the id of each standing class of stage i to its
+    members, in the order the stages grew them."""
     if stages < 1 or stages > len(schedule.n_values):
         raise ScheduleError("stages out of range for the schedule")
-    stack = PartitionStack(schedule)
+    levels = []
     for i in range(1, stages + 1):
-        build_stage(tree, schedule, stack, i, labels)
+        build_stage(tree, schedule, levels, i, labels)
     n = max(len(tree.order), 1)
-    report = {}
-    for lvl in stack.levels:
-        nons = sum(len(ms) for ms in lvl.nonsingleton_classes().values())
-        report[lvl.level_index] = nons / n
-    return stack, report
+    report = {i: sum(map(len, level.values())) / n
+              for i, level in enumerate(levels, 1)}
+    return levels, report

@@ -23,7 +23,7 @@ from .boxes import BoxSet, ResourceLimit, box_minus, least_lattice, set_contacts
 from .canon import forest_hash, rooted_forest_from_edges
 from .dyadic import Dyadic, on_lattice
 from .labels import LabelSource
-from .partition import PartitionStack, limit_partitions
+from .partition import Schedule, limit_partitions
 from .trees import RootedTreeWindow
 
 
@@ -92,7 +92,7 @@ class TopSet:
         self.stratum = stratum
 
 
-def top_set(tree: RootedTreeWindow, stack: PartitionStack) -> TopSet:
+def top_set(tree: RootedTreeWindow, levels: list, schedule: Schedule) -> TopSet:
     """Vertices carrying a class that lies entirely in their subtree, with the
     maximal such level; pruned to a laminar family along ancestor chains.
 
@@ -103,15 +103,14 @@ def top_set(tree: RootedTreeWindow, stack: PartitionStack) -> TopSet:
     """
     m_of = {}
     class_at = {}
-    for lvl in stack.levels:
-        # blocks are sized by the class cardinality 2^n_i of the stage
-        n_i = stack.schedule.n_values[lvl.level_index - 1]
-        for ms in lvl.nonsingleton_classes().values():
+    # blocks are sized by the class cardinality 2^n_i of the stage
+    for n_i, level in zip(schedule.n_values, levels):
+        for ms in level.values():
             x = min(ms, key=lambda v: tree.depth[v])
             if all(tree.is_ancestor(x, v) for v in ms):
                 if n_i > m_of.get(x, 0):
                     m_of[x] = n_i
-                    class_at[x] = frozenset(ms)
+                    class_at[x] = ms
     up = {}  # nearest kept proper ancestor, None when there is none
     stratum = {}
     for x in tree.order:  # parents first
@@ -481,8 +480,8 @@ def verify_representation(tiling: Tiling, tree: RootedTreeWindow) -> dict:
 def tile_tree(tree: RootedTreeWindow, schedule, stages: int,
               labels: LabelSource):
     """Full pipeline: partitions -> top set -> grid -> carve."""
-    stack, _report = limit_partitions(tree, schedule, stages, labels)
-    ts = top_set(tree, stack)
+    levels, _report = limit_partitions(tree, schedule, stages, labels)
+    ts = top_set(tree, levels, schedule)
     if not ts.members:
         raise WindowTooSmall("window too small: empty top set")
     grid = assign_grid(tree, ts)

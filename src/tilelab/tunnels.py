@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import itertools
 
-from .boxes import (BoxSet, Clearance, clearance, contact_faces, polyline_neighborhood,
-                    set_contacts, union_all)
+from .boxes import (BoxSet, Clearance, contact_faces, polyline_neighborhood, set_contacts,
+                    union_all)
 from .bs12 import CayleyWindow, FiberDecomposition, fiber_spanning_tree, fibers
 from .dyadic import Dyadic, HALF
 from .labels import LabelSource
@@ -190,7 +190,7 @@ def add_edge(tiling: Tiling, plan: TunnelPlan) -> Tiling:
         )
     u, mid, w = path
     d1, d2, d3 = tiling.tile_of[u], tiling.tile_of[mid], tiling.tile_of[w]
-    if clearance(plan.gamma, union_all([d1, d2, d3])) < plan.epsilon.halve():
+    if Clearance(union_all([d1, d2, d3]))(plan.gamma) < plan.epsilon.halve():
         raise RoutingError("tube escapes the path tiles")
     tube = plan.tube()
     new_d1 = d1.union(tube.difference(d3))

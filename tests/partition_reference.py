@@ -4,12 +4,14 @@ This is the stage loop `tilelab.partition` used before it peeled one window
 in place: every round recomputes the core set S_{n_i} from subtree sizes,
 takes its leaf set, grows one class per leaf, and rebuilds the window
 without the leaves' subtrees.  Tests compare `limit_partitions` to it.
+`grow_class` is `tilelab.partition.grow_class` as it was before it read the
+earlier classes off a per-stage index: it scans every class of every
+earlier level on each call.
 `subtree`, `path_to_root` and `tree_path` walk the tree window as it once
 did, for tests to check the window's preorder tables against.
 """
 
-from tilelab.partition import (InfeasibleGrowth, PartitionLevel,
-                               PartitionStack, grow_class)
+from tilelab.partition import InfeasibleGrowth
 from tilelab.trees import RootedTreeWindow
 
 
@@ -82,7 +84,73 @@ def peel(tree, leaves):
     return RootedTreeWindow(tree.root, {v: tree.parent[v] for v in keep})
 
 
-def build_stage(tree, schedule, stack, i, labels):
+def grow_class(tree, region, x, target, levels, labels):
+    """A connected class of exactly ``target`` vertices of ``region`` grown
+    from ``x``, given the earlier ``levels`` (class id -> members)."""
+    # earlier non-singleton classes, outermost-first lookup per vertex
+    classes = []
+    for level in levels:
+        for ms in level.values():
+            if not ms.isdisjoint(region):
+                classes.append(ms)
+    classes.sort(key=len, reverse=True)
+    outermost = {}
+    completable = []
+    for ms in classes:
+        if ms.issubset(region):
+            completable.append(ms)
+            for v in ms:
+                if v not in outermost:
+                    outermost[v] = ms
+        else:
+            # straddles the region: entering it would be unrecoverable
+            for v in ms:
+                if v in region and v not in outermost:
+                    outermost[v] = None
+
+    c = {x}
+    adj = {}
+
+    def neighbors(v):
+        if v not in adj:
+            adj[v] = [w for w in ([tree.parent[v]] + tree.children[v])
+                      if w is not None and w in region]
+        return adj[v]
+
+    if outermost.get(x, "free") is None:
+        raise InfeasibleGrowth(f"seed {x!r} lies in a window-straddling class")
+    if x in outermost and outermost[x] is not None and len(outermost[x]) > target:
+        raise InfeasibleGrowth(f"seed {x!r} committed to an oversized class")
+
+    while len(c) < target:
+        cut = [ms for ms in completable
+               if not ms.isdisjoint(c) and not ms.issubset(c)]
+        if cut:
+            smallest = min(cut, key=len)
+            cands = [v for v in smallest if v not in c
+                     and any(w in c for w in neighbors(v))]
+        else:
+            frontier = set()
+            for v in c:
+                frontier.update(w for w in neighbors(v) if w not in c)
+            cands = []
+            for v in frontier:
+                om = outermost.get(v, "free")
+                if om is None:
+                    continue
+                cost = 1 if om == "free" else len(om - c)
+                if len(c) + cost <= target:
+                    cands.append(v)
+            if not cands:
+                raise InfeasibleGrowth(
+                    f"no feasible frontier vertex at size {len(c)}/{target} from {x!r}"
+                )
+        pick = labels.choose_min([repr(v) for v in cands])
+        c.add(next(v for v in cands if repr(v) == pick))
+    return c
+
+
+def build_stage(tree, schedule, levels, i, labels):
     n = schedule.n_values[i - 1]
     target = 1 << n
     new_classes = {}
@@ -96,8 +164,8 @@ def build_stage(tree, schedule, stack, i, labels):
         for x in leaves:
             try:
                 cx = grow_class(current, set(subtree(current, x)), x, target,
-                                stack, labels)
-                new_classes[("c", i, k, repr(x))] = cx
+                                levels, labels)
+                new_classes[("c", i, k, repr(x))] = frozenset(cx)
             except InfeasibleGrowth:
                 pass
         if all(x == current.root for x in leaves):
@@ -106,24 +174,17 @@ def build_stage(tree, schedule, stack, i, labels):
         if len(current) <= 1:
             break
 
-    for lvl in stack.levels:
-        for cid, ms in list(lvl.nonsingleton_classes().items()):
-            if any(cuts(frozenset(cx), ms) for cx in new_classes.values()):
-                lvl.singletonize(cid)
-
-    covered = set()
-    for cx in new_classes.values():
-        covered |= cx
-    members = dict(new_classes)
-    for v in tree.order:
-        if v not in covered:
-            members[("s", i, v)] = {v}
-    stack.levels.append(PartitionLevel(i, members))
+    for level in levels:
+        for cid, ms in list(level.items()):
+            if any(cuts(cx, ms) for cx in new_classes.values()):
+                del level[cid]
+    levels.append(new_classes)
 
 
 def reference_levels(tree, schedule, stages, labels):
-    """`class_members` of every level, as the rebuilding loop computes them."""
-    stack = PartitionStack(schedule)
+    """The grown classes of every level, as the rebuilding loop computes
+    them."""
+    levels = []
     for i in range(1, stages + 1):
-        build_stage(tree, schedule, stack, i, labels)
-    return [lvl.class_members for lvl in stack.levels]
+        build_stage(tree, schedule, levels, i, labels)
+    return levels

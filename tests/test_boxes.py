@@ -16,8 +16,8 @@ from scipy import ndimage
 
 from tilelab import boxes as boxes_mod
 from tilelab.boxes import (BoxSet, Clearance, RawBoxes, ResourceLimit, _contacts, _lattice,
-                           _relation, box_of, clearance, contact_faces, polyline_neighborhood,
-                           set_contacts, union_all)
+                           _relation, box_of, contact_faces, polyline_neighborhood, set_contacts,
+                           union_all)
 from tilelab.dyadic import Dyadic
 from voxels import voxelize
 
@@ -545,7 +545,7 @@ def test_clearance_matches_neighborhood_oracle(case):
     def inside(e):
         return polyline_neighborhood(points, e).difference(region).is_empty()
 
-    room = clearance(points, region)
+    room = Clearance(region)(points)
     assert 0 <= room <= 1
     assert inside(eps) == (eps <= room)
     if room > 0:
@@ -595,11 +595,11 @@ def test_prepared_clearance_answers_many_polylines(region, queries, eps):
 
 def test_clearance_rejects_diagonal_segments():
     with pytest.raises(ValueError, match="axis-aligned"):
-        clearance([(0, 0, 0), (1, 1, 0)], REGION)
+        Clearance(REGION)([(0, 0, 0), (1, 1, 0)])
     with pytest.raises(ValueError, match="axis-aligned"):
         polyline_neighborhood([(0, 0, 0), (1, 0, 0), (2, 1, 1)], Dyadic(1, 2))
     with pytest.raises(ValueError, match="empty polyline"):
-        clearance([], REGION)
+        Clearance(REGION)([])
 
 
 def test_components_counts():

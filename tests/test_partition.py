@@ -3,11 +3,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from partition_reference import reference_levels
+from partition_reference import grow_class as rescanning_grow_class
+from partition_reference import reference_levels, subtree
 from tilelab.bs12 import bs12_ball, fiber_spanning_tree, fibers
 from tilelab.labels import LabelSource
 from tilelab.partition import (InfeasibleGrowth, Schedule, ScheduleError,
-                               limit_partitions)
+                               grow_class, index_classes, limit_partitions)
 from tilelab.trees import synthetic_tree
 
 
@@ -48,26 +49,26 @@ def test_class_sizes_and_connectivity(descriptor):
     tree = synthetic_tree(descriptor, seed=3)
     schedule = Schedule([1, 6], 4)
     labels = LabelSource(11, salt="partition-test")
-    stack, report = limit_partitions(tree, schedule, 2, labels)
-    assert len(stack.levels) == 2
-    for lvl in stack.levels:
-        n_i = schedule.n_values[lvl.level_index - 1]
-        for members in lvl.nonsingleton_classes().values():
+    levels, report = limit_partitions(tree, schedule, 2, labels)
+    assert len(levels) == 2
+    for n_i, level in zip(schedule.n_values, levels):
+        for members in level.values():
             assert len(members) == 1 << n_i
             assert connected_in_tree(tree, members)
-        # classes partition the vertex set
-        covered = [v for ms in lvl.class_members.values() for v in ms]
-        assert sorted(covered, key=repr) == sorted(tree.order, key=repr)
+        # the grown classes are disjoint and lie in the window; with the
+        # singletons of the other vertices they partition it
+        covered = [v for ms in level.values() for v in ms]
+        assert len(covered) == len(set(covered))
+        assert set(covered) <= set(tree.order)
 
 
 def test_later_stages_do_not_cut_surviving_classes():
     tree = synthetic_tree("binary-canopy(6)", seed=0)
     schedule = Schedule([1, 6], 4)
-    stack, _ = limit_partitions(tree, schedule, 2, LabelSource(2))
-    lvl1, lvl2 = stack.levels
-    for c1 in lvl1.nonsingleton_classes().values():
+    (lvl1, lvl2), _ = limit_partitions(tree, schedule, 2, LabelSource(2))
+    for c1 in lvl1.values():
         # no grown stage-2 class may cut a surviving stage-1 class
-        for c2 in lvl2.nonsingleton_classes().values():
+        for c2 in lvl2.values():
             overlap = c1 & c2
             assert not overlap or c1 <= c2
 
@@ -75,7 +76,7 @@ def test_later_stages_do_not_cut_surviving_classes():
 def test_stage_one_pairs_most_of_a_path():
     tree = synthetic_tree("path(64)")
     schedule = Schedule([1], 2)
-    stack, report = limit_partitions(tree, schedule, 1, LabelSource(0))
+    _levels, report = limit_partitions(tree, schedule, 1, LabelSource(0))
     assert report[1] > 0.5  # most interior vertices get paired on a path
 
 
@@ -90,15 +91,14 @@ def test_determinism():
     schedule = Schedule([1, 6], 4)
     a, _ = limit_partitions(tree, schedule, 2, LabelSource(5))
     b, _ = limit_partitions(tree, schedule, 2, LabelSource(5))
-    for la, lb in zip(a.levels, b.levels):
-        assert la.class_members == lb.class_members
+    assert a == b
 
 
 def assert_matches_reference(tree, labels):
     schedule = Schedule([1, 6], 4)
-    stack, _ = limit_partitions(tree, schedule, 2, labels)
+    levels, _ = limit_partitions(tree, schedule, 2, labels)
     # the order of the classes too: a later stage's growth reads it
-    got = [list(lvl.class_members.items()) for lvl in stack.levels]
+    got = [list(level.items()) for level in levels]
     assert got == [list(m.items())
                    for m in reference_levels(tree, schedule, 2, labels)]
 
@@ -130,3 +130,47 @@ def test_fiber_tree_matches_rebuilding_reference(radius):
 def test_random_trees_match_rebuilding_reference(n, seed):
     tree = synthetic_tree(f"random({n},4)", seed=seed)
     assert_matches_reference(tree, LabelSource(seed))
+
+
+def grown_or_raised(grow, *args):
+    try:
+        return frozenset(grow(*args))
+    except InfeasibleGrowth:
+        return InfeasibleGrowth
+
+
+@pytest.mark.parametrize("seed_at, target, outcome", [
+    ("top", 8, "raises"),     # the seed is committed to a class of 64
+    ("top", 65, "through"),
+    ("top", 100, "through"),
+    ("above", 8, "beside"),   # entering the class of 64 would overshoot
+    ("above", 70, "through"),
+    ("above", 128, "through"),
+    ("inside", 8, "raises"),  # the stage-2 class straddles the region
+])
+def test_indexed_growth_matches_rescanning_reference(seed_at, target, outcome):
+    # the real stages of binary-canopy(8) nest 23 stage-1 classes in the
+    # first stage-2 class, so growing over them reads two earlier classes
+    # per vertex; only a third stage does that, and its classes of 2^22 or
+    # more vertices are out of every test window's reach
+    tree = synthetic_tree("binary-canopy(8)")
+    labels = LabelSource(0)
+    levels, _ = limit_partitions(tree, Schedule([1, 6], 3), 2, labels)
+    outer = next(iter(levels[1].values()))
+    inner = [ms for ms in levels[0].values() if ms <= outer]
+    top = min(outer, key=lambda v: tree.depth[v])
+    x = {"top": top, "above": tree.parent[top],
+         "inside": tree.children[top][0]}[seed_at]
+    region = set(subtree(tree, x))
+    assert inner and any(ms & region for ms in inner)
+
+    got = grown_or_raised(grow_class, tree, region, x, target,
+                          index_classes(levels), labels)
+    assert got == grown_or_raised(rescanning_grow_class, tree, region, x,
+                                  target, levels, labels)
+    if outcome == "raises":
+        assert got is InfeasibleGrowth
+    elif outcome == "beside":
+        assert len(got) == target and got.isdisjoint(outer)
+    else:
+        assert len(got) == target and all(ms <= got for ms in [outer, *inner])

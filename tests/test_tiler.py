@@ -283,9 +283,11 @@ def test_tiny_window_raises_window_too_small():
 
 
 def assert_top_set_matches_reference(tree, labels):
-    stack, _ = limit_partitions(tree, Schedule([1, 6], 4), 2, labels)
-    ts = top_set(tree, stack)
-    assert (ts.members, ts.m_of, ts.stratum) == reference_top_set(tree, stack)
+    schedule = Schedule([1, 6], 4)
+    levels, _ = limit_partitions(tree, schedule, 2, labels)
+    ts = top_set(tree, levels, schedule)
+    assert (ts.members, ts.m_of, ts.stratum) == reference_top_set(tree, levels,
+                                                                  schedule)
 
 
 @pytest.mark.parametrize("descriptor", [

@@ -35,13 +35,12 @@ def reference_place_cubes(box, k):
     return out
 
 
-def reference_top_set(tree, stack):
+def reference_top_set(tree, levels, schedule):
     """``(members, m_of, stratum)`` as the walking top set computes them."""
     m_of = {}
     class_at = {}
-    for lvl in stack.levels:
-        n_i = stack.schedule.n_values[lvl.level_index - 1]
-        for ms in lvl.nonsingleton_classes().values():
+    for n_i, level in zip(schedule.n_values, levels):
+        for ms in level.values():
             x = min(ms, key=lambda v: tree.depth[v])
             if all(tree.is_ancestor(x, v) for v in ms):
                 if n_i > m_of.get(x, 0):
