@@ -14,8 +14,10 @@ A set keeps its canonical boxes as ``(lo, hi)`` int pairs, ``ints``, on the
 lattice of ``exp``, the least exponent >= 0 at which every corner ``c / 2**exp``
 has an int ``c``; equal sets have equal ``(exp, ints)``.  The pipelines build
 their sets from int boxes, through `BoxSet.from_ints` and `box_minus`.
-`Dyadic` corners enter only through the constructor and a `Clearance` query
-(`_lattice`), and leave only through ``boxes``, ``bbox`` and ``contact_faces``.
+`Dyadic` corners enter only through the `BoxSet` constructor (`_lattice`,
+which has that one caller), and leave only through ``boxes`` and ``bbox``;
+a `Dyadic` margin, offset or point is put on the set's lattice as an int
+(`on_lattice`) before any box is touched.
 Operations move the coarser operand to the finer lattice with ``<<``.
 Every boolean is one of two kernels.  A raw box list, `union_all` of many
 sets and `BoxSet.union` are canonicalized by one sweep per axis over a
@@ -42,17 +44,20 @@ sets touch or overlap, and components, off those bitsets, and so do
 `BoxSet.components` and `BoxSet.interior_intersects`; only the area queries
 (`shared_face_area`, `contact_faces`) measure the pairs, in `_contacts`.
 
-`Clearance` is a region prepared for many polyline queries: its complement
-near the region is built once, on the lattice, and each query only lattices
-its own segments.
+`contact_faces` and `Clearance` work on ints alone.  `Clearance` is a
+region prepared for many queries of int polylines on any lattice: its
+complement near the region is built once, in a flat form in which a
+segment's gap to a complement box is one ``max(map(sub, box, segment))``,
+and moved once to each finer lattice a query needs.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import islice
 from math import prod
-from operator import itemgetter
+from operator import itemgetter, le, sub
 from typing import Container, NamedTuple, Sequence
 
 from .canon import find, join
@@ -63,11 +68,6 @@ Box = tuple  # tuple of (lo, hi) Dyadic pairs, one per axis
 
 def box_of(*intervals) -> Box:
     return tuple((Dyadic.coerce(lo), Dyadic.coerce(hi)) for lo, hi in intervals)
-
-
-def inflate(box: Box, eps) -> Box:
-    e = Dyadic.coerce(eps)
-    return tuple((lo - e, hi + e) for lo, hi in box)
 
 
 # Slabs one `_merge` of two sections of a `_sweep` may append over all axes,
@@ -671,20 +671,18 @@ def set_contacts(sets: Sequence[BoxSet | RawBoxes], components: Container[int] =
     return adjacent, overlaps, counts
 
 
-def contact_faces(a: BoxSet, b: BoxSet) -> list[tuple[Box, Fraction]]:
-    """Degenerate boxes where closures of a and b meet along codim-1 faces,
-    paired with their areas.  Assumes disjoint interiors.  Faces come in
-    (a box, b box) index order, which the stable sort by area in
-    ``tunnels.route_gamma`` turns into its tie-break between equal areas."""
+def contact_faces(a: BoxSet, b: BoxSet) -> tuple[int, list[tuple[tuple, int]]]:
+    """``(e, faces)``: the degenerate int boxes, on the lattice of ``e``, where
+    the closures of a and b meet along codim-1 faces, each paired with its
+    int area in units of ``2**-(e * (dim - 1))``.  Assumes disjoint
+    interiors.  Faces come in (a box, b box) index order, which the stable
+    sort by area in ``tunnels.route_gamma`` turns into its tie-break between
+    equal areas."""
     e, ib, owner = _common([a, b])
-    unit = _face_unit(e, ib)
     hits = sorted((i, j, area) for i, j, area in _contacts(ib, owner) if area is not None)
-    return [
-        (tuple((Dyadic(pl if pl >= ql else ql, e), Dyadic(ph if ph <= qh else qh, e))
-               for (pl, ph), (ql, qh) in zip(ib[i], ib[j])),
-         Fraction(area, unit))
-        for i, j, area in hits
-    ]
+    return e, [(tuple((pl if pl >= ql else ql, ph if ph <= qh else qh)
+                      for (pl, ph), (ql, qh) in zip(ib[i], ib[j])), area)
+               for i, j, area in hits]
 
 
 # ---------------------------------------------------------------------------
@@ -692,73 +690,99 @@ def contact_faces(a: BoxSet, b: BoxSet) -> list[tuple[Box, Fraction]]:
 # ---------------------------------------------------------------------------
 
 
-def _segments(points: Sequence[Sequence]) -> list[Box]:
-    """Degenerate boxes of a rectilinear polyline: one per segment, or the
-    point itself for a single point.  Raises ValueError for an empty
-    polyline or a segment that is not axis-aligned."""
-    pts = [[Dyadic.coerce(x) for x in p] for p in points]
-    if not pts:
+def _segments(points: Sequence[Sequence[int]]) -> list[tuple]:
+    """The boxes of a rectilinear polyline of int points, one per segment or
+    the point itself for a single point, each in the flat form ``(hi0, -lo0,
+    hi1, -lo1, ...)``.  Raises ValueError for an empty polyline, points of
+    unequal dimension or a segment that is not axis-aligned."""
+    if not points:
         raise ValueError("empty polyline")
-    if len(pts) == 1:
-        return [tuple((x, x) for x in pts[0])]
+    if len({len(p) for p in points}) > 1:
+        raise ValueError("polyline points of unequal dimension")
+    if len(points) == 1:
+        return [tuple(y for x in points[0] for y in (x, -x))]
     segs = []
-    for p, q in zip(pts, pts[1:]):
+    for p, q in zip(points, points[1:]):
         if sum(x != y for x, y in zip(p, q)) > 1:
             raise ValueError("polyline segments must be axis-aligned")
-        segs.append(tuple((x, y) if x <= y else (y, x) for x, y in zip(p, q)))
+        segs.append(tuple(z for x, y in zip(p, q) for z in ((y, -x) if x <= y else (x, -y))))
     return segs
+
+
+def polyline_on_lattice(points: Sequence[Sequence], c) -> tuple[int, int, list[tuple]]:
+    """``(e, m, pts)``: the `Dyadic` ``c`` and the points of a polyline as
+    ints on the least lattice ``e`` that holds them all."""
+    pts = [[Dyadic.coerce(x) for x in p] for p in points]
+    e, ints = on_lattice([Dyadic.coerce(c), *(x for p in pts for x in p)])
+    rest = iter(ints[1:])
+    return e, ints[0], [tuple(islice(rest, len(p))) for p in pts]
 
 
 def polyline_neighborhood(points: Sequence[Sequence], c) -> BoxSet:
     """Closed c-neighborhood (L-infinity) of a rectilinear polyline."""
-    return BoxSet([inflate(seg, c) for seg in _segments(points)])
+    e, m, pts = polyline_on_lattice(points, c)
+    return BoxSet.from_ints(e, [tuple((-nlo - m, hi + m) for hi, nlo in zip(s[::2], s[1::2]))
+                                for s in _segments(pts)])
 
 
 class Clearance:
-    """A region prepared for clearance queries: ``Clearance(region)(points)``
-    is the L-infinity distance from a rectilinear polyline to the closure of
-    the complement of ``region``, capped at 1.  For 0 < eps <= 1 the closed
-    eps-neighborhood of the polyline lies inside ``region`` exactly when
-    ``eps <= Clearance(region)(points)``.
+    """A region prepared for clearance queries: ``Clearance(region)(e,
+    points)``, for a rectilinear polyline of int points on the lattice of
+    ``e``, is ``(f, room)``: the L-infinity distance from the polyline to the
+    closure of the complement of ``region``, capped at 1, as the int ``room``
+    on the lattice ``f``, the finer of ``e`` and the region's.  For 0 < eps
+    <= 1 the closed eps-neighborhood of the polyline lies inside ``region``
+    exactly when ``eps <= room / 2**f``.  A polyline whose dimension is not
+    that of a nonempty region raises ValueError.
 
     The complement within 1 of the region's bounding box, ``frame - region``
     with ``frame`` that box inflated by 1, is built once, as one `box_minus`
     on the region's lattice, and moved at most once to each finer lattice a
-    query needs.  A polyline not inside the box has a point outside the
+    query needs.  There its boxes are kept in the flat form ``(lo0, -hi0,
+    lo1, -hi1, ...)``, and the bounding box in the segments' form ``(hi0,
+    -lo0, ...)``.  A polyline not inside the bounding box, one of whose
+    segments has a flat coordinate above the box's, has a point outside the
     closed region, so its clearance is 0.  Otherwise every point within 1 of
-    it lies in ``frame``, and the distance from a segment box to a complement
-    box is their largest per-axis gap (an open eps-box around the segment
-    meets the closed complement box in a set with interior iff eps exceeds
-    it); the clearance is the least such gap."""
+    it lies in ``frame``, and the distance from a segment to a complement box
+    is their largest per-axis gap, ``max(map(sub, box, segment))`` (an open
+    eps-box around the segment meets the closed complement box in a set with
+    interior iff eps exceeds it); the clearance is the least such gap."""
 
-    __slots__ = ("exp", "lattices")
+    __slots__ = ("exp", "dim", "lattices")
 
     def __init__(self, region: BoxSet):
-        # lattice exponent -> [bbox, *complement boxes] as ints on that lattice
-        self.exp, self.lattices = region.exp, {}
+        # lattice exponent -> (bbox, complement boxes), flat, on that lattice
+        self.exp, self.dim, self.lattices = region.exp, region.dim, {}
         if not region.is_empty():
             comp = region._outside(1)
-            self.lattices[self.exp] = [region.int_bbox(),
-                                       *_shift(comp.ints, self.exp - comp.exp)]
+            self.lattices[self.exp] = (
+                tuple(z for lo, hi in region.int_bbox() for z in (hi, -lo)),
+                [tuple(z for lo, hi in c for z in (lo, -hi))
+                 for c in _shift(comp.ints, self.exp - comp.exp)])
 
-    def __call__(self, points: Sequence[Sequence]) -> Dyadic:
-        e, segs = _lattice(_segments(points))
+    def __call__(self, e: int, points: Sequence[Sequence[int]]) -> tuple[int, int]:
+        segs = _segments(points)
         if not self.lattices:
-            return ZERO
-        if e < self.exp:
-            segs, e = _shift(segs, self.exp - e), self.exp
-        if e not in self.lattices:
-            self.lattices[e] = _shift(self.lattices[self.exp], e - self.exp)
-        bbox, *comp = self.lattices[e]
-        if not all(bl <= sl and sh <= bh for s in segs
-                   for (sl, sh), (bl, bh) in zip(s, bbox)):
-            return ZERO
-        best = 1 << e
+            return e, 0
+        if len(segs[0]) != 2 * self.dim:
+            raise ValueError(f"polyline of dimension {len(segs[0]) // 2} in a region of "
+                             f"dimension {self.dim}")
+        f = max(e, self.exp)
+        if f > e:
+            segs = [tuple(x << (f - e) for x in s) for s in segs]
+        if f not in self.lattices:
+            k = f - self.exp
+            top, comp = self.lattices[self.exp]
+            self.lattices[f] = (tuple(x << k for x in top),
+                                [tuple(x << k for x in c) for c in comp])
+        top, comp = self.lattices[f]
+        room = 1 << f
         for s in segs:
-            for c in comp:
-                gap = max([g for (sl, sh), (cl, ch) in zip(s, c) for g in (cl - sh, sl - ch)])
-                if gap <= 0:
-                    return ZERO
-                if gap < best:
-                    best = gap
-        return Dyadic(best, e)
+            if not all(map(le, s, top)):
+                return f, 0
+            gap = min(max(map(sub, c, s)) for c in comp)
+            if gap <= 0:
+                return f, 0
+            if gap < room:
+                room = gap
+        return f, room

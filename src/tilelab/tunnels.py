@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import itertools
 
-from .boxes import (BoxSet, Clearance, contact_faces, polyline_neighborhood, set_contacts,
-                    union_all)
+from .boxes import (BoxSet, Clearance, _shift, contact_faces, polyline_neighborhood,
+                    polyline_on_lattice, set_contacts, union_all)
 from .bs12 import CayleyWindow, FiberDecomposition, fiber_spanning_tree, fibers
-from .dyadic import Dyadic, HALF
+from .dyadic import Dyadic
 from .labels import LabelSource
 from .partition import Schedule
 from .tiler import Tiling, tile_tree
@@ -73,57 +73,66 @@ def schedule_edges(tree: RootedTreeWindow, non_tree_edges) -> list:
 FINEST_EXP = 12
 
 
-def _max_clearance(points, region: Clearance) -> Dyadic | None:
-    """Largest 2^-j (1 <= j <= FINEST_EXP) with the 2^-j-neighborhood of the
-    polyline inside the region; raises ValueError when the polyline is not
-    rectilinear."""
-    room = region(points)
-    return min(room.pow2_floor(), HALF) if room >= Dyadic(1, FINEST_EXP) else None
-
-
-def _center(face_box):
-    return tuple((lo + hi).halve() for lo, hi in face_box)
+def _max_clearance(e: int, points, region: Clearance) -> int | None:
+    """The least j, 1 <= j <= FINEST_EXP, with the 2^-j-neighborhood of the
+    polyline of int points on the lattice of ``e`` inside the region, or
+    None; raises ValueError when the polyline is not rectilinear."""
+    f, room = region(e, points)
+    # room / 2**f lies in [2**-k, 2**(1 - k)) for k = f + 1 - bit_length,
+    # and eps is at most 1/2
+    j = max(1, f + 1 - room.bit_length())
+    return j if room and j <= FINEST_EXP else None
 
 
 def route_gamma(tiling_tiles: dict, path) -> TunnelPlan:
     """Rectilinear polyline from the first tile of a 3-vertex path, through
-    the middle tile, into the last, with certified exact clearance."""
+    the middle tile, into the last, with certified exact clearance.
+
+    The search runs on ints on the lattice of ``g``, one finer than every
+    tile's and than 2^-FINEST_EXP, so it holds every contact face centre and
+    every half step eps/2 with eps = 2^-j, j <= FINEST_EXP; each region's
+    room comes back on that lattice too."""
     if len(path) != 3:
         raise UnrealizableEdgeError(
             f"path length {len(path)}: axis-aligned tunnels need a common neighbor"
         )
     d1, d2, d3 = (tiling_tiles[v] for v in path)
     union = union_all([d1, d2, d3])
-    faces12 = sorted(contact_faces(d1, d2), key=lambda fa: -fa[1])
-    faces23 = sorted(contact_faces(d2, d3), key=lambda fa: -fa[1])
+    g = max(d1.exp, d2.exp, d3.exp, union.exp, FINEST_EXP) + 1
+    # the three largest faces of each pair, moved to the lattice of g
+    faces12, faces23 = (
+        _shift([face for face, _ in sorted(faces, key=lambda fa: -fa[1])[:3]], g - e)
+        for e, faces in (contact_faces(d1, d2), contact_faces(d2, d3)))
     if not faces12 or not faces23:
         raise RoutingError("consecutive path tiles are not adjacent")
     # each region's complement is built once, for every candidate polyline
     in_union, in_d1, in_d3 = Clearance(union), Clearance(d1), Clearance(d3)
 
-    for f12, _a12 in faces12[:3]:
-        for f23, _a23 in faces23[:3]:
+    for f12 in faces12:
+        for f23 in faces23:
             p = _center(f12)
             q = _center(f23)
             for mids in _candidate_mids(p, q):
                 pts = [p] + mids + [q]
                 pts = _dedupe(pts)
                 try:
-                    eps = _max_clearance(pts, in_union)
+                    j = _max_clearance(g, pts, in_union)
                 except ValueError:
                     continue  # the direct segment is not axis-aligned
-                if eps is None:
+                if j is None:
                     continue
                 # extend the ends into the interiors of d1 and d3
-                ext = _extend(pts, f12, f23, eps, in_d1, in_d3)
-                if ext is None:
+                half = 1 << (g - j - 1)
+                pts2 = _extend(g, pts, f12, f23, half, in_d1, in_d3)
+                if pts2 is None or in_union(g, pts2)[1] < half:
                     continue
-                pts2, eps = ext
-                plan = TunnelPlan(path, pts2, eps)
-                if in_union(plan.gamma) < eps.halve():
-                    continue
-                return plan
+                return TunnelPlan(path, [tuple(Dyadic(x, g) for x in pt) for pt in pts2],
+                                  Dyadic(1, j))
     raise RoutingError(f"no certified corridor found along {path!r}")
+
+
+def _center(face):
+    return tuple((lo + hi) >> 1 for lo, hi in face)
 
 
 def _candidate_mids(p, q):
@@ -150,23 +159,24 @@ def _dedupe(pts):
     return out
 
 
-def _extend(pts, f12, f23, eps, in_d1, in_d3):
-    """Push the polyline endpoints past the contact faces into d1 and d3."""
+def _extend(g: int, pts, f12, f23, half: int, in_d1, in_d3):
+    """Push the polyline endpoints past the contact faces into d1 and d3 by
+    ``half``, all ints on the lattice of ``g``."""
     def normal_axis(face):
         for a, (lo, hi) in enumerate(face):
             if lo == hi:
                 return a
         return None
 
-    out = list(map(tuple, pts))
+    out = list(pts)
     for end, face, tile in ((0, f12, in_d1), (-1, f23, in_d3)):
         ax = normal_axis(face)
         if ax is None:
             return None
-        for sign in (1, -1):
+        for step in (half, -half):
             cand = list(out[end])
-            cand[ax] = cand[ax] + eps.halve() if sign > 0 else cand[ax] - eps.halve()
-            if eps.halve() <= tile([tuple(cand)]):
+            cand[ax] += step
+            if half <= tile(g, [cand])[1]:
                 if end == 0:
                     out.insert(0, tuple(cand))
                 else:
@@ -174,7 +184,7 @@ def _extend(pts, f12, f23, eps, in_d1, in_d3):
                 break
         else:
             return None
-    return _dedupe(out), eps
+    return _dedupe(out)
 
 
 def add_edge(tiling: Tiling, plan: TunnelPlan) -> Tiling:
@@ -190,7 +200,9 @@ def add_edge(tiling: Tiling, plan: TunnelPlan) -> Tiling:
         )
     u, mid, w = path
     d1, d2, d3 = tiling.tile_of[u], tiling.tile_of[mid], tiling.tile_of[w]
-    if Clearance(union_all([d1, d2, d3]))(plan.gamma) < plan.epsilon.halve():
+    e, half, gamma = polyline_on_lattice(plan.gamma, plan.epsilon.halve())
+    f, room = Clearance(union_all([d1, d2, d3]))(e, gamma)
+    if room < half << (f - e):
         raise RoutingError("tube escapes the path tiles")
     tube = plan.tube()
     new_d1 = d1.union(tube.difference(d3))

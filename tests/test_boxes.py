@@ -16,8 +16,8 @@ from scipy import ndimage
 
 from tilelab import boxes as boxes_mod
 from tilelab.boxes import (BoxSet, Clearance, RawBoxes, ResourceLimit, _contacts, _lattice,
-                           _relation, box_of, contact_faces, polyline_neighborhood, set_contacts,
-                           union_all)
+                           _relation, box_of, contact_faces, polyline_neighborhood,
+                           polyline_on_lattice, set_contacts, union_all)
 from tilelab.dyadic import Dyadic
 from voxels import voxelize
 
@@ -545,13 +545,24 @@ def test_clearance_matches_neighborhood_oracle(case):
     def inside(e):
         return polyline_neighborhood(points, e).difference(region).is_empty()
 
-    room = Clearance(region)(points)
+    prepared = Clearance(region)
+    room = clearance(prepared, points)
     assert 0 <= room <= 1
     assert inside(eps) == (eps <= room)
     if room > 0:
         assert inside(room)  # the distance is attained...
     if room < 1:
         assert not inside(room + Dyadic(1, 8))  # ...and exact
+    assert clearance(prepared, points, finer=3) == room  # on any lattice
+
+
+def clearance(prepared, points, finer=0):
+    """The room of a `Clearance` query on the `Dyadic` points, asked on the
+    lattice ``finer`` exponents below the least that holds them."""
+    e, _, pts = polyline_on_lattice(points, 0)
+    f, room = prepared(e + finer, [tuple(x << finer for x in p) for p in pts])
+    assert f == max(e + finer, prepared.exp)
+    return Dyadic(room, f)
 
 
 def assert_clearance_exact(points, region, room, eps):
@@ -590,16 +601,23 @@ FINE_REGION = BoxSet([box_of((Dyadic(1, 4), Dyadic(67, 4)), (0, 4), (0, 4)),
 def test_prepared_clearance_answers_many_polylines(region, queries, eps):
     prepared = Clearance(region)
     for points in queries:
-        assert_clearance_exact(points, region, prepared(points), eps)
+        assert_clearance_exact(points, region, clearance(prepared, points), eps)
 
 
 def test_clearance_rejects_diagonal_segments():
     with pytest.raises(ValueError, match="axis-aligned"):
-        Clearance(REGION)([(0, 0, 0), (1, 1, 0)])
+        Clearance(REGION)(0, [(0, 0, 0), (1, 1, 0)])
     with pytest.raises(ValueError, match="axis-aligned"):
         polyline_neighborhood([(0, 0, 0), (1, 0, 0), (2, 1, 1)], Dyadic(1, 2))
     with pytest.raises(ValueError, match="empty polyline"):
-        Clearance(REGION)([])
+        Clearance(REGION)(0, [])
+    # a polyline of another dimension than the region, or of points of
+    # unequal dimension, is not answered on the axes they share
+    for points in ([(2, 2)], [(2, 2, 2, 9)], [(2, 2, 2), (2, 2)]):
+        with pytest.raises(ValueError, match="dimension"):
+            Clearance(REGION)(0, points)
+    with pytest.raises(ValueError, match="dimension"):
+        polyline_neighborhood([(2, 2, 2), (2, 2)], 1)
 
 
 def test_components_counts():
@@ -697,8 +715,7 @@ def test_lattice_exponent_is_the_least_that_holds_every_corner(a, finer):
 
 
 def test_operations_on_sets_never_relattice_their_boxes(monkeypatch):
-    # `_lattice` only brings Dyadic boxes in: the constructor's, and the
-    # segments of a Clearance query
+    # `_lattice` only brings the constructor's Dyadic boxes in
     a = BoxSet([box_of((0, 4), (0, 2), (0, 1)), box_of((4, 5), (0, 1), (0, 1))])
     b = BoxSet([box_of((Dyadic(7, 1), Dyadic(23, 2)), (1, 3), (0, 1))])
     calls = []
@@ -718,10 +735,17 @@ def test_operations_on_sets_never_relattice_their_boxes(monkeypatch):
     b.inflate_all(Dyadic(1, 3))
     b.thin(Dyadic(1, 4))
     a.components()
-    Clearance(a)
+    prepared = Clearance(a)
     assert calls == []
-    Clearance(a)([(1, 1, Dyadic(1, 2))])
-    assert calls == [1]
+    prepared(2, [(4, 4, 2)])  # (1, 1, 1/2) on the lattice of 2
+    assert calls == []
+    # the contact faces and a Clearance query are ints from end to end
+    made = []
+    init = Dyadic.__init__
+    monkeypatch.setattr(Dyadic, "__init__", lambda d, *args: made.append(args) or init(d, *args))
+    contact_faces(a, b)
+    prepared(3, [(8, 8, 4), (8, 8, 12)])
+    assert made == []
 
 
 # -- reference kernel ---------------------------------------------------------

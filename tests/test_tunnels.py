@@ -1,11 +1,14 @@
 """Tunnel routing, edge addition, and the BS(1,2) assembly pipeline."""
 
+import importlib.util
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import router_reference
 from partition_reference import tree_path
 from tilelab import tunnels
 from tilelab.boxes import BoxSet, box_of, set_contacts, union_all
@@ -21,6 +24,8 @@ from tilelab.tunnels import (CUBE_SYMMETRIES, FINEST_EXP, RoutingError,
                              TunnelPlan, contract_fibers, random_isometry,
                              route_gamma, schedule_edges)
 from tilelab.unimodular import piece_features
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 def tiled_path(n, seed=0):
@@ -72,7 +77,8 @@ def _max_clearance_loop(room):
 @example(Dyadic((1 << 20) - 1, 20 + FINEST_EXP))
 @example(Dyadic(3, 2))
 def test_max_clearance_matches_loop(room):
-    got = _max_clearance(None, lambda _points: room)
+    j = _max_clearance(0, None, lambda _e, _points: (room.exp, room.num))
+    got = None if j is None else Dyadic(1, j)
     want = _max_clearance_loop(room)
     assert (got and (got.num, got.exp)) == (want and (want.num, want.exp))
 
@@ -122,13 +128,10 @@ def carve_verdicts(monkeypatch):
     return seen
 
 
-def test_carve_verdict_matches_four_queries_on_a04_instances(carve_verdicts):
-    # the routed instances of test_a04: per seed, the tiling of a random
-    # tree and the first u-v-w path that routes, until 100 are found
-    routed = 0
+def a04_attempts():
+    """The tilings of test_a04's seeds, each with the (u, v, w) paths that
+    test_a04 tries on it, in its order, until one routes."""
     for seed in range(400):
-        if routed >= 100:
-            break
         n = random.Random(seed).randrange(3, 9)
         tree = synthetic_tree(f"random({n},4)", seed=seed)
         try:
@@ -140,9 +143,18 @@ def test_carve_verdict_matches_four_queries_on_a04_instances(carve_verdicts):
             continue
         old = {frozenset(e) for e in tiling.adjacency()}
         verts = sorted(tiling.tile_of, key=repr)
-        paths = ((u, v, w) for u in verts for w in verts
-                 if repr(u) < repr(w) and frozenset((u, w)) not in old
-                 for v in verts if {frozenset((u, v)), frozenset((w, v))} <= old)
+        yield tiling, [(u, v, w) for u in verts for w in verts
+                       if repr(u) < repr(w) and frozenset((u, w)) not in old
+                       for v in verts if {frozenset((u, v)), frozenset((w, v))} <= old]
+
+
+def test_carve_verdict_matches_four_queries_on_a04_instances(carve_verdicts):
+    # the routed instances of test_a04: per seed, the tiling of a random
+    # tree and the first u-v-w path that routes, until 100 are found
+    routed = 0
+    for tiling, paths in a04_attempts():
+        if routed >= 100:
+            break
         for path in paths:
             try:
                 plan = route_gamma(tiling.tile_of, list(path))
@@ -156,6 +168,57 @@ def test_carve_verdict_matches_four_queries_on_a04_instances(carve_verdicts):
     for tiles, verdict in carve_verdicts:
         assert verdict is None
         assert verdict == four_query_fault(*tiles)
+
+
+def assert_routes_as_reference(tiles, path) -> bool:
+    """`route_gamma` gives the Dyadic reference router's plan, or raises its
+    `RoutingError` message; whether the path routed."""
+    try:
+        want = router_reference.route_gamma(tiles, list(path))
+    except RoutingError as err:
+        with pytest.raises(RoutingError) as got:
+            route_gamma(tiles, list(path))
+        assert str(got.value) == str(err)
+        return False
+    got = route_gamma(tiles, list(path))
+    assert (got.path, got.gamma, got.epsilon) == (want.path, want.gamma, want.epsilon)
+    return True
+
+
+def test_router_matches_dyadic_reference_on_a04_paths():
+    routed = tried = 0
+    for tiling, paths in a04_attempts():
+        if routed >= 100:
+            break
+        for path in paths:
+            tried += 1
+            if assert_routes_as_reference(tiling.tile_of, path):
+                routed += 1
+                break
+    assert routed >= 100 and tried > routed
+
+
+@pytest.mark.parametrize("width,eps", [(Dyadic((1 << 14) - 1, 14), Dyadic(1, 2)),
+                                       (Dyadic(1, 11), Dyadic(1, FINEST_EXP))])
+def test_router_matches_dyadic_reference_at_the_finest_lattice(width, eps):
+    # three unit cubes in a row, the middle one cut to `width` along y: a
+    # face centre one lattice finer than every tile, or a corridor whose
+    # half step is 2^-13
+    tiles = {0: BoxSet([box_of((0, 1), (0, 1), (0, 1))]),
+             1: BoxSet([box_of((1, 2), (0, width), (0, 1))]),
+             2: BoxSet([box_of((2, 3), (0, 1), (0, 1))])}
+    assert assert_routes_as_reference(tiles, (0, 1, 2))
+    assert route_gamma(tiles, [0, 1, 2]).epsilon == eps
+
+
+def test_router_matches_dyadic_reference_on_bench_paths():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    paths = workloads._tunnel_paths(18)
+    routed = sum(assert_routes_as_reference(tiling.tile_of, path)
+                 for _, tiling, path in paths)
+    assert len(paths) == 18 and 0 < routed < 18
 
 
 def _bar(x, z_hi):
