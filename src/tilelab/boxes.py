@@ -14,10 +14,11 @@ A set keeps its canonical boxes as ``(lo, hi)`` int pairs, ``ints``, on the
 lattice of ``exp``, the least exponent >= 0 at which every corner ``c / 2**exp``
 has an int ``c``; equal sets have equal ``(exp, ints)``.  The pipelines build
 their sets from int boxes, through `BoxSet.from_ints` and `box_minus`.
-`Dyadic` corners enter only through the `BoxSet` constructor (`_lattice`,
-which has that one caller), and leave only through ``boxes`` and ``bbox``;
-a `Dyadic` margin, offset or point is put on the set's lattice as an int
-(`on_lattice`) before any box is touched.
+`Dyadic` corners enter only through `box_of` and the `BoxSet` constructor
+(`_lattice`, which has that one caller), and leave only through ``boxes``:
+they are the boundary to tests and renderers.  Every other method takes ints
+on a stated lattice: a margin, offset or point ``m`` given with the exponent
+``e`` stands for ``m / 2**e``.
 Operations move the coarser operand to the finer lattice with ``<<``.
 Every boolean is one of two kernels.  A raw box list, `union_all` of many
 sets and `BoxSet.union` are canonicalized by one sweep per axis over a
@@ -41,11 +42,10 @@ per box, the earlier boxes touching it along a face and those overlapping
 it, from bisects into sorted box ends, with no work per pair.  Every contact
 query reads it, whatever the number of boxes: `set_contacts` reads which
 sets touch or overlap, and components, off those bitsets, and so do
-`BoxSet.components` and `BoxSet.interior_intersects`; only the area queries
-(`shared_face_area`, `contact_faces`) measure the pairs, in `_contacts`.
+`BoxSet.components` and `BoxSet.interior_intersects`; only `contact_faces`
+measures the pairs, in `_contacts`, and `shared_face_area` sums its areas.
 
-`contact_faces` and `Clearance` work on ints alone.  `Clearance` is a
-region prepared for many queries of int polylines on any lattice: its
+`Clearance` is a region prepared for many queries of int polylines on any lattice: its
 complement near the region is built once, in a flat form in which a
 segment's gap to a complement box is one ``max(map(sub, box, segment))``,
 and moved once to each finer lattice a query needs.
@@ -55,19 +55,20 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import islice
 from math import prod
-from operator import itemgetter, le, sub
+from operator import index, le, sub
 from typing import Container, NamedTuple, Sequence
 
 from .canon import find, join
-from .dyadic import Dyadic, ZERO, on_lattice
+from .dyadic import Dyadic
 
 Box = tuple  # tuple of (lo, hi) Dyadic pairs, one per axis
 
 
 def box_of(*intervals) -> Box:
-    return tuple((Dyadic.coerce(lo), Dyadic.coerce(hi)) for lo, hi in intervals)
+    """The box of ``(lo, hi)`` intervals of `Dyadic` or int ends."""
+    return tuple(tuple(c if isinstance(c, Dyadic) else Dyadic(index(c)) for c in iv)
+                 for iv in intervals)
 
 
 # Slabs one `_merge` of two sections of a `_sweep` may append over all axes,
@@ -96,13 +97,14 @@ def _shift(ib: Sequence[tuple], k: int) -> Sequence[tuple]:
     return [tuple((lo << k, hi << k) for lo, hi in b) for b in ib] if k else ib
 
 
-def _offset(e: int, ib: Sequence[tuple], moves: Sequence[tuple]):
-    """``(f, boxes)``: int boxes on the lattice of ``e`` plus the `Dyadic` pair
-    ``moves[a]`` on the corners of axis ``a``, on the finest lattice ``f`` of all."""
-    f, d = on_lattice([x for m in moves for x in m], e)
-    k = f - e
-    return f, [tuple(((lo << k) + a, (hi << k) + b)
-                     for (lo, hi), a, b in zip(box, d[::2], d[1::2])) for box in ib]
+def _offset(e: int, ib: Sequence[tuple], g: int, moves: Sequence[tuple]):
+    """``(f, boxes)``: int boxes on the lattice of ``e`` plus the int pair
+    ``moves[a]``, on the lattice of ``g``, on the corners of axis ``a``, all on
+    the finer lattice ``f`` of the two."""
+    f = max(e, g)
+    k, j = f - e, f - g
+    return f, [tuple(((lo << k) + (a << j), (hi << k) + (b << j))
+                     for (lo, hi), (a, b) in zip(box, moves)) for box in ib]
 
 
 class RawBoxes(NamedTuple):
@@ -205,8 +207,6 @@ def _sweep(name: str, ib: Sequence[tuple], d: int, budget: list):
 
     def walk(k, lo, hi, acc):
         mine = own.get(k)
-        if mine and acc:  # a box in the ancestors' union adds nothing
-            mine = [b for b in mine if not _covers(acc, b, d + 1)]
         if mine:
             sec = _sweep(name, mine, d + 1, budget)
             acc = sec if not acc else _merge(name, acc, sec)
@@ -226,24 +226,6 @@ def _sweep(name: str, ib: Sequence[tuple], d: int, budget: list):
 
     walk(1, 0, size, ())
     return tuple(out)
-
-
-def _covers(tree, box: tuple, d: int) -> bool:
-    """Whether the slab tree ``tree`` of axes ``d, d+1, ...`` contains the
-    int box ``box`` on those axes."""
-    while tree is not True:
-        at, hi = box[d]
-        k = bisect_right(tree, at, key=itemgetter(0)) - 1  # the slab holding at
-        if k < 0 or tree[k][1] <= at:
-            return False
-        d += 1
-        while tree[k][1] < hi:  # the box goes on into the next slab
-            if (k + 1 == len(tree) or tree[k + 1][0] != tree[k][1]
-                    or not _covers(tree[k][2], box, d)):
-                return False
-            k += 1
-        tree = tree[k][2]
-    return True
 
 
 def _runs(intervals: list) -> tuple:
@@ -432,22 +414,13 @@ class BoxSet:
             out.append((min(los), max(his)))
         return tuple(out)
 
-    def bbox(self) -> Box | None:
-        e = self.exp
-        return (tuple((Dyadic(lo, e), Dyadic(hi, e)) for lo, hi in self.int_bbox())
-                if self.ints else None)
-
-    def _outside(self, margin) -> "BoxSet":
-        """The bounding box widened by ``margin``, minus the set: one
-        `box_minus` on the finer of the two lattices."""
-        f, (m,) = on_lattice([Dyadic.coerce(margin)], self.exp)
+    def _outside(self, e: int, m: int) -> "BoxSet":
+        """The bounding box widened by the int margin ``m`` on the lattice of
+        ``e``, minus the set: one `box_minus` on the finer of the two lattices."""
+        f = max(e, self.exp)
         bbox, *ib = _shift([self.int_bbox(), *self.ints], f - self.exp)
+        m <<= f - e
         return box_minus(f, tuple((lo - m, hi + m) for lo, hi in bbox), ib)
-
-    def contains_point(self, pt: Sequence) -> bool:
-        e, q = on_lattice([Dyadic.coerce(x) for x in pt], self.exp)
-        return any(all(lo <= x <= hi for x, (lo, hi) in zip(q, b))
-                   for b in _shift(self.ints, e - self.exp))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BoxSet):
@@ -475,7 +448,7 @@ class BoxSet:
         if not self.ints:
             return BoxSet.empty(max(self.dim, other.dim))
         e, (bbox, *holes), _ = _common([RawBoxes(self.exp, [self.int_bbox()]),
-                                        self._outside(0), other])
+                                        self._outside(0, 0), other])
         return box_minus(e, bbox, holes)
 
     def interior_intersects(self, other: "BoxSet") -> bool:
@@ -487,9 +460,9 @@ class BoxSet:
 
     # -- geometry ops -----------------------------------------------------------
 
-    def translate(self, vec: Sequence) -> "BoxSet":
-        moves = [(x, x) for x in map(Dyadic.coerce, vec)]
-        return BoxSet._of(*_offset(self.exp, self.ints, moves), self.dim)
+    def translate(self, e: int, vec: Sequence[int]) -> "BoxSet":
+        """The set moved by the int vector ``vec`` on the lattice of ``e``."""
+        return BoxSet._of(*_offset(self.exp, self.ints, e, [(x, x) for x in vec]), self.dim)
 
     def signed_permute(self, perm: Sequence[int], signs: Sequence[int]) -> "BoxSet":
         """Apply the cube symmetry x_i -> signs[i] * x[perm[i]]."""
@@ -497,29 +470,30 @@ class BoxSet:
                for b in self.ints]
         return BoxSet._of(self.exp, _canonical(out), self.dim)
 
-    def inflate_all(self, eps) -> "BoxSet":
-        """Closed eps-neighborhood in the L-infinity metric."""
-        m = Dyadic.coerce(eps)
-        e, ib = _offset(self.exp, self.ints, [(-m, m)] * self.dim)
-        return BoxSet._of(e, _canonical(ib), self.dim)
+    def inflate_all(self, e: int, m: int) -> "BoxSet":
+        """Closed neighborhood in the L-infinity metric of radius the int
+        ``m`` on the lattice of ``e``."""
+        f, ib = _offset(self.exp, self.ints, e, [(-m, m)] * self.dim)
+        return BoxSet._of(f, _canonical(ib), self.dim)
 
-    def thin(self, eps) -> "BoxSet":
-        """Exact L-infinity erosion: points whose eps-cube stays inside."""
-        e = Dyadic.coerce(eps)
-        if e < ZERO:
+    def thin(self, e: int, m: int) -> "BoxSet":
+        """Exact L-infinity erosion: points whose cube of radius the int
+        ``m`` on the lattice of ``e`` stays inside."""
+        if m < 0:
             raise ValueError("thin: negative margin")
-        if self.is_empty() or e == ZERO:
+        if self.is_empty() or m == 0:
             return self
-        outside = self._outside(e + 1)
-        return self.difference(outside.inflate_all(e))
+        outside = self._outside(e, m + (1 << e))
+        return self.difference(outside.inflate_all(e, m))
 
     # -- contact structure --------------------------------------------------------
 
     def shared_face_area(self, other: "BoxSet") -> Fraction:
         """Total codimension-1 contact area; assumes disjoint interiors."""
-        e, ib, owner = _common([self, other])
-        return Fraction(sum(area for _, _, area in _contacts(ib, owner) if area is not None),
-                        _face_unit(e, ib))
+        e, faces = contact_faces(self, other)
+        # an area is in units of the lattice's face, 2**-(e * (dim - 1))
+        return Fraction(sum(area for _, area in faces),
+                        1 << e * (self.dim - 1) if faces else 1)
 
     def components(self) -> list["BoxSet"]:
         """Face-connected components (edge/corner contact does not connect),
@@ -629,11 +603,6 @@ def _contacts(ib: Sequence[tuple], owner: Sequence):
             yield min(j, k), max(j, k), None
 
 
-def _face_unit(e: int, ib: Sequence[tuple]) -> int:
-    """Denominator of the int face areas `_contacts` yields for ``ib``."""
-    return 1 << (e * (len(ib[0]) - 1)) if ib else 1
-
-
 def set_contacts(sets: Sequence[BoxSet | RawBoxes], components: Container[int] = ()) -> tuple:
     """Pairwise contact of box sets: ``(adjacent, overlaps, counts)`` where
     ``adjacent`` holds the set pairs ``(a, b)``, ``a < b``, whose closures
@@ -709,20 +678,11 @@ def _segments(points: Sequence[Sequence[int]]) -> list[tuple]:
     return segs
 
 
-def polyline_on_lattice(points: Sequence[Sequence], c) -> tuple[int, int, list[tuple]]:
-    """``(e, m, pts)``: the `Dyadic` ``c`` and the points of a polyline as
-    ints on the least lattice ``e`` that holds them all."""
-    pts = [[Dyadic.coerce(x) for x in p] for p in points]
-    e, ints = on_lattice([Dyadic.coerce(c), *(x for p in pts for x in p)])
-    rest = iter(ints[1:])
-    return e, ints[0], [tuple(islice(rest, len(p))) for p in pts]
-
-
-def polyline_neighborhood(points: Sequence[Sequence], c) -> BoxSet:
-    """Closed c-neighborhood (L-infinity) of a rectilinear polyline."""
-    e, m, pts = polyline_on_lattice(points, c)
+def polyline_neighborhood(e: int, points: Sequence[Sequence[int]], m: int) -> BoxSet:
+    """Closed L-infinity neighborhood of radius ``m`` of a rectilinear polyline
+    of int points, both on the lattice of ``e``."""
     return BoxSet.from_ints(e, [tuple((-nlo - m, hi + m) for hi, nlo in zip(s[::2], s[1::2]))
-                                for s in _segments(pts)])
+                                for s in _segments(points)])
 
 
 class Clearance:
@@ -754,7 +714,7 @@ class Clearance:
         # lattice exponent -> (bbox, complement boxes), flat, on that lattice
         self.exp, self.dim, self.lattices = region.exp, region.dim, {}
         if not region.is_empty():
-            comp = region._outside(1)
+            comp = region._outside(0, 1)
             self.lattices[self.exp] = (
                 tuple(z for lo, hi in region.int_bbox() for z in (hi, -lo)),
                 [tuple(z for lo, hi in c for z in (lo, -hi))

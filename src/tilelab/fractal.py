@@ -193,12 +193,13 @@ def pieces_in_window(chain: ScaleChain, window: Box,
     return pieces
 
 
-def _halo_contacts(regions: Sequence[BoxSet], uncovered: BoxSet,
-                   halo: Dyadic) -> Tuple[List[Tuple[int, int]], set, List[int]]:
+def _halo_contacts(regions: Sequence[BoxSet], uncovered: BoxSet, e: int,
+                   h: int) -> Tuple[List[Tuple[int, int]], set, List[int]]:
     """``(edges, exposed, counts)``: the sorted index pairs of regions with
     positive shared boundary, the indices of the regions whose closed
-    ``halo``-neighborhood has interior meeting the interior of ``uncovered``,
-    and the number of face-connected components of each region.
+    neighborhood of radius the halo, the int ``h`` on the lattice of ``e``,
+    has interior meeting the interior of ``uncovered``, and the number of
+    face-connected components of each region.
 
     For regular closed P and U, int(P + B_h) meets int U exactly when int P
     meets int(U + B_h), so one contact sweep of ``uncovered`` grown by the
@@ -207,8 +208,7 @@ def _halo_contacts(regions: Sequence[BoxSet], uncovered: BoxSet,
     no canonical sweep: they overlap each other, but interiors of two finite
     unions of closed boxes meet exactly when those of some box of each do,
     and set 0 is neither counted nor read for adjacency."""
-    grown = RawBoxes(*_offset(uncovered.exp, uncovered.ints,
-                              [(-halo, halo)] * uncovered.dim))
+    grown = RawBoxes(*_offset(uncovered.exp, uncovered.ints, e, [(-h, h)] * uncovered.dim))
     adjacent, overlaps, counts = set_contacts([grown, *regions],
                                               components=range(1, len(regions) + 1))
     return ([(a - 1, b - 1) for a, b in sorted(adjacent) if a],
@@ -235,7 +235,7 @@ def adjacency_report(pieces: Sequence[FractalPiece], window: Box,
     # e holds every region, so it is at least as fine as covered's lattice
     uncovered = box_minus(e, win, _shift(covered.ints, e - covered.exp))
 
-    edges, exposed, counts = _halo_contacts(regions, uncovered, halo)
+    edges, exposed, counts = _halo_contacts(regions, uncovered, e, h)
     degree = [0] * len(pieces)
     for a, b in edges:
         degree[a] += 1

@@ -318,11 +318,14 @@ class Tiling:
         return self._adjacency
 
     def transform(self, perm, signs, translation) -> "Tiling":
+        """The tiling under the cube symmetry ``(perm, signs)`` (see
+        `BoxSet.signed_permute`), then moved by the `Dyadic` ``translation``."""
+        e, vec = on_lattice(translation)
         t = {
-            v: s.signed_permute(perm, signs).translate(translation)
+            v: s.signed_permute(perm, signs).translate(e, vec)
             for v, s in self.tile_of.items()
         }
-        region = self.region.signed_permute(perm, signs).translate(translation)
+        region = self.region.signed_permute(perm, signs).translate(e, vec)
         return Tiling(t, region, self.roots, self.unresolved, self.demoted)
 
     def to_json(self) -> dict:

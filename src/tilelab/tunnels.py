@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 
 from .boxes import (BoxSet, Clearance, _shift, contact_faces, polyline_neighborhood,
-                    polyline_on_lattice, set_contacts, union_all)
+                    set_contacts, union_all)
 from .bs12 import CayleyWindow, FiberDecomposition, fiber_spanning_tree, fibers
 from .dyadic import Dyadic
 from .labels import LabelSource
@@ -38,16 +38,22 @@ class UnrealizableEdgeError(RuntimeError):
 
 
 class TunnelPlan:
-    def __init__(self, path, gamma, epsilon: Dyadic):
+    """A tunnel along ``path``: the rectilinear polyline ``points`` of int
+    points on the lattice 2^-``exp``, with clearance eps = 2^-``j``.  The tube
+    carved is its closed eps/2-neighborhood, and the halo outside which no
+    box changes its eps-neighborhood; ``j < exp``, so both radii are ints."""
+
+    def __init__(self, path, exp: int, points, j: int):
         self.path = list(path)
-        self.gamma = [tuple(Dyadic.coerce(c) for c in p) for p in gamma]
-        self.epsilon = Dyadic.coerce(epsilon)
+        self.exp = exp
+        self.points = list(points)
+        self.j = j
 
     def tube(self) -> BoxSet:
-        return polyline_neighborhood(self.gamma, self.epsilon.halve())
+        return polyline_neighborhood(self.exp, self.points, 1 << (self.exp - self.j - 1))
 
     def halo(self) -> BoxSet:
-        return polyline_neighborhood(self.gamma, self.epsilon)
+        return polyline_neighborhood(self.exp, self.points, 1 << (self.exp - self.j))
 
 
 def schedule_edges(tree: RootedTreeWindow, non_tree_edges) -> list:
@@ -91,7 +97,7 @@ def route_gamma(tiling_tiles: dict, path) -> TunnelPlan:
     The search runs on ints on the lattice of ``g``, one finer than every
     tile's and than 2^-FINEST_EXP, so it holds every contact face centre and
     every half step eps/2 with eps = 2^-j, j <= FINEST_EXP; each region's
-    room comes back on that lattice too."""
+    room comes back on that lattice too, and the plan is returned on it."""
     if len(path) != 3:
         raise UnrealizableEdgeError(
             f"path length {len(path)}: axis-aligned tunnels need a common neighbor"
@@ -126,8 +132,7 @@ def route_gamma(tiling_tiles: dict, path) -> TunnelPlan:
                 pts2 = _extend(g, pts, f12, f23, half, in_d1, in_d3)
                 if pts2 is None or in_union(g, pts2)[1] < half:
                     continue
-                return TunnelPlan(path, [tuple(Dyadic(x, g) for x in pt) for pt in pts2],
-                                  Dyadic(1, j))
+                return TunnelPlan(path, g, pts2, j)
     raise RoutingError(f"no certified corridor found along {path!r}")
 
 
@@ -200,9 +205,8 @@ def add_edge(tiling: Tiling, plan: TunnelPlan) -> Tiling:
         )
     u, mid, w = path
     d1, d2, d3 = tiling.tile_of[u], tiling.tile_of[mid], tiling.tile_of[w]
-    e, half, gamma = polyline_on_lattice(plan.gamma, plan.epsilon.halve())
-    f, room = Clearance(union_all([d1, d2, d3]))(e, gamma)
-    if room < half << (f - e):
+    f, room = Clearance(union_all([d1, d2, d3]))(plan.exp, plan.points)
+    if room < 1 << (f - plan.j - 1):  # eps/2 on the lattice of f
         raise RoutingError("tube escapes the path tiles")
     tube = plan.tube()
     new_d1 = d1.union(tube.difference(d3))

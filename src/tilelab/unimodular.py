@@ -498,9 +498,6 @@ class CylinderEvent:
         return _balls_isomorphic(omega, x, self.pattern, self.pattern_root,
                                  self.radius)
 
-    def holds(self, omega: Graph, x, labels: Dict) -> bool:
-        return self.pattern_holds(omega, x) and self.label_holds(labels[x])
-
 
 def _batch_means_sigma(indicators: Sequence[int]) -> float:
     """Standard error of the mean via batch means (sqrt(n) batches)."""

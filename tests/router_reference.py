@@ -1,23 +1,39 @@
 """The tunnel router on `Dyadic` coordinates, as it was before it moved to
 one int lattice: `Dyadic` contact faces and centres, a `Dyadic` clearance
 per query, and `Dyadic` half steps.  The candidate polylines and their
-dedupe, which work on either form, are the router's own.
-`tests/test_tunnels.py` checks that `tunnels.route_gamma` gives the same
-plan, or the same `RoutingError`."""
+dedupe, which work on either form, are the router's own.  Its plans are
+`DyadicPlan` records; `tests/test_tunnels.py` checks that `tunnels.route_gamma`
+gives the same plan, through `dyadic_plan`, or the same `RoutingError`."""
 
 from fractions import Fraction
 
-from tilelab.boxes import _common, _contacts, _face_unit, _lattice, _shift, union_all
+from tilelab.boxes import _common, _contacts, _lattice, _shift, union_all
 from tilelab.dyadic import Dyadic, HALF, ZERO
-from tilelab.tunnels import (FINEST_EXP, RoutingError, TunnelPlan, UnrealizableEdgeError,
+from tilelab.tunnels import (FINEST_EXP, RoutingError, UnrealizableEdgeError,
                              _candidate_mids, _dedupe)
+
+
+class DyadicPlan:
+    """A tunnel plan as the `Dyadic` router returned it: the polyline
+    ``gamma`` of `Dyadic` points and the clearance ``epsilon``."""
+
+    def __init__(self, path, gamma, epsilon):
+        self.path = list(path)
+        self.gamma = [tuple(Dyadic.coerce(c) for c in p) for p in gamma]
+        self.epsilon = Dyadic.coerce(epsilon)
+
+
+def dyadic_plan(plan):
+    """The `DyadicPlan` of a `tunnels.TunnelPlan`."""
+    return DyadicPlan(plan.path, [tuple(Dyadic(x, plan.exp) for x in p) for p in plan.points],
+                      Dyadic(1, plan.j))
 
 
 def contact_faces(a, b):
     """`Dyadic` face boxes where a and b touch, with `Fraction` areas, in
     (a box, b box) index order."""
     e, ib, owner = _common([a, b])
-    unit = _face_unit(e, ib)
+    unit = 1 << (e * (len(ib[0]) - 1)) if ib else 1
     hits = sorted((i, j, area) for i, j, area in _contacts(ib, owner) if area is not None)
     return [
         (tuple((Dyadic(max(pl, ql), e), Dyadic(min(ph, qh), e))
@@ -50,7 +66,7 @@ class Clearance:
     def __init__(self, region):
         self.exp, self.lattices = region.exp, {}
         if not region.is_empty():
-            comp = region._outside(1)
+            comp = region._outside(0, 1)
             self.lattices[self.exp] = [region.int_bbox(),
                                        *_shift(comp.ints, self.exp - comp.exp)]
 
@@ -140,7 +156,7 @@ def route_gamma(tiling_tiles, path):
                 if ext is None:
                     continue
                 pts2, eps = ext
-                plan = TunnelPlan(path, pts2, eps)
+                plan = DyadicPlan(path, pts2, eps)
                 if in_union(plan.gamma) < eps.halve():
                     continue
                 return plan

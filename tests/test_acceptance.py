@@ -296,7 +296,7 @@ def test_a08_erosion_oracle():
                 iv.append((Dyadic(a, p), Dyadic(b, p)))
             boxes.append(tuple(iv))
         bs = BoxSet(boxes)
-        thin = bs.thin(Dyadic(1, p))
+        thin = bs.thin(p, 1)
         vox, _ = voxelize(bs, p, pad)
         eroded = ndimage.binary_erosion(vox, np.ones((3, 3, 3)),
                                         border_value=0)

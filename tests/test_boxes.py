@@ -17,8 +17,8 @@ from scipy import ndimage
 from tilelab import boxes as boxes_mod
 from tilelab.boxes import (BoxSet, Clearance, RawBoxes, ResourceLimit, _contacts, _lattice,
                            _relation, box_of, contact_faces, polyline_neighborhood,
-                           polyline_on_lattice, set_contacts, union_all)
-from tilelab.dyadic import Dyadic
+                           set_contacts, union_all)
+from tilelab.dyadic import Dyadic, on_lattice
 from voxels import voxelize
 
 
@@ -87,15 +87,6 @@ def test_difference_disjoint_from_subtrahend(a, b):
 def test_union_idempotent(a):
     assert a.union(a).volume() == a.volume()
     assert a.union(BoxSet.empty(2)).volume() == a.volume()
-
-
-@given(boxes2d, st.tuples(st.integers(0, 15), st.integers(0, 15)))
-def test_contains_point_matches_interval_test(a, pt):
-    p = (Dyadic(2 * pt[0] + 1, 4), Dyadic(2 * pt[1] + 1, 4))  # off-boundary
-    direct = any(
-        all(lo < c < hi for c, (lo, hi) in zip(p, box)) for box in a.boxes
-    )
-    assert a.contains_point(p) == direct
 
 
 def test_shared_face_area_unit_cubes():
@@ -543,7 +534,7 @@ def test_clearance_matches_neighborhood_oracle(case):
     points, region, eps = case
 
     def inside(e):
-        return polyline_neighborhood(points, e).difference(region).is_empty()
+        return neighborhood(points, e).difference(region).is_empty()
 
     prepared = Clearance(region)
     room = clearance(prepared, points)
@@ -556,10 +547,24 @@ def test_clearance_matches_neighborhood_oracle(case):
     assert clearance(prepared, points, finer=3) == room  # on any lattice
 
 
+def on_one_lattice(points, c):
+    """``(e, m, pts)``: the `Dyadic` ``c`` and the `Dyadic` points of a
+    polyline as ints on the least lattice ``e`` that holds them all."""
+    e, ints = on_lattice([Dyadic.coerce(x) for x in (c, *(x for p in points for x in p))])
+    rest = iter(ints[1:])
+    return e, ints[0], [tuple(next(rest) for _ in p) for p in points]
+
+
+def neighborhood(points, c):
+    """`polyline_neighborhood` of the `Dyadic` points with the `Dyadic` radius ``c``."""
+    e, m, pts = on_one_lattice(points, c)
+    return polyline_neighborhood(e, pts, m)
+
+
 def clearance(prepared, points, finer=0):
     """The room of a `Clearance` query on the `Dyadic` points, asked on the
     lattice ``finer`` exponents below the least that holds them."""
-    e, _, pts = polyline_on_lattice(points, 0)
+    e, _, pts = on_one_lattice(points, 0)
     f, room = prepared(e + finer, [tuple(x << finer for x in p) for p in pts])
     assert f == max(e + finer, prepared.exp)
     return Dyadic(room, f)
@@ -571,7 +576,7 @@ def assert_clearance_exact(points, region, room, eps):
     exact (every gap is a multiple of 2^-8 here)."""
 
     def inside(e):
-        return polyline_neighborhood(points, e).difference(region).is_empty()
+        return neighborhood(points, e).difference(region).is_empty()
 
     assert 0 <= room <= 1
     assert inside(eps) == (eps <= room)
@@ -608,7 +613,7 @@ def test_clearance_rejects_diagonal_segments():
     with pytest.raises(ValueError, match="axis-aligned"):
         Clearance(REGION)(0, [(0, 0, 0), (1, 1, 0)])
     with pytest.raises(ValueError, match="axis-aligned"):
-        polyline_neighborhood([(0, 0, 0), (1, 0, 0), (2, 1, 1)], Dyadic(1, 2))
+        polyline_neighborhood(2, [(0, 0, 0), (4, 0, 0), (8, 4, 4)], 1)
     with pytest.raises(ValueError, match="empty polyline"):
         Clearance(REGION)(0, [])
     # a polyline of another dimension than the region, or of points of
@@ -617,7 +622,7 @@ def test_clearance_rejects_diagonal_segments():
         with pytest.raises(ValueError, match="dimension"):
             Clearance(REGION)(0, points)
     with pytest.raises(ValueError, match="dimension"):
-        polyline_neighborhood([(2, 2, 2), (2, 2)], 1)
+        polyline_neighborhood(0, [(2, 2, 2), (2, 2)], 1)
 
 
 def test_components_counts():
@@ -642,9 +647,9 @@ def test_components_are_canonical():
 
 def test_thin_of_cube():
     a = BoxSet([cube_at((0, 0, 0), Dyadic(2))])
-    t = a.thin(Dyadic(1, 1))
+    t = a.thin(1, 1)
     assert t.volume() == Fraction(27)  # side 4 erodes to side 3
-    assert a.thin(Dyadic(3)).is_empty()
+    assert a.thin(0, 3).is_empty()
 
 
 def _random_union(rng, pitch_exp=6, max_boxes=3):
@@ -665,7 +670,7 @@ def test_thin_matches_voxel_erosion():
     pad = box_of(*[(Dyadic(-1, p), Dyadic((1 << p) + 1, p))] * 3)
     for _ in range(25):
         bs = _random_union(rng, p)
-        thin = bs.thin(Dyadic(1, p))
+        thin = bs.thin(p, 1)
         vox, _ = voxelize(bs, p, pad)
         eroded = ndimage.binary_erosion(vox, np.ones((3, 3, 3)), border_value=0)
         got = (voxelize(thin, p, pad)[0] if not thin.is_empty()
@@ -676,13 +681,13 @@ def test_thin_matches_voxel_erosion():
 def test_translate_and_permute_preserve_volume():
     rng = random.Random(7)
     bs = _random_union(rng)
-    moved = bs.translate((Dyadic(1), Dyadic(-2), Dyadic(3, 2)))
+    moved = bs.translate(2, (4, -8, 3))  # (1, -2, 3/4)
     assert moved.volume() == bs.volume()
     flipped = bs.signed_permute((2, 0, 1), (1, -1, 1))
     assert flipped.volume() == bs.volume()
     # exact round trips, through a lattice finer than the set's 2^-6 one
-    fine = (Dyadic(5, 7), Dyadic(-3, 9), Dyadic(1, 8))
-    back = bs.translate(fine).translate([-x for x in fine])
+    fine = (20, -3, 2)  # (5/2^7, -3/2^9, 1/2^8) on the lattice 2^-9
+    back = bs.translate(9, fine).translate(9, [-x for x in fine])
     assert back.boxes == bs.boxes and back == bs
     back = flipped.signed_permute((1, 2, 0), (-1, 1, 1))
     assert back.boxes == bs.boxes and back == bs
@@ -728,12 +733,11 @@ def test_operations_on_sets_never_relattice_their_boxes(monkeypatch):
     set_contacts([a, b])
     contact_faces(a, b)
     a.volume()
-    a.bbox()
-    a.contains_point((Dyadic(1, 3), 1, 0))
-    b.translate((Dyadic(1, 5), 0, 0))
+    a.int_bbox()
+    b.translate(5, (1, 0, 0))
     b.signed_permute((2, 0, 1), (1, -1, 1))
-    b.inflate_all(Dyadic(1, 3))
-    b.thin(Dyadic(1, 4))
+    b.inflate_all(3, 1)
+    b.thin(4, 1)
     a.components()
     prepared = Clearance(a)
     assert calls == []
@@ -943,9 +947,8 @@ def test_set_contacts_reads_raw_widened_boxes_as_their_set(raws, k):
     touches inside the other set's interior adds a face bit only where the
     sets overlap anyway."""
     grown, *rest = [BoxSet(r) for r in raws]
-    halo = Dyadic(1, k)
-    raw = RawBoxes(*boxes_mod._offset(grown.exp, grown.ints, [(-halo, halo)] * grown.dim))
-    canonical = grown.inflate_all(halo)
+    raw = RawBoxes(*boxes_mod._offset(grown.exp, grown.ints, k, [(-1, 1)] * grown.dim))
+    canonical = grown.inflate_all(k, 1)
     assert BoxSet.from_ints(*raw) == canonical
     counted = range(1, len(raws))
     adjacent, overlaps, counts = set_contacts([raw, *rest], components=counted)

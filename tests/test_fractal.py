@@ -122,7 +122,7 @@ def test_split_piece_is_reported_disconnected():
     p = pieces[2]
     # the piece plus a far copy of it, outside the window
     pieces[2] = FractalPiece(p.scale, p.family, p.cell,
-                             p.region.union(p.region.translate((Dyadic(100), 0))))
+                             p.region.union(p.region.translate(0, (100, 0))))
     assert adjacency_report(pieces, win, "square")["disconnected_pieces"] == [p.key]
 
 
@@ -144,10 +144,12 @@ def test_embed_tree_vertices_inside_pieces():
     edges = [(i, j) for i, j in rep["edges"]
              if i in interior and j in interior]
     emb = embed_tree(pieces, edges, seed=0)
-    from tilelab.dyadic import Dyadic as D
     for idx, pair in enumerate(emb["points"]):
-        pt = tuple(D(*c) for c in pair)
-        assert pieces[idx].region.contains_point(pt)
+        region = pieces[idx].region
+        e, pt = on_lattice([Dyadic(*c) for c in pair], region.exp)
+        k = e - region.exp
+        assert any(all(lo << k <= x <= hi << k for x, (lo, hi) in zip(pt, b))
+                   for b in region.ints)
     assert emb["crossings"] == 0
 
 
@@ -238,15 +240,16 @@ def _box_sets(dim, min_size):
 _halo_cases = st.sampled_from((2, 3)).flatmap(lambda dim: st.tuples(
     st.lists(_box_sets(dim, 1), min_size=1, max_size=4),
     _box_sets(dim, 0),
-    st.integers(0, 4).map(lambda k: Dyadic(1, k))))
+    # the halo 2^-k as an int on a lattice up to two finer than its own
+    st.integers(0, 4).flatmap(lambda k: st.integers(0, 2).map(lambda f: (k + f, 1 << f)))))
 
 
 @given(_halo_cases)
 def test_halo_contacts_matches_per_piece_oracle(case):
-    regions, uncovered, halo = case
-    edges, exposed, counts = _halo_contacts(regions, uncovered, halo)
+    regions, uncovered, (e, h) = case
+    edges, exposed, counts = _halo_contacts(regions, uncovered, e, h)
     assert exposed == {k for k, r in enumerate(regions)
-                       if r.inflate_all(halo).interior_intersects(uncovered)}
+                       if r.inflate_all(e, h).interior_intersects(uncovered)}
     assert edges == [(a, b) for a in range(len(regions))
                      for b in range(a + 1, len(regions))
                      if regions[a].shared_face_area(regions[b]) > 0]

@@ -220,7 +220,7 @@ def test_verifier_reports_split_tile():
     v = sorted(tiling.tile_of, key=repr)[3]
     tiles = dict(tiling.tile_of)
     # the tile plus a far copy of it: two apart pieces under one vertex
-    tiles[v] = tiles[v].union(tiles[v].translate((Dyadic(100), 0, 0)))
+    tiles[v] = tiles[v].union(tiles[v].translate(0, (100, 0, 0)))
     split = Tiling(tiles, tiling.region, tiling.roots, tiling.unresolved,
                    tiling.demoted)
     assert split.contacts(counted=True)[3][3] == 2

@@ -3,6 +3,7 @@
 import importlib.util
 import itertools
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -89,9 +90,9 @@ def test_route_gamma_builds_each_complement_once(monkeypatch, path, routable):
     calls = []
     outside = BoxSet._outside
 
-    def counted(self, margin):
+    def counted(self, e, margin):
         calls.append(1)
-        return outside(self, margin)
+        return outside(self, e, margin)
 
     monkeypatch.setattr(BoxSet, "_outside", counted)
     if routable:
@@ -180,7 +181,7 @@ def assert_routes_as_reference(tiles, path) -> bool:
             route_gamma(tiles, list(path))
         assert str(got.value) == str(err)
         return False
-    got = route_gamma(tiles, list(path))
+    got = router_reference.dyadic_plan(route_gamma(tiles, list(path)))
     assert (got.path, got.gamma, got.epsilon) == (want.path, want.gamma, want.epsilon)
     return True
 
@@ -208,17 +209,40 @@ def test_router_matches_dyadic_reference_at_the_finest_lattice(width, eps):
              1: BoxSet([box_of((1, 2), (0, width), (0, 1))]),
              2: BoxSet([box_of((2, 3), (0, 1), (0, 1))])}
     assert assert_routes_as_reference(tiles, (0, 1, 2))
-    assert route_gamma(tiles, [0, 1, 2]).epsilon == eps
+    assert router_reference.dyadic_plan(route_gamma(tiles, [0, 1, 2])).epsilon == eps
 
 
-def test_router_matches_dyadic_reference_on_bench_paths():
+def bench_paths():
+    """The 18 ``(tree seed, tiling, path)`` cases of the tunnel-route workload."""
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    paths = workloads._tunnel_paths(18)
+    return workloads._tunnel_paths(18)
+
+
+def test_router_matches_dyadic_reference_on_bench_paths():
+    paths = bench_paths()
     routed = sum(assert_routes_as_reference(tiling.tile_of, path)
                  for _, tiling, path in paths)
     assert len(paths) == 18 and 0 < routed < 18
+
+
+def test_route_and_carve_build_no_dyadic_on_bench_paths(monkeypatch):
+    paths = bench_paths()
+
+    def no_dyadic(*args):
+        raise AssertionError(f"Dyadic{args} built")
+
+    monkeypatch.setattr(Dyadic, "__init__", no_dyadic)
+    routed = 0
+    for _, tiling, path in paths:
+        try:
+            plan = route_gamma(tiling.tile_of, list(path))
+        except RoutingError:
+            continue
+        add_edge(tiling, plan)
+        routed += 1
+    assert 0 < routed < 18
 
 
 def _bar(x, z_hi):
@@ -226,21 +250,22 @@ def _bar(x, z_hi):
     return BoxSet([box_of((x, x + 1), (0, Dyadic(1, 2)), (0, z_hi))])
 
 
+# z and x_end are ints on the lattice 2^-3 of the plan
 @pytest.mark.parametrize("z_hi, z, x_end, why", [
-    # the tube cuts the middle tile through
-    (1, Dyadic(1, 1), Dyadic(5, 1), "tunnel would disconnect the middle tile"),
-    # the tube stops inside the middle tile
-    (1, Dyadic(1, 1), Dyadic(3, 1), "tunnel failed to reach the far tile"),
-    # the tube eats the whole face between the middle and the far tile
-    (Dyadic(1, 2), Dyadic(1, 3), Dyadic(5, 1), "tunnel consumed an existing contact face"),
+    # the tube cuts the middle tile through: z = 1/2, x_end = 5/2
+    (1, 4, 20, "tunnel would disconnect the middle tile"),
+    # the tube stops inside the middle tile: x_end = 3/2
+    (1, 4, 12, "tunnel failed to reach the far tile"),
+    # the tube eats the whole face between the middle and the far tile: z = 1/8
+    (Dyadic(1, 2), 1, 20, "tunnel consumed an existing contact face"),
 ])
 def test_carve_verdict_matches_four_queries_on_each_fault(carve_verdicts, z_hi, z, x_end, why):
     # tiles 0 and 2 of height z_hi on either side of a unit-high tile 1; the
     # tube, 1/4 wide, fills the tiles' 1/4 depth
     tiles = {0: _bar(0, z_hi), 1: _bar(1, 1), 2: _bar(2, z_hi)}
     tiling = Tiling(tiles, union_all(list(tiles.values())), [], set(), [])
-    y = Dyadic(1, 3)
-    plan = TunnelPlan([0, 1, 2], [(Dyadic(1, 1), y, z), (x_end, y, z)], Dyadic(1, 2))
+    # from x = 1/2 at y = 1/8, with eps = 2^-2, on the lattice 2^-3
+    plan = TunnelPlan([0, 1, 2], 3, [(4, 1, z), (x_end, 1, z)], 2)
     with pytest.raises(RoutingError, match=why):
         add_edge(tiling, plan)
     [(carved, verdict)] = carve_verdicts
@@ -374,8 +399,8 @@ def test_piece_features_read_the_int_bbox():
     for fid, piece in pieces.tile_of.items():
         features = piece_features(piece, len(fib.members[fid]))
         assert piece._boxes is None  # no Dyadic corner was built
-        sides = sorted((hi - lo).as_fraction() for lo, hi in piece.bbox())
-        assert features["elongation"] == float(sides[-1] / sides[0])
+        sides = sorted(hi - lo for lo, hi in piece.int_bbox())  # on one lattice
+        assert features["elongation"] == float(Fraction(sides[-1], sides[0]))
     # bounding-box sides 1, 3/4 and 2, on the lattice 2^-2
     piece = BoxSet.from_ints(2, [((0, 4), (-1, 1), (0, 8)),
                                  ((0, 2), (1, 2), (0, 4))])

@@ -3,6 +3,8 @@ the tests."""
 
 import numpy as np
 
+from tilelab.dyadic import Dyadic
+
 
 def voxelize(bs, pitch_exp, bbox=None):
     """Occupancy grid of the `BoxSet` ``bs`` with cell size 2^-pitch_exp over
@@ -13,9 +15,9 @@ def voxelize(bs, pitch_exp, bbox=None):
     by half-open index ranges of the snapped corners.
     """
     if bbox is None:
-        bbox = bs.bbox()
-    if bbox is None:
-        raise ValueError("voxelize: empty set without bbox")
+        if bs.is_empty():
+            raise ValueError("voxelize: empty set without bbox")
+        bbox = tuple((Dyadic(lo, bs.exp), Dyadic(hi, bs.exp)) for lo, hi in bs.int_bbox())
     scale = 1 << pitch_exp
     lo = [x[0].as_fraction() for x in bbox]
     shape = []
