@@ -250,14 +250,13 @@ def _bar(x, z_hi):
     return BoxSet([box_of((x, x + 1), (0, Dyadic(1, 2)), (0, z_hi))])
 
 
-# z and x_end are ints on the lattice 2^-3 of the plan
 @pytest.mark.parametrize("z_hi, z, x_end, why", [
-    # the tube cuts the middle tile through: z = 1/2, x_end = 5/2
-    (1, 4, 20, "tunnel would disconnect the middle tile"),
-    # the tube stops inside the middle tile: x_end = 3/2
-    (1, 4, 12, "tunnel failed to reach the far tile"),
-    # the tube eats the whole face between the middle and the far tile: z = 1/8
-    (Dyadic(1, 2), 1, 20, "tunnel consumed an existing contact face"),
+    # the tube cuts the middle tile through
+    (1, Dyadic(1, 1), Dyadic(5, 1), "tunnel would disconnect the middle tile"),
+    # the tube stops inside the middle tile
+    (1, Dyadic(1, 1), Dyadic(3, 1), "tunnel failed to reach the far tile"),
+    # the tube eats the whole face between the middle and the far tile
+    (Dyadic(1, 2), Dyadic(1, 3), Dyadic(5, 1), "tunnel consumed an existing contact face"),
 ])
 def test_carve_verdict_matches_four_queries_on_each_fault(carve_verdicts, z_hi, z, x_end, why):
     # tiles 0 and 2 of height z_hi on either side of a unit-high tile 1; the
@@ -265,6 +264,7 @@ def test_carve_verdict_matches_four_queries_on_each_fault(carve_verdicts, z_hi, 
     tiles = {0: _bar(0, z_hi), 1: _bar(1, 1), 2: _bar(2, z_hi)}
     tiling = Tiling(tiles, union_all(list(tiles.values())), [], set(), [])
     # from x = 1/2 at y = 1/8, with eps = 2^-2, on the lattice 2^-3
+    z, x_end = z.scale(3).floor(), x_end.scale(3).floor()
     plan = TunnelPlan([0, 1, 2], 3, [(4, 1, z), (x_end, 1, z)], 2)
     with pytest.raises(RoutingError, match=why):
         add_edge(tiling, plan)
