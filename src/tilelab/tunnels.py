@@ -41,13 +41,19 @@ class TunnelPlan:
     """A tunnel along ``path``: the rectilinear polyline ``points`` of int
     points on the lattice 2^-``exp``, with clearance eps = 2^-``j``.  The tube
     carved is its closed eps/2-neighborhood, and the halo outside which no
-    box changes its eps-neighborhood; ``j < exp``, so both radii are ints."""
+    box changes its eps-neighborhood; ``j < exp``, so both radii are ints.
 
-    def __init__(self, path, exp: int, points, j: int):
+    ``certified`` is None for a plan built by hand.  `route_gamma` sets it to
+    ``(tiles, region)``: the three path tiles it certified the tube on, and
+    its prepared `Clearance` of their union, which `add_edge` reuses when it
+    carves those same tiles."""
+
+    def __init__(self, path, exp: int, points, j: int, certified=None):
         self.path = list(path)
         self.exp = exp
         self.points = list(points)
         self.j = j
+        self.certified = certified
 
     def tube(self) -> BoxSet:
         return polyline_neighborhood(self.exp, self.points, 1 << (self.exp - self.j - 1))
@@ -97,13 +103,19 @@ def route_gamma(tiling_tiles: dict, path) -> TunnelPlan:
     The search runs on ints on the lattice of ``g``, one finer than every
     tile's and than 2^-FINEST_EXP, so it holds every contact face centre and
     every half step eps/2 with eps = 2^-j, j <= FINEST_EXP; each region's
-    room comes back on that lattice too, and the plan is returned on it."""
+    room comes back on that lattice too, and the plan is returned on it.
+
+    Each clearance question is asked once per call: the complements of the
+    union, d1 and d3 are prepared once, a candidate polyline that repeats one
+    already tried for the same face pair is skipped (that one failed, since
+    a success returns), and each end is pushed into its end tile once per
+    face and half step.  The plan carries the union's prepared region."""
     if len(path) != 3:
         raise UnrealizableEdgeError(
             f"path length {len(path)}: axis-aligned tunnels need a common neighbor"
         )
-    d1, d2, d3 = (tiling_tiles[v] for v in path)
-    union = union_all([d1, d2, d3])
+    tiles = d1, d2, d3 = tuple(tiling_tiles[v] for v in path)
+    union = union_all(tiles)
     g = max(d1.exp, d2.exp, d3.exp, union.exp, FINEST_EXP) + 1
     # the three largest faces of each pair, moved to the lattice of g
     faces12, faces23 = (
@@ -111,16 +123,24 @@ def route_gamma(tiling_tiles: dict, path) -> TunnelPlan:
         for e, faces in (contact_faces(d1, d2), contact_faces(d2, d3)))
     if not faces12 or not faces23:
         raise RoutingError("consecutive path tiles are not adjacent")
-    # each region's complement is built once, for every candidate polyline
     in_union, in_d1, in_d3 = Clearance(union), Clearance(d1), Clearance(d3)
+    pushed = {}  # (end tile, face, half step) -> `_push`'s answer
+
+    def push(tile: Clearance, face, half: int):
+        if (tile, face, half) not in pushed:
+            pushed[tile, face, half] = _push(g, face, half, tile)
+        return pushed[tile, face, half]
 
     for f12 in faces12:
         for f23 in faces23:
             p = _center(f12)
             q = _center(f23)
+            tried = set()
             for mids in _candidate_mids(p, q):
-                pts = [p] + mids + [q]
-                pts = _dedupe(pts)
+                pts = tuple(_dedupe([p] + mids + [q]))
+                if pts in tried:
+                    continue
+                tried.add(pts)
                 try:
                     j = _max_clearance(g, pts, in_union)
                 except ValueError:
@@ -129,10 +149,14 @@ def route_gamma(tiling_tiles: dict, path) -> TunnelPlan:
                     continue
                 # extend the ends into the interiors of d1 and d3
                 half = 1 << (g - j - 1)
-                pts2 = _extend(g, pts, f12, f23, half, in_d1, in_d3)
-                if pts2 is None or in_union(g, pts2)[1] < half:
+                first = push(in_d1, f12, half)
+                last = push(in_d3, f23, half) if first else None
+                if last is None:
                     continue
-                return TunnelPlan(path, g, pts2, j)
+                pts2 = [first, *pts, last]
+                if in_union(g, pts2)[1] < half:
+                    continue
+                return TunnelPlan(path, g, pts2, j, (tiles, in_union))
     raise RoutingError(f"no certified corridor found along {path!r}")
 
 
@@ -164,32 +188,19 @@ def _dedupe(pts):
     return out
 
 
-def _extend(g: int, pts, f12, f23, half: int, in_d1, in_d3):
-    """Push the polyline endpoints past the contact faces into d1 and d3 by
-    ``half``, all ints on the lattice of ``g``."""
-    def normal_axis(face):
-        for a, (lo, hi) in enumerate(face):
-            if lo == hi:
-                return a
-        return None
-
-    out = list(pts)
-    for end, face, tile in ((0, f12, in_d1), (-1, f23, in_d3)):
-        ax = normal_axis(face)
-        if ax is None:
-            return None
-        for step in (half, -half):
-            cand = list(out[end])
-            cand[ax] += step
-            if half <= tile(g, [cand])[1]:
-                if end == 0:
-                    out.insert(0, tuple(cand))
-                else:
-                    out.append(tuple(cand))
-                break
-        else:
-            return None
-    return _dedupe(out)
+def _push(g: int, face, half: int, tile: Clearance):
+    """The centre of the contact ``face`` moved by ``half`` along its normal,
+    to the first side (+, then -) where it has clearance ``half`` in
+    ``tile``, or None; all ints on the lattice of ``g``.  A face contact is
+    degenerate on exactly one axis, its normal."""
+    ax = next(a for a, (lo, hi) in enumerate(face) if lo == hi)
+    centre = _center(face)
+    for step in (half, -half):
+        cand = list(centre)
+        cand[ax] += step
+        if half <= tile(g, [cand])[1]:
+            return tuple(cand)
+    return None
 
 
 def add_edge(tiling: Tiling, plan: TunnelPlan) -> Tiling:
@@ -203,9 +214,13 @@ def add_edge(tiling: Tiling, plan: TunnelPlan) -> Tiling:
         raise UnrealizableEdgeError(
             "axis-aligned tunnels require a 3-vertex path (common neighbor)"
         )
-    u, mid, w = path
-    d1, d2, d3 = tiling.tile_of[u], tiling.tile_of[mid], tiling.tile_of[w]
-    f, room = Clearance(union_all([d1, d2, d3]))(plan.exp, plan.points)
+    u, mid, _ = path
+    on_path = d1, d2, d3 = tuple(tiling.tile_of[v] for v in path)
+    if plan.certified and plan.certified[0] == on_path:
+        region = plan.certified[1]  # the region route_gamma certified on
+    else:
+        region = Clearance(union_all(on_path))
+    f, room = region(plan.exp, plan.points)
     if room < 1 << (f - plan.j - 1):  # eps/2 on the lattice of f
         raise RoutingError("tube escapes the path tiles")
     tube = plan.tube()

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 import router_reference
 from partition_reference import tree_path
 from tilelab import tunnels
-from tilelab.boxes import BoxSet, box_of, set_contacts, union_all
+from tilelab.boxes import BoxSet, Clearance, box_of, set_contacts, union_all
 from tilelab.bs12 import bs12_ball, fiber_spanning_tree, fibers
 from tilelab.canon import has_cycle
 from tilelab.dyadic import Dyadic
@@ -245,6 +245,43 @@ def test_route_and_carve_build_no_dyadic_on_bench_paths(monkeypatch):
     assert 0 < routed < 18
 
 
+def test_route_gamma_asks_each_clearance_once(monkeypatch):
+    asked, prepared = [], []
+    ask, prepare, union = Clearance.__call__, Clearance.__init__, tunnels.union_all
+
+    def spy_ask(self, e, points):
+        asked.append((self, e, tuple(map(tuple, points))))
+        return ask(self, e, points)
+
+    def spy_prepare(self, region):
+        prepared.append("Clearance")
+        prepare(self, region)
+
+    def spy_union(sets):
+        prepared.append("union_all")
+        return union(sets)
+
+    monkeypatch.setattr(Clearance, "__call__", spy_ask)
+    monkeypatch.setattr(Clearance, "__init__", spy_prepare)
+    monkeypatch.setattr(tunnels, "union_all", spy_union)
+    routed = 0
+    for _, tiling, path in bench_paths():
+        asked.clear()
+        try:
+            plan = route_gamma(tiling.tile_of, list(path))
+        except RoutingError:
+            plan = None
+        assert len(set(asked)) == len(asked), path
+        if plan is None:
+            continue
+        routed += 1
+        # the plan's region was prepared on these very tiles
+        prepared.clear()
+        add_edge(tiling, plan)
+        assert prepared == [], path
+    assert routed == 11
+
+
 def _bar(x, z_hi):
     """The box [x, x + 1] x [0, 1/4] x [0, z_hi]."""
     return BoxSet([box_of((x, x + 1), (0, Dyadic(1, 2)), (0, z_hi))])
@@ -270,6 +307,24 @@ def test_carve_verdict_matches_four_queries_on_each_fault(carve_verdicts, z_hi, 
         add_edge(tiling, plan)
     [(carved, verdict)] = carve_verdicts
     assert verdict == why == four_query_fault(*carved)
+
+
+def test_add_edge_rejects_a_tube_that_escapes_the_path_tiles():
+    # a plan routed on one tiling, carved on a copy whose middle tile has
+    # lost the tube's halo: the plan's certified region is not reused
+    _, tiling = tiled_path(8)
+    plan = route_gamma(tiling.tile_of, [2, 3, 4])
+    tiles = dict(tiling.tile_of)
+    tiles[3] = tiles[3].difference(plan.halo())
+    holed = Tiling(tiles, tiling.region, tiling.roots, tiling.unresolved, tiling.demoted)
+    with pytest.raises(RoutingError, match="tube escapes the path tiles"):
+        add_edge(holed, plan)
+    # a hand-built plan at z = 1/2, above the 1/4-high end tiles
+    tiles = {0: _bar(0, Dyadic(1, 2)), 1: _bar(1, 1), 2: _bar(2, Dyadic(1, 2))}
+    tiling = Tiling(tiles, union_all(list(tiles.values())), [], set(), [])
+    plan = TunnelPlan([0, 1, 2], 3, [(4, 1, 4), (20, 1, 4)], 2)
+    with pytest.raises(RoutingError, match="tube escapes the path tiles"):
+        add_edge(tiling, plan)
 
 
 @pytest.mark.parametrize("radius", [4, 5, 6])
