@@ -127,9 +127,10 @@ def route_gamma(tiling_tiles: dict, path) -> TunnelPlan:
     pushed = {}  # (end tile, face, half step) -> `_push`'s answer
 
     def push(tile: Clearance, face, half: int):
-        if (tile, face, half) not in pushed:
-            pushed[tile, face, half] = _push(g, face, half, tile)
-        return pushed[tile, face, half]
+        key = tile, face, half
+        if key not in pushed:
+            pushed[key] = _push(g, face, half, tile)
+        return pushed[key]
 
     for f12 in faces12:
         for f23 in faces23:
