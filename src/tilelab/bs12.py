@@ -20,6 +20,10 @@ from .dyadic import pair
 from .labels import LabelSource
 from .trees import RootedTreeWindow
 
+# The most vertices a `bs12_ball` may hold; a larger ball is a
+# `ResourceLimit`.  Radius 18, 363,093 vertices, is the largest ball under it.
+MAX_VERTICES = 500000
+
 
 class CayleyWindow:
     """Ball in the Cayley graph of BS(1,2) with generator-colored edges."""
@@ -48,7 +52,7 @@ def _moves(level: int, q: int, radius: int) -> tuple:
     return (level + 1, q), (level - 1, q), (level, q + step), (level, q - step)
 
 
-def bs12_ball(radius: int, cap: int = 500000) -> CayleyWindow:
+def bs12_ball(radius: int) -> CayleyWindow:
     """Word-metric ball around the identity by breadth-first enumeration."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
@@ -62,8 +66,8 @@ def bs12_ball(radius: int, cap: int = 500000) -> CayleyWindow:
                     dist[w] = r
                     nxt.append(w)
         frontier = nxt
-        if len(dist) > cap:
-            raise ResourceLimit(f"window exceeds cap ({cap} vertices)")
+        if len(dist) > MAX_VERTICES:
+            raise ResourceLimit(f"window exceeds cap ({MAX_VERTICES} vertices)")
     key = {(level, q): (level, *pair(q, radius)) for level, q in dist}
     edges = []
     for (level, q), v in key.items():

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 verification failure or internal invariant break
 (a failed buddy allocation), 2 configuration error (including a tree window
-too small to carry a block), 3 resource cap exceeded.
+too small to carry a block, or over the degree bound), 3 resource cap
+exceeded.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ from . import bs12 as bs12mod
 from . import exports, fractal, tunnels
 from .boxes import ResourceLimit
 from .canon import has_cycle
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, load_config, parse_value
 from .dyadic import Dyadic
 from .labels import LabelSource
-from .partition import Schedule
+from .partition import DEGREE_BOUND, Schedule, ScheduleError
 from .tiler import (AllocationError, WindowTooSmall, tile_tree,
                     verify_representation)
 from .trees import synthetic_tree
@@ -61,8 +62,8 @@ def _config_from_args(args) -> RunConfig:
         "tree": args.tree,
     }
     if args.schedule is not None:
-        overrides["schedule"] = [int(p) for p in
-                                 args.schedule.replace(",", " ").split()]
+        overrides["schedule"] = parse_value("schedule", args.schedule,
+                                            "--schedule")
     if args.config:
         return load_config(args.config, overrides)
     return RunConfig({k: v for k, v in overrides.items() if v is not None})
@@ -71,7 +72,7 @@ def _config_from_args(args) -> RunConfig:
 def _tile_tree_pipeline(cfg: RunConfig):
     tree = synthetic_tree(cfg.tree, cfg.seed)
     labels = LabelSource(cfg.seed, salt="tile-tree")
-    schedule = Schedule(tuple(cfg.schedule), degree_bound=4)
+    schedule = Schedule(tuple(cfg.schedule), DEGREE_BOUND)
     result = tile_tree(tree, schedule, cfg.stages, labels)
     report = verify_representation(result["tiling"], tree)
     return tree, result, report
@@ -83,9 +84,8 @@ def cmd_tile_tree(cfg: RunConfig) -> int:
     tiling = result["tiling"]
     exports.write_file(cfg.out, "tiling.json",
                        exports.json_report(tiling.to_json(), h, cfg.seed))
-    exports.write_file(cfg.out, "scene.off",
-                       exports.tiling_off(tiling, h, cfg.seed,
-                                          digits=cfg.decimal_digits))
+    mesh = exports.tiling_mesh(tiling, cfg.decimal_digits)
+    exports.write_file(cfg.out, "scene.off", exports.tiling_off(mesh, h, cfg.seed))
     exports.write_file(cfg.out, "verifier.json",
                        exports.json_report(report, h, cfg.seed))
     print(f"tile-tree: {len(tree.order)} vertices, "
@@ -142,9 +142,8 @@ def cmd_t3(cfg: RunConfig) -> int:
                 contracted.tile_of[fid], len(fib.members[fid]))
     stats = unimodular.piece_statistics(features)
 
-    exports.write_file(cfg.out, "t3-scene.off",
-                       exports.tiling_off(placed, h, cfg.seed,
-                                          digits=cfg.decimal_digits))
+    mesh = exports.tiling_mesh(placed, cfg.decimal_digits)
+    exports.write_file(cfg.out, "t3-scene.off", exports.tiling_off(mesh, h, cfg.seed))
     payload = {
         "fiber_report": _interior_fiber_report(fib),
         "piece_statistics": stats,
@@ -238,11 +237,9 @@ def cmd_export(cfg: RunConfig) -> int:
     tree, result, report = _tile_tree_pipeline(cfg)
     h = cfg.hash()
     tiling = result["tiling"]
-    mesh = exports._tiling_mesh(tiling, cfg.decimal_digits)  # for both formats
-    exports.write_file(cfg.out, "scene.off",
-                       exports.tiling_off(tiling, h, cfg.seed, mesh=mesh))
-    exports.write_file(cfg.out, "scene.obj",
-                       exports.tiling_obj(tiling, h, cfg.seed, mesh=mesh))
+    mesh = exports.tiling_mesh(tiling, cfg.decimal_digits)  # for both formats
+    exports.write_file(cfg.out, "scene.off", exports.tiling_off(mesh, h, cfg.seed))
+    exports.write_file(cfg.out, "scene.obj", exports.tiling_obj(mesh, h, cfg.seed))
     exports.write_file(cfg.out, "tiling.json",
                        exports.json_report(tiling.to_json(), h, cfg.seed))
     print(f"export: {len(tiling.tile_of)} tiles -> scene.off, scene.obj, "
@@ -276,7 +273,7 @@ def main(argv=None) -> int:
     except AllocationError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except (ConfigError, WindowTooSmall) as exc:
+    except (ConfigError, ScheduleError, WindowTooSmall) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -7,7 +7,7 @@ import json
 from typing import Dict, Optional
 
 from .fractal import INTERPRETATIONS
-from .partition import Schedule, ScheduleError
+from .partition import DEGREE_BOUND, Schedule, ScheduleError
 from .trees import parse_descriptor
 
 
@@ -15,17 +15,14 @@ class ConfigError(Exception):
     """Invalid configuration; the CLI maps this to exit code 2."""
 
 
+# every key and its default; a key's type is its default's type
 _DEFAULTS = {
     "seed": 0,
     "radius": 3,
     "schedule": [1, 6],
     "stages": 2,
-    "resolution": 6,
-    "u_min": 2,
     "interpretation": "square",
-    "threads": 1,
     "tree": "binary-canopy(4)",
-    "steps": 10000,
     "i_min": -2,
     "i_max": 2,
     "window": 2.0,
@@ -33,10 +30,9 @@ _DEFAULTS = {
     "out": ".",
 }
 
-_INT_KEYS = {"seed", "radius", "stages", "resolution", "u_min", "threads",
-             "steps", "i_min", "i_max", "decimal_digits"}
-_FLOAT_KEYS = {"window"}
-_STR_KEYS = {"interpretation", "tree", "out"}
+# keys that no command reads any more, hashed at their last defaults so that
+# config hashes, and the artifacts that embed them, keep their bytes
+_RETIRED = {"resolution": 6, "threads": 1, "steps": 10000, "u_min": 2}
 
 
 class RunConfig:
@@ -54,19 +50,17 @@ class RunConfig:
         self._validate()
 
     def _validate(self) -> None:
-        for k in _INT_KEYS:
+        for k, default in _DEFAULTS.items():
             v = getattr(self, k)
-            if not isinstance(v, int):
+            if isinstance(default, int) and not isinstance(v, int):
                 raise ConfigError(f"{k} must be an integer, got {v!r}")
         if not isinstance(self.schedule, (list, tuple)) or not self.schedule:
             raise ConfigError("schedule must be a nonempty list of integers")
         self.schedule = [int(n) for n in self.schedule]
         try:
-            Schedule(self.schedule, 4)
+            Schedule(self.schedule, DEGREE_BOUND)
         except ScheduleError as exc:
             raise ConfigError(str(exc)) from exc
-        if not (1 <= self.resolution <= 20):
-            raise ConfigError("resolution must lie in [1, 20]")
         if self.radius < 1:
             raise ConfigError("radius must be positive")
         if self.stages < 1 or self.stages > len(self.schedule):
@@ -86,10 +80,6 @@ class RunConfig:
             parse_descriptor(self.tree)
         except ValueError as exc:
             raise ConfigError(f"tree: {exc}") from None
-        if self.threads < 1:
-            raise ConfigError("threads must be positive")
-        if self.steps < 1:
-            raise ConfigError("steps must be positive")
 
     def as_dict(self) -> Dict:
         return {k: getattr(self, k) for k in sorted(_DEFAULTS)}
@@ -97,24 +87,24 @@ class RunConfig:
     def hash(self) -> str:
         # the output directory does not affect results, so it is not hashed
         payload = {k: v for k, v in self.as_dict().items() if k != "out"}
+        payload.update(_RETIRED)
         return hashlib.sha256(
             json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def _parse_value(key: str, raw: str, lineno: int):
+def parse_value(key: str, raw: str, where: str):
+    """``raw`` read as the type of ``key``'s default; ``where`` names the
+    source of ``raw`` in an error."""
+    if key not in _DEFAULTS:
+        raise ConfigError(f"{where}: unknown key {key!r}")
+    default = _DEFAULTS[key]
     raw = raw.strip()
     try:
-        if key == "schedule":
+        if isinstance(default, list):
             return [int(p) for p in raw.replace(",", " ").split()]
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _STR_KEYS:
-            return raw
+        return type(default)(raw)
     except ValueError:
-        raise ConfigError(f"line {lineno}: cannot parse {key}={raw!r}")
-    raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        raise ConfigError(f"{where}: cannot parse {key}={raw!r}")
 
 
 def load_config(path: str, overrides: Optional[Dict] = None) -> RunConfig:
@@ -130,7 +120,7 @@ def load_config(path: str, overrides: Optional[Dict] = None) -> RunConfig:
                                   f"got {stripped!r}")
             key, _, raw = stripped.partition("=")
             key = key.strip()
-            values[key] = _parse_value(key, raw, lineno)
+            values[key] = parse_value(key, raw, f"line {lineno}")
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
     return RunConfig(values)

@@ -23,7 +23,7 @@ def comment_header(config_hash: str, seed) -> List[str]:
     return [f"# config-hash: {config_hash}", f"# seed: {seed}"]
 
 
-def _tiling_mesh(tiling, digits: int) -> List[tuple]:
+def tiling_mesh(tiling, digits: int) -> List[tuple]:
     """The texts ``(x0, x1, y0, y1, z0, z1)`` of the coordinates of every box
     of every tile, in tile order, read from the tiles' lattice ints.  Each
     distinct coordinate ``c / 2**e`` is formatted once, through `Decimal`."""
@@ -59,22 +59,18 @@ def _mesh_text(header: List[str], boxes: List[tuple], v: str, q: str,
     return "".join(lines)
 
 
-def tiling_off(tiling, config_hash: str, seed, digits: int = 9,
-               mesh=None) -> str:
-    """ASCII OFF scene: one cuboid shell per box of every tile.  ``mesh``,
-    when given, is ``_tiling_mesh(tiling, digits)`` built beforehand."""
-    boxes = _tiling_mesh(tiling, digits) if mesh is None else mesh
+def tiling_off(mesh: List[tuple], config_hash: str, seed) -> str:
+    """ASCII OFF scene of a `tiling_mesh`: one cuboid shell per box of every
+    tile."""
     header = ["OFF", *comment_header(config_hash, seed),
-              f"{8 * len(boxes)} {6 * len(boxes)} 0"]
-    return _mesh_text(header, boxes, "", "4 ", 0)
+              f"{8 * len(mesh)} {6 * len(mesh)} 0"]
+    return _mesh_text(header, mesh, "", "4 ", 0)
 
 
-def tiling_obj(tiling, config_hash: str, seed, digits: int = 9,
-               mesh=None) -> str:
-    """Wavefront OBJ scene of the same mesh as `tiling_off`."""
-    boxes = _tiling_mesh(tiling, digits) if mesh is None else mesh
+def tiling_obj(mesh: List[tuple], config_hash: str, seed) -> str:
+    """Wavefront OBJ scene of a `tiling_mesh`, the same mesh as `tiling_off`."""
     # OBJ indices are 1-based
-    return _mesh_text(comment_header(config_hash, seed), boxes, "v ", "f ", 1)
+    return _mesh_text(comment_header(config_hash, seed), mesh, "v ", "f ", 1)
 
 
 def _int_text(n: int) -> str:

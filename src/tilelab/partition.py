@@ -18,6 +18,11 @@ from .labels import LabelSource
 from .trees import RootedTreeWindow
 
 
+# the degree bound d of the schedules that the CLI and `tunnels.assemble_bs12`
+# build; `build_stage` rejects a tree with a vertex of higher degree
+DEGREE_BOUND = 4
+
+
 class ScheduleError(ValueError):
     pass
 
@@ -138,7 +143,9 @@ def build_stage(tree: RootedTreeWindow, schedule: Schedule, levels: list,
     of S in the round after the last peel below it (round 1 when there is
     none), because until that peel some child keeps a live size of at least
     2^{n_i}.  The class id records that round, as a loop peeling the whole
-    leaf set of S round by round would.
+    leaf set of S round by round would.  A live size past
+    1 + (d - 1) 2^{n_i} takes more than d - 1 children, so the tree breaks
+    the degree bound d, and the stage raises `ScheduleError`.
     """
     n = schedule.n_values[i - 1]
     target = 1 << n
@@ -152,9 +159,11 @@ def build_stage(tree: RootedTreeWindow, schedule: Schedule, levels: list,
         if p is None:
             break  # the root comes first in preorder, so last here
         if size[x] >= target:
-            assert target <= size[x] <= 1 + (d - 1) * target, (
-                f"leaf-set size bound violated at {x!r}: {size[x]}"
-            )
+            if size[x] > 1 + (d - 1) * target:
+                raise ScheduleError(
+                    f"tree exceeds the degree bound d = {d} at {x!r}: live "
+                    f"subtree size {size[x]} > 1 + (d - 1) * 2^{n} = "
+                    f"{1 + (d - 1) * target}")
             last[x] += 1  # x's round, now the latest in its subtree
             region = set()
             stk = [x]

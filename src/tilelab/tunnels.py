@@ -24,7 +24,7 @@ from .boxes import (BoxSet, Clearance, _shift, contact_faces, polyline_neighborh
 from .bs12 import CayleyWindow, FiberDecomposition, fiber_spanning_tree, fibers
 from .dyadic import Dyadic
 from .labels import LabelSource
-from .partition import Schedule
+from .partition import DEGREE_BOUND, Schedule
 from .tiler import Tiling, tile_tree
 from .trees import RootedTreeWindow
 
@@ -46,7 +46,9 @@ class TunnelPlan:
     ``certified`` is None for a plan built by hand.  `route_gamma` sets it to
     ``(tiles, region)``: the three path tiles it certified the tube on, and
     its prepared `Clearance` of their union, which `add_edge` reuses when it
-    carves those same tiles."""
+    carves those same tiles.  `add_edge` sets it back to None once the tube
+    passes its escape check, so a caller holding many carved plans does not
+    hold their regions."""
 
     def __init__(self, path, exp: int, points, j: int, certified=None):
         self.path = list(path)
@@ -224,6 +226,7 @@ def add_edge(tiling: Tiling, plan: TunnelPlan) -> Tiling:
     f, room = region(plan.exp, plan.points)
     if room < 1 << (f - plan.j - 1):  # eps/2 on the lattice of f
         raise RoutingError("tube escapes the path tiles")
+    plan.certified = None
     tube = plan.tube()
     new_d1 = d1.union(tube.difference(d3))
     new_d2 = d2.difference(tube)
@@ -252,8 +255,8 @@ def _carve_fault(d1: BoxSet, d2: BoxSet, d3: BoxSet) -> str | None:
     return None
 
 
-def assemble_bs12(window: CayleyWindow, seed: int, stages: int = 2,
-                  schedule_n=(1, 6)) -> dict:
+def assemble_bs12(window: CayleyWindow, seed: int, stages: int,
+                  schedule_n) -> dict:
     """Window pipeline: fiber spanning tree, partitions, carving.
 
     Returns a dict with the tiling, the fiber decomposition, the spanning
@@ -272,7 +275,7 @@ def assemble_bs12(window: CayleyWindow, seed: int, stages: int = 2,
     labels = LabelSource(seed)
     fib = fibers(window)
     tree = fiber_spanning_tree(window, fib, labels)
-    sched = Schedule(schedule_n[:stages], 4)
+    sched = Schedule(schedule_n[:stages], DEGREE_BOUND)
     tiling = tile_tree(tree, sched, stages, labels)["tiling"]
 
     non_tree = [(min(s, t), max(s, t)) for s, t, _c in window.edges

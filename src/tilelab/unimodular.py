@@ -256,36 +256,29 @@ def _f_distance_two(g):
     return f
 
 
-F_BATTERY: Dict[str, TransportFn] = {
-    "unit_to_neighbors": _f_unit_neighbors,
-    "inverse_degree_on_edges": _f_inverse_degree,
-    "unit_to_self": _f_unit_self,
-    "neighbor_degree": _f_neighbor_degree,
-    "mark_match_on_edges": _f_mark_match,
-    "edge_color_rank": _f_color_weight,
-    "one_ball_isomorphic_neighbors": _f_ball_iso,
-    "distance_exactly_two": _f_distance_two,
-}
-
-_F_DESCRIPTIONS = {
-    "unit_to_neighbors": "send 1 along every edge",
-    "inverse_degree_on_edges": "send 1/deg(x) along every edge out of x",
-    "unit_to_self": "send 1 from every vertex to itself",
-    "neighbor_degree": "send deg(y) along every edge",
-    "mark_match_on_edges": "send 1 along edges whose endpoint marks agree",
-    "edge_color_rank": "send the rank of the edge color along every edge",
-    "one_ball_isomorphic_neighbors": "send 1 to neighbors with rooted-isomorphic 1-balls",
-    "distance_exactly_two": "send 1 to vertices at graph distance exactly 2",
+# name -> (transport function, description), in manifest order
+F_BATTERY: Dict[str, Tuple[TransportFn, str]] = {
+    "unit_to_neighbors": (_f_unit_neighbors, "send 1 along every edge"),
+    "inverse_degree_on_edges": (
+        _f_inverse_degree, "send 1/deg(x) along every edge out of x"),
+    "unit_to_self": (_f_unit_self, "send 1 from every vertex to itself"),
+    "neighbor_degree": (_f_neighbor_degree, "send deg(y) along every edge"),
+    "mark_match_on_edges": (
+        _f_mark_match, "send 1 along edges whose endpoint marks agree"),
+    "edge_color_rank": (
+        _f_color_weight, "send the rank of the edge color along every edge"),
+    "one_ball_isomorphic_neighbors": (
+        _f_ball_iso, "send 1 to neighbors with rooted-isomorphic 1-balls"),
+    "distance_exactly_two": (
+        _f_distance_two, "send 1 to vertices at graph distance exactly 2"),
 }
 
 
 def battery_manifest() -> str:
     return dumps_indented({
         "version": F_BATTERY_VERSION,
-        "functions": [
-            {"name": name, "description": _F_DESCRIPTIONS[name]}
-            for name in F_BATTERY
-        ],
+        "functions": [{"name": name, "description": text}
+                      for name, (_f, text) in F_BATTERY.items()],
     })
 
 
@@ -340,7 +333,7 @@ def mtp_battery(samples: Sequence[RootedSample]) -> Dict[str, dict]:
     ``(g, x, y)``: each value is evaluated once per distinct
     ``(graph, x, y)``, and 1-ball isomorphism is decided once per edge."""
     out = {}
-    for name, f in F_BATTERY.items():
+    for name, (f, _text) in F_BATTERY.items():
         lhs, rhs, ok = mtp_check(samples, f)
         out[name] = {"lhs": str(lhs), "rhs": str(rhs), "equal": ok}
     return out

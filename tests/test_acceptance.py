@@ -381,7 +381,7 @@ def test_a10_indistinguishability_falsification():
     tables = []
     flagged = 0
     for seed in range(30):
-        out = assemble_bs12(window, seed=seed)
+        out = assemble_bs12(window, seed, 2, (1, 6))
         fib = out["fibers"]
         pieces = contract_fibers(out["tiling"], fib)
         table = {fid: um.piece_features(piece, len(fib.members[fid]))

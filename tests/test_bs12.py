@@ -182,6 +182,10 @@ def test_fiber_spanning_tree_matches_reference(radius):
             assert (tree.root, tree.parent) == (ref.root, ref.parent)
 
 
-def test_ball_cap():
-    with pytest.raises(ResourceLimit):
-        bs12_ball(30, cap=1000)
+def test_ball_cap(monkeypatch):
+    import tilelab.bs12 as bs12
+
+    monkeypatch.setattr(bs12, "MAX_VERTICES", 1000)
+    with pytest.raises(ResourceLimit, match=r"exceeds cap \(1000 vertices\)"):
+        bs12_ball(30)
+    assert len(bs12_ball(7).vertices) == 711  # 1,317 at radius 8

@@ -330,6 +330,9 @@ def test_rerun_is_byte_identical(tmp_path):
 def test_config_error_exit_code(tmp_path):
     out = run_cli("tile-tree", "--schedule", "2,3", "--out", str(tmp_path))
     assert out.returncode == 2
+    out = run_cli("tile-tree", "--schedule", "1,x", "--out", str(tmp_path))
+    assert out.returncode == 2
+    assert out.stderr == "config error: --schedule: cannot parse schedule='1,x'\n"
     out = run_cli("tile-tree", "--config", "/nonexistent/х.cfg",
                   "--out", str(tmp_path))
     assert out.returncode == 2
@@ -346,19 +349,22 @@ def test_config_error_exit_code(tmp_path):
 
 
 def test_unread_keys_have_no_flag(tmp_path, capsys):
-    # `threads`, `steps` and `resolution` stay config keys, hashed into the
-    # artifacts, but no command reads them, so the parser offers no flag
+    # `threads` was a config key that no command read: it is retired, so a
+    # config file naming it is a config error, and the parser has no flag
     import tilelab.cli as cli
-    from tilelab.config import load_config
 
     with pytest.raises(SystemExit) as exc:
         cli.main(["tile-tree", "--threads", "2", "--out", str(tmp_path)])
     assert exc.value.code == 2
     assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("threads = 2\nsteps = 5\nresolution = 7\n")
-    loaded = load_config(str(cfg))
-    assert (loaded.threads, loaded.steps, loaded.resolution) == (2, 5, 7)
+    cfg.write_text("threads = 2\n")
+    out = tmp_path / "out"
+    code = cli.main(["tile-tree", "--config", str(cfg), "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: line 1: unknown key 'threads'\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("tree, why", [
@@ -389,6 +395,35 @@ def test_window_too_small_is_a_config_error(tmp_path, capsys, command, tree):
     assert code == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err == "config error: window too small: empty top set\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, tree, why", [
+    ("tile-tree", "canopy(2,12)",
+     "at (0, 9): live subtree size 13 > 1 + (d - 1) * 2^1 = 7"),
+    ("export", "canopy(2,12)",
+     "at (0, 9): live subtree size 13 > 1 + (d - 1) * 2^1 = 7"),
+    ("tile-tree", "random(400,8)",
+     "at 4: live subtree size 212 > 1 + (d - 1) * 2^6 = 193"),
+])
+def test_tree_over_the_degree_bound_is_a_config_error(tmp_path, capsys,
+                                                       command, tree, why):
+    import tilelab.cli as cli
+
+    code = cli.main([command, "--tree", tree, "--out", str(tmp_path)])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: tree exceeds the degree bound d = 4 {why}\n")
+    assert not list(tmp_path.iterdir())
+
+
+def test_degree_bound_check_holds_without_assertions(tmp_path):
+    out = subprocess.run(
+        [sys.executable, "-O", "-m", "tilelab.cli", "tile-tree",
+         "--tree", "canopy(2,12)", "--out", str(tmp_path)],
+        capture_output=True, text=True)
+    assert out.returncode == 2
+    assert out.stderr.startswith("config error: tree exceeds the degree bound")
     assert not list(tmp_path.iterdir())
 
 
@@ -424,14 +459,14 @@ def test_export_builds_one_mesh_for_both_formats(tmp_path, monkeypatch):
     import tilelab.exports as exports
 
     built = []
-    real = exports._tiling_mesh
-    monkeypatch.setattr(exports, "_tiling_mesh",
+    real = exports.tiling_mesh
+    monkeypatch.setattr(exports, "tiling_mesh",
                         lambda *a: built.append(a) or real(*a))
     code = cli.main(["export", "--tree", "path(6)", "--out", str(tmp_path)])
     assert code == 0 and len(built) == 1
-    tiling, h = built[0][0], cli.RunConfig({"tree": "path(6)"}).hash()
-    assert (tmp_path / "scene.off").read_text() == exports.tiling_off(tiling, h, 0)
-    assert (tmp_path / "scene.obj").read_text() == exports.tiling_obj(tiling, h, 0)
+    mesh, h = real(*built[0]), cli.RunConfig({"tree": "path(6)"}).hash()
+    assert (tmp_path / "scene.off").read_text() == exports.tiling_off(mesh, h, 0)
+    assert (tmp_path / "scene.obj").read_text() == exports.tiling_obj(mesh, h, 0)
 
 
 def test_slab_limit_exit_code(tmp_path, monkeypatch, capsys):
@@ -443,6 +478,20 @@ def test_slab_limit_exit_code(tmp_path, monkeypatch, capsys):
     code = cli.main(["tile-tree", "--tree", "path(6)", "--out", str(tmp_path)])
     assert code == cli.EXIT_RESOURCE
     assert "one merge over 1 slabs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["bs12", "t3"])
+def test_vertex_cap_exit_code(tmp_path, monkeypatch, capsys, command):
+    import tilelab.bs12 as bs12
+    import tilelab.cli as cli
+
+    # the radius-6 ball holds 375 vertices, and radius 5 already 191
+    monkeypatch.setattr(bs12, "MAX_VERTICES", 100)
+    code = cli.main([command, "--radius", "6", "--out", str(tmp_path)])
+    assert code == cli.EXIT_RESOURCE
+    assert capsys.readouterr().err == (
+        "resource cap: window exceeds cap (100 vertices)\n")
+    assert not list(tmp_path.iterdir())
 
 
 def test_lattice_cap_exit_code(tmp_path, monkeypatch, capsys):

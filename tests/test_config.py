@@ -2,6 +2,7 @@
 
 import pytest
 
+from tilelab import cli, config
 from tilelab.config import ConfigError, RunConfig, load_config
 
 
@@ -16,8 +17,6 @@ def test_defaults():
 def test_schedule_validation():
     with pytest.raises(ConfigError):
         RunConfig({"schedule": [2, 3]})
-    with pytest.raises(ConfigError):
-        RunConfig({"resolution": 0})
     with pytest.raises(ConfigError):
         RunConfig({"interpretation": "diagonal"})
     with pytest.raises(ConfigError):
@@ -41,6 +40,45 @@ def test_hash_ignores_out_dir():
     b = RunConfig({"seed": 4, "out": "/tmp/b"})
     assert a.hash() == b.hash()
     assert a.hash() != RunConfig({"seed": 5}).hash()
+
+
+def test_config_hash_is_pinned():
+    # the retired keys are hashed at their last defaults, so these values
+    # are the ones from before they were retired
+    assert RunConfig().hash() == "78da221439de6448"
+    assert RunConfig({"seed": 5}).hash() == "c319374a3aef51d7"
+
+
+def test_every_config_key_is_read_by_a_command(tmp_path, monkeypatch):
+    read = set()
+
+    class Recording(RunConfig):
+        """Records the keys read once construction, which validates them
+        all, is done."""
+
+        def __init__(self, values=None):
+            super().__init__(values)
+            self.recording = True
+
+        def __getattribute__(self, name):
+            if name in config._DEFAULTS and self.__dict__.get("recording"):
+                read.add(name)
+            return object.__getattribute__(self, name)
+
+        def hash(self):  # the hash reads every key
+            return "0" * 16
+
+    monkeypatch.setattr(config, "RunConfig", Recording)
+    monkeypatch.setattr(cli, "RunConfig", Recording)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("window = 0.25\n")
+    runs = [["tile-tree", "--tree", "path(6)"], ["export", "--tree", "path(6)"],
+            ["bs12", "--radius", "2"], ["t3", "--radius", "2"],
+            ["fractal", "--config", str(cfg)], ["check"]]
+    assert sorted(args[0] for args in runs) == sorted(cli._COMMANDS)
+    for args in runs:
+        assert cli.main(args + ["--out", str(tmp_path / args[0])]) == 0, args
+    assert read == set(config._DEFAULTS)
 
 
 def test_load_config(tmp_path):

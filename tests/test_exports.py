@@ -9,8 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from tilelab.boxes import BoxSet, union_all
 from tilelab.dyadic import Dyadic
-from tilelab.exports import (_tiling_mesh, csv_table, dumps_indented,
-                             json_report, svg_with_header, tiling_obj,
+from tilelab.exports import (csv_table, dumps_indented, json_report,
+                             svg_with_header, tiling_mesh, tiling_obj,
                              tiling_off, write_file)
 from tilelab.labels import LabelSource
 from tilelab.partition import Schedule
@@ -24,9 +24,12 @@ def small_tiling():
     return built["tiling"]
 
 
+def small_mesh():
+    return tiling_mesh(small_tiling(), 9)
+
+
 def test_off_structure():
-    tiling = small_tiling()
-    text = tiling_off(tiling, "deadbeef", 0)
+    text = tiling_off(small_mesh(), "deadbeef", 0)
     lines = text.strip().split("\n")
     assert lines[0] == "OFF"
     body = [ln for ln in lines[1:] if not ln.startswith("#")]
@@ -44,8 +47,7 @@ def test_off_structure():
 
 
 def test_obj_structure():
-    tiling = small_tiling()
-    text = tiling_obj(tiling, "deadbeef", 0)
+    text = tiling_obj(small_mesh(), "deadbeef", 0)
     lines = text.strip().split("\n")
     nv = sum(1 for ln in lines if ln.startswith("v "))
     for ln in lines:
@@ -113,9 +115,8 @@ def test_csv_and_svg_headers():
 
 
 def test_exports_deterministic(tmp_path):
-    tiling = small_tiling()
-    a = tiling_off(tiling, "h", 1)
-    b = tiling_off(small_tiling(), "h", 1)
+    a = tiling_off(small_mesh(), "h", 1)
+    b = tiling_off(small_mesh(), "h", 1)
     assert a == b
     p = write_file(str(tmp_path / "sub"), "scene.off", a)
     assert open(p).read() == a
@@ -197,18 +198,17 @@ def dyadic_boxes(draw):
 def test_mesh_from_ints_matches_dyadic_corners(tiles, digits):
     tile_of = {k: BoxSet(boxes) for k, boxes in enumerate(tiles)}
     tiling = Tiling(tile_of, union_all(list(tile_of.values())), [0], (), ())
-    off = tiling_off(tiling, "h", 3, digits)
-    obj = tiling_obj(tiling, "h", 3, digits)
+    mesh = tiling_mesh(tiling, digits)
+    off = tiling_off(mesh, "h", 3)
+    obj = tiling_obj(mesh, "h", 3)
     # a box's first corner is (x0, y0, z0) and its last (x1, y1, z1)
     verts, _ = _ref_mesh(tiling, digits)
     ends = [(verts[n].split(), verts[n + 7].split())
             for n in range(0, len(verts), 8)]
-    assert _tiling_mesh(tiling, digits) == [
+    assert mesh == [
         (x0, x1, y0, y1, z0, z1) for (x0, y0, z0), (x1, y1, z1) in ends]
     assert off == _ref_off(tiling, "h", 3, digits)
     assert obj == _ref_obj(tiling, "h", 3, digits)
-    assert tiling_off(tiling, "h", 3, mesh=_tiling_mesh(tiling, digits)) == off
-    assert tiling_obj(tiling, "h", 3, mesh=_tiling_mesh(tiling, digits)) == obj
     ref = dict(tiling.to_json(), config_hash="h", seed=3,
                tiles={repr(k): _ref_boxes_json(s) for k, s in tile_of.items()},
                region=_ref_boxes_json(tiling.region))
@@ -252,8 +252,9 @@ def test_dumps_indented_writes_boxsets_as_their_reference_lists(obj_ref):
 
 def test_exports_never_build_dyadic_corners():
     tiling = small_tiling()
-    tiling_off(tiling, "h", 0)
-    tiling_obj(tiling, "h", 0)
+    mesh = tiling_mesh(tiling, 9)
+    tiling_off(mesh, "h", 0)
+    tiling_obj(mesh, "h", 0)
     json_report(tiling.to_json(), "h", 0)
     sets = list(tiling.tile_of.values()) + [tiling.region]
     assert all(s._boxes is None for s in sets)

@@ -309,6 +309,20 @@ def test_carve_verdict_matches_four_queries_on_each_fault(carve_verdicts, z_hi, 
     assert verdict == why == four_query_fault(*carved)
 
 
+def test_add_edge_releases_the_certified_region(monkeypatch):
+    _, tiling = tiled_path(8)
+    plan = route_gamma(tiling.tile_of, [2, 3, 4])
+    assert plan.certified is not None
+    after = add_edge(tiling, plan)
+    assert plan.certified is None
+    prepared = []
+    monkeypatch.setattr(tunnels, "Clearance",
+                        lambda s: prepared.append(s) or Clearance(s))
+    again = add_edge(tiling, plan)
+    assert len(prepared) == 1  # the region is prepared again
+    assert again.to_json() == after.to_json()
+
+
 def test_add_edge_rejects_a_tube_that_escapes_the_path_tiles():
     # a plan routed on one tiling, carved on a copy whose middle tile has
     # lost the tube's halo: the plan's certified region is not reused
@@ -329,7 +343,7 @@ def test_add_edge_rejects_a_tube_that_escapes_the_path_tiles():
 
 @pytest.mark.parametrize("radius", [4, 5, 6])
 def test_contract_fibers_drops_the_disconnected_fibers(radius):
-    out = assemble_bs12(bs12_ball(radius), seed=0)
+    out = assemble_bs12(bs12_ball(radius), 0, 2, (1, 6))
     tiling, fib = out["tiling"], out["fibers"]
     pieces = contract_fibers(tiling, fib)
     dropped = {fid for fid, members in fib.members.items()
@@ -398,7 +412,7 @@ def test_cube_symmetries_count():
 
 def test_assemble_contract_isometry():
     window = bs12_ball(4)
-    out = assemble_bs12(window, seed=1)
+    out = assemble_bs12(window, 1, 2, (1, 6))
     tiling = out["tiling"]
     fib = out["fibers"]
     report = verify_representation(tiling, out["tree"])
@@ -440,15 +454,15 @@ def test_assemble_contract_isometry():
 
 
 def test_assemble_deterministic():
-    a = assemble_bs12(bs12_ball(2), seed=5)
-    b = assemble_bs12(bs12_ball(2), seed=5)
+    a = assemble_bs12(bs12_ball(2), 5, 2, (1, 6))
+    b = assemble_bs12(bs12_ball(2), 5, 2, (1, 6))
     assert a["tiling"].to_json() == b["tiling"].to_json()
     assert a["unrealized"] == b["unrealized"]
 
 
 def test_piece_features_read_the_int_bbox():
     window = bs12_ball(4)
-    out = assemble_bs12(window, seed=0)
+    out = assemble_bs12(window, 0, 2, (1, 6))
     fib = out["fibers"]
     pieces = contract_fibers(out["tiling"], fib)
     for fid, piece in pieces.tile_of.items():
