@@ -131,7 +131,8 @@ def cmd_t3(cfg: RunConfig) -> int:
     assembly = tunnels.assemble_bs12(window, cfg.seed, cfg.stages,
                                      tuple(cfg.schedule))
     fib = assembly["fibers"]
-    contracted = tunnels.contract_fibers(assembly["tiling"], fib)
+    contracted = tunnels.contract_fibers(assembly["tiling"], fib,
+                                         assembly["tree"])
     placed = tunnels.random_isometry(contracted, cfg.seed)
     h = cfg.hash()
 

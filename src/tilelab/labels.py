@@ -49,9 +49,14 @@ class LabelSource:
         return min(vertices, key=key)
 
 
+# one encoder for every vertex id: `json.dumps` with separators builds a new
+# one per call
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def _encode_vertex(vertex) -> bytes:
     """Stable byte encoding of a vertex id (ints, strings, nested tuples)."""
-    return json.dumps(_plain(vertex), separators=(",", ":")).encode()
+    return _ENCODER.encode(_plain(vertex)).encode()
 
 
 def _plain(v):

@@ -351,7 +351,13 @@ def carve(tree: RootedTreeWindow, topset: TopSet, grid: GridAssignment) -> Tilin
     A tile is one `boxes.box_minus` of its brick or cube and those of the
     tiles nested in it, each an ``(exp, [int box])`` item on its least
     lattice; a worklist carves the children, so no deep recursion.  A tile
-    finer than ``2**-MAX_EXP`` raises `ResourceLimit`, before the verifier."""
+    finer than ``2**-MAX_EXP`` raises `ResourceLimit`, before the verifier.
+
+    The tiles nest: every tree child of a resolved vertex is resolved, a
+    child's brick or cube lies strictly inside its parent's, and sibling
+    bricks and cubes are disjoint.  So a tile's `int_bbox` is its brick or
+    cube, and the tile is that box minus its children's (`contract_fibers`
+    reads fiber pieces off this)."""
     def block_brick(y) -> tuple:
         box = _cell_box(grid.block_origin[y], block_dims(topset.m_of[y]))
         return _deflate(1, box, margin(topset.stratum[y]))

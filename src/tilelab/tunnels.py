@@ -13,14 +13,19 @@ adjacency is the spanning tree, so a common neighbor of the endpoints of a
 non-tree edge would close a triangle in the Cayley graph of BS(1,2), which
 has none (see `assemble_bs12`).  `route_gamma` and `add_edge` are the
 tunnel lemma on other tilings.
+
+`contract_fibers` makes each fiber's piece by subtraction, not by a sweep
+over its member tiles: carve's tiles nest, so the tiles of a tree-connected
+group of members are one `box_minus` of the group's top box and the boxes
+of its children outside the group.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .boxes import (BoxSet, Clearance, _shift, contact_faces, polyline_neighborhood,
-                    set_contacts, union_all)
+from .boxes import (BoxSet, Clearance, _shift, box_minus, contact_faces,
+                    polyline_neighborhood, set_contacts, union_all)
 from .bs12 import CayleyWindow, FiberDecomposition, fiber_spanning_tree, fibers
 from .dyadic import Dyadic
 from .labels import LabelSource
@@ -291,23 +296,48 @@ def assemble_bs12(window: CayleyWindow, seed: int, stages: int,
             "unrealized": unrealized}
 
 
-def contract_fibers(tiling: Tiling, fib: FiberDecomposition) -> Tiling:
-    """One tile per fiber: the union of its members' tiles."""
+def contract_fibers(tiling: Tiling, fib: FiberDecomposition,
+                    tree: RootedTreeWindow) -> Tiling:
+    """One tile per fiber: the union of its members' tiles in ``tiling``,
+    which `carve` made from the spanning tree ``tree``.
+
+    The union is read off carve's nesting: every tree child of a resolved
+    vertex is resolved, a child's brick or cube lies strictly inside its
+    parent's, and sibling bricks and cubes are disjoint.  So a tile's
+    `int_bbox` is the brick or cube it was carved from, the tile is that box
+    minus its children's boxes, and the tiles of a tree-connected group of
+    resolved members with top vertex t sum to one `box_minus`: t's box minus
+    the boxes of the group's children outside the group.  A fiber of several
+    groups is the union of their subtractions, and is dropped as
+    disconnected by its component count like any fragmented piece."""
+    tile_of = tiling.tile_of
     pieces = {}
     unresolved = set()
     for fid, members in fib.members.items():
-        tiles = [tiling.tile_of[v] for v in members
-                 if v in tiling.tile_of]
-        if not tiles:
+        resolved = [v for v in members if v in tile_of]
+        if not resolved:
             unresolved.add(fid)
             continue
-        acc = union_all(tiles)
+        inside = set(resolved)
+        groups = []
+        for top in resolved:
+            if tree.parent[top] in inside:
+                continue
+            holes, stack = [], [top]
+            while stack:
+                for c in tree.children[stack.pop()]:
+                    (stack if c in inside else holes).append(c)
+            sets = [tile_of[top]] + [tile_of[c] for c in holes]
+            f = max(s.exp for s in sets)
+            box, *boxes = (_shift([s.int_bbox()], f - s.exp)[0] for s in sets)
+            groups.append(box_minus(f, box, boxes))
+        acc = groups[0] if len(groups) == 1 else union_all(groups)
         if set_contacts([acc], components=(0,))[2][0] != 1:
             # a fragmented window trace cannot make an honest piece
             unresolved.add(("disconnected", fid))
             continue
         pieces[fid] = acc
-        if len(tiles) != len(members):
+        if len(resolved) != len(members):
             unresolved.add(("partial", fid))
     return Tiling(pieces, tiling.region, [], unresolved, [])
 

@@ -383,7 +383,7 @@ def test_a10_indistinguishability_falsification():
     for seed in range(30):
         out = assemble_bs12(window, seed, 2, (1, 6))
         fib = out["fibers"]
-        pieces = contract_fibers(out["tiling"], fib)
+        pieces = contract_fibers(out["tiling"], fib, out["tree"])
         table = {fid: um.piece_features(piece, len(fib.members[fid]))
                  for fid, piece in pieces.tile_of.items()
                  if fid in fib.interior_fibers}

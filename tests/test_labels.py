@@ -1,10 +1,12 @@
 """Keyed labels: determinism, uniformity, tie-breaking."""
 
+import json
 from fractions import Fraction
 
 import scipy.stats
+from hypothesis import example, given, strategies as st
 
-from tilelab.labels import LABEL_BITS, LabelSource, _encode_vertex
+from tilelab.labels import LABEL_BITS, LabelSource, _encode_vertex, _plain
 
 
 def test_deterministic_across_instances():
@@ -68,3 +70,20 @@ def test_vertex_encoding_distinguishes_structures():
     src = LabelSource(4)
     assert src.bits((1, 2)) != src.bits((1, "2"))
     assert src.bits(12) != src.bits("12")
+
+
+# vertex ids: nested tuples and lists of ints, strings (quotes, escapes and
+# non-ASCII characters included), bools, None and floats
+VERTEX_IDS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple),
+    max_leaves=16)
+
+
+@given(VERTEX_IDS)
+@example(((3, 5, 7), (4, -11, 9)))
+@example(("say \"hi\"\\", "\u00fcber \u2192 \U0001f600", "\n\t"))
+@example((True, False, None, 0.1, -0.0, 1e300, float("inf"), float("nan")))
+def test_vertex_encoding_matches_json_dumps(vertex):
+    assert _encode_vertex(vertex) == \
+        json.dumps(_plain(vertex), separators=(",", ":")).encode()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tiler_reference import reference_place_cubes, reference_top_set
-from tilelab.boxes import _lattice
+from tilelab.boxes import _lattice, _shift, box_minus
 from tilelab.bs12 import bs12_ball, fiber_spanning_tree, fibers
 from tilelab.dyadic import Dyadic
 from tilelab.labels import LabelSource
@@ -17,6 +17,7 @@ from tilelab.partition import Schedule, limit_partitions
 from tilelab.tiler import Tiling, WindowTooSmall, block_dims, margin, \
     nest_margin, place_cubes, tile_tree, top_set, verify_representation
 from tilelab.trees import synthetic_tree
+from tilelab.tunnels import assemble_bs12
 
 
 def test_block_dims_volume_and_shape():
@@ -156,6 +157,39 @@ def test_blocks_nest_along_the_tree_and_are_otherwise_disjoint(descriptor):
                 elif not tree.is_ancestor(y, x):
                     assert any(yh <= xl or xh <= yl
                                for (xl, xh), (yl, yh) in zip(bx, by)), (x, y)
+
+
+def assert_carve_nests(tree, tiling):
+    """Every tree child of a resolved vertex is resolved; each tile's
+    bounding box holds its children's strictly inside, sibling boxes are
+    disjoint, and the tile is its box minus its children's."""
+    for v, tile in tiling.tile_of.items():
+        kids = [tiling.tile_of[c] for c in tree.children[v]]
+        f = max([tile.exp] + [k.exp for k in kids])
+        box, *holes = (_shift([s.int_bbox()], f - s.exp)[0] for s in [tile] + kids)
+        for h in holes:
+            assert all(bl < hl and hh < bh for (bl, bh), (hl, hh) in zip(box, h)), v
+        for g, h in combinations(holes, 2):
+            assert any(gh < hl or hh < gl for (gl, gh), (hl, hh) in zip(g, h)), v
+        assert box_minus(f, box, holes) == tile, v
+
+
+@pytest.mark.parametrize("descriptor", [
+    "path(24)", "binary-canopy(4)", "canopy(3,3)", "spine(6,2)",
+    "random(100,4)",
+])
+def test_carve_nests_tree_window_tiles(descriptor):
+    for seed in range(4):
+        tree, tiling = run(descriptor, seed=seed)
+        assert_carve_nests(tree, tiling)
+
+
+@pytest.mark.parametrize("radius", range(2, 7))
+def test_carve_nests_fiber_tree_tiles(radius):
+    window = bs12_ball(radius)
+    for seed in range(3):
+        out = assemble_bs12(window, seed, 2, (1, 6))
+        assert_carve_nests(out["tree"], out["tiling"])
 
 
 def test_verifier_reports_first_overlapping_pair():

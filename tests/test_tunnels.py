@@ -345,7 +345,7 @@ def test_add_edge_rejects_a_tube_that_escapes_the_path_tiles():
 def test_contract_fibers_drops_the_disconnected_fibers(radius):
     out = assemble_bs12(bs12_ball(radius), 0, 2, (1, 6))
     tiling, fib = out["tiling"], out["fibers"]
-    pieces = contract_fibers(tiling, fib)
+    pieces = contract_fibers(tiling, fib, out["tree"])
     dropped = {fid for fid, members in fib.members.items()
                if any(v in tiling.tile_of for v in members)
                and len(union_all([tiling.tile_of[v] for v in members
@@ -354,6 +354,39 @@ def test_contract_fibers_drops_the_disconnected_fibers(radius):
     assert {x[1] for x in pieces.unresolved
             if isinstance(x, tuple) and x[0] == "disconnected"} == dropped
     assert dropped.isdisjoint(pieces.tile_of)
+
+
+def contract_by_union(tiling, fib):
+    """`contract_fibers` as it was computed: one sweep over each fiber's
+    member tiles, then its component count."""
+    pieces, unresolved = {}, set()
+    for fid, members in fib.members.items():
+        tiles = [tiling.tile_of[v] for v in members if v in tiling.tile_of]
+        if not tiles:
+            unresolved.add(fid)
+            continue
+        acc = union_all(tiles)
+        if set_contacts([acc], components=(0,))[2][0] != 1:
+            unresolved.add(("disconnected", fid))
+            continue
+        pieces[fid] = acc
+        if len(tiles) != len(members):
+            unresolved.add(("partial", fid))
+    return pieces, unresolved
+
+
+@pytest.mark.parametrize("radius", range(1, 8))
+def test_contract_fibers_matches_member_tile_union(radius):
+    window = bs12_ball(radius)
+    for seed in range(6):
+        for stages, schedule in ((1, (1, 6)), (2, (1, 6)), (2, (2, 12))):
+            out = assemble_bs12(window, seed, stages, schedule)
+            pieces, unresolved = contract_by_union(out["tiling"], out["fibers"])
+            got = contract_fibers(out["tiling"], out["fibers"], out["tree"])
+            case = seed, stages, schedule
+            assert list(got.tile_of) == list(pieces), case
+            assert got.tile_of == pieces, case
+            assert got.unresolved == unresolved, case
 
 
 def path_walking_key(tree, e):
@@ -424,7 +457,7 @@ def test_assemble_contract_isometry():
     assert [e for e, _why in out["unrealized"]] == sorted(
         non_tree_edges(window, tree), key=lambda e: path_walking_key(tree, e))
 
-    pieces = contract_fibers(tiling, fib)
+    pieces = contract_fibers(tiling, fib, tree)
     # at this radius an interior fiber's window trace falls apart
     assert any(("disconnected", fid) in pieces.unresolved
                for fid in fib.interior_fibers)
@@ -464,7 +497,7 @@ def test_piece_features_read_the_int_bbox():
     window = bs12_ball(4)
     out = assemble_bs12(window, 0, 2, (1, 6))
     fib = out["fibers"]
-    pieces = contract_fibers(out["tiling"], fib)
+    pieces = contract_fibers(out["tiling"], fib, out["tree"])
     for fid, piece in pieces.tile_of.items():
         features = piece_features(piece, len(fib.members[fid]))
         assert piece._boxes is None  # no Dyadic corner was built
